@@ -6,10 +6,10 @@ comparison gaps), simulate (particle experiment report), diffusion
 
 Exit codes: 0 ok, 2 input error, 3 structural refusal (no gradient system),
 4 runtime/statistical failure.  Outputs are written atomically (temp file +
-rename) and are byte-identical for a fixed config and seed regardless of
-worker count; every report carries its seeds and tolerances.  A run
-manifest (command, config hash, outputs, wall clock) is written next to the
-outputs; the manifest is the one file allowed to differ between reruns.
+rename) and are byte-identical for a fixed config and seed; every report
+carries its seeds and tolerances.  A run manifest (command, config hash,
+outputs, wall clock) is written next to the outputs; the manifest is the one
+file allowed to differ between reruns.
 """
 
 import argparse
@@ -198,7 +198,7 @@ def cmd_simulate(args):
     report, rows = particle.rate_vs_probability_experiment(
         g, times, states, float(cfg["tube_radius"]),
         [int(n) for n in cfg["n_list"]], int(cfg["replicas"]),
-        int(cfg["seed"]), workers=int(cfg.get("workers", 1)))
+        int(cfg["seed"]))
     # Zero-tilt sanity: the identity tilt has zero log density by definition.
     zero = particle.TiltField.constant(np.zeros(g.size), T)
     p0 = particle.simulate(

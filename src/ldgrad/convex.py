@@ -5,10 +5,11 @@ every conjugate here is taken over vectors summing to zero.  The transform
 
     f*(s) = sup_xi  <xi, s> - f(xi)
 
-is computed by damped Newton over J-1 free coordinates (the last coordinate
-is determined by the zero-sum constraint), with a deterministic multistart /
-coarse-grid fallback when Newton stalls.  An explicit box |xi|_inf <= 50
-converts genuinely unbounded problems into a clean error.
+is computed by damped Newton with an Armijo line search over J-1 free
+coordinates (the last coordinate is determined by the zero-sum constraint).
+An explicit box |xi|_inf <= 50 converts genuinely unbounded problems into a
+clean error; a run that stalls or exhausts its budget inside the box raises
+NoConvergence with its best iterate.
 """
 
 from dataclasses import dataclass
@@ -145,23 +146,6 @@ def _newton(f, grad, hess, s, u0, tol, max_iter):
     return best[1], False, max_iter, best[0], False
 
 
-def _fallback_starts(s, m):
-    """Deterministic multistart points in reduced coordinates."""
-    starts = [np.zeros(m)]
-    sz = project_zero_sum(s)
-    for scale in (0.5, 2.0, -1.0):
-        starts.append(scale * sz[:m] if m < s.size else scale * sz)
-    rng = np.random.default_rng(12345)
-    for _ in range(4):
-        starts.append(rng.uniform(-2.0, 2.0, m))
-    if m <= 2:
-        # Coarse tensor grid, then the best point seeds a polish below.
-        axes = [np.arange(-5.0, 5.0 + 1e-9, 0.5)] * m
-        mesh = np.meshgrid(*axes, indexing="ij")
-        starts.extend(np.stack([g.ravel() for g in mesh], axis=-1))
-    return starts
-
-
 def conjugate(f, s, x0=None, tol=DEFAULT_TOL, grad=None, hess=None,
               max_iter=MAX_ITER):
     """Legendre transform sup_xi <xi,s> - f(xi) over zero-sum xi.
@@ -169,8 +153,8 @@ def conjugate(f, s, x0=None, tol=DEFAULT_TOL, grad=None, hess=None,
     f must be convex and finite on the zero-sum subspace; grad/hess are
     optional closed forms (finite differences are used when absent).
     Raises UnboundedConjugate when the objective is still ascending at the
-    box boundary and NoConvergence (with the best iterate attached) when the
-    iteration budget is exhausted.
+    box boundary and NoConvergence (with the best iterate attached) when
+    Newton stalls or exhausts its iteration budget inside the box.
     """
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)):
@@ -192,30 +176,16 @@ def conjugate(f, s, x0=None, tol=DEFAULT_TOL, grad=None, hess=None,
         u0 = project_zero_sum(np.asarray(x0, dtype=float))[:m].copy()
 
     u, ok, its, resid, hit_box = _newton(f, grad, hess, s, u0, tol, max_iter)
-    total_its = its
-    if not ok:
-        if hit_box:
-            raise UnboundedConjugate(
-                "objective still increasing at the box |xi|_inf = %g" % BOX)
-        # Multistart / coarse-grid fallback, then Newton polish.
-        best_u, best_phi = u, f(_full(u)) - _full(u) @ s
-        for start in _fallback_starts(s, m):
-            phi = f(_full(start)) - _full(start) @ s
-            if np.isfinite(phi) and phi < best_phi:
-                best_phi, best_u = phi, np.asarray(start, dtype=float)
-        u, ok, its, resid, hit_box = _newton(f, grad, hess, s, best_u, tol,
-                                             max_iter)
-        total_its += its
-        if hit_box:
-            raise UnboundedConjugate(
-                "objective still increasing at the box |xi|_inf = %g" % BOX)
+    if hit_box:
+        raise UnboundedConjugate(
+            "objective still increasing at the box |xi|_inf = %g" % BOX)
 
     xi = _full(u)
     value = float(xi @ s - f(xi))
     result = ConjugateResult(value=value, argmax=xi, converged=bool(ok),
-                             iterations=total_its, residual_norm=float(resid))
+                             iterations=its, residual_norm=float(resid))
     if not ok:
         raise NoConvergence(
             "no convergence after %d iterations (residual %.3e)"
-            % (total_its, resid), best=result)
+            % (its, resid), best=result)
     return result

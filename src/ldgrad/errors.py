@@ -69,5 +69,16 @@ class TiltTooStrong(LdgradError):
     """Thinning bound for the tilted simulation is not representable/affordable."""
 
 
+class NoCrossCheck(LdgradError):
+    """Two independent routes to the same potential disagree."""
+
+    def __init__(self, direct, dual):
+        super().__init__(
+            "psi routes disagree: direct %.12e vs conjugate %.12e"
+            % (direct, dual))
+        self.direct = direct
+        self.dual = dual
+
+
 class QuadratureWarning(UserWarning):
     """Quadrature error estimate exceeded the target; result still returned."""

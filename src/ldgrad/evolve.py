@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import markov, structure
-from .errors import (BoundaryPoint, GridMismatch, InvalidInput,
-                     NotGradientSystem, StepSizeTooLarge)
+from .errors import (BoundaryPoint, DegenerateInvariantMeasure, GridMismatch,
+                     InvalidInput, NotGradientSystem, ReducibleChain,
+                     StepSizeTooLarge)
 
 MASS_DRIFT_TOL = 1e-12
 SIMPLEX_SLACK = 1e-6
@@ -77,16 +78,16 @@ def integrate_linear(rho0, g, T, dt, with_entropy=True):
     times = _grid(T, dt)
     QT = g.q.T
     entropy = None
+    meta = {"method": "rk4-linear", "dt": dt, "rejected_steps": 0}
     if with_entropy:
         try:
             pi = markov.analyze_balance(g).invariant_measure
             entropy = lambda rho: markov.relative_entropy(rho, pi)
-        except Exception:
-            entropy = None
+        except (ReducibleChain, DegenerateInvariantMeasure) as exc:
+            meta["entropy_unavailable"] = str(exc)
     states, ent = _march(lambda y: QT @ y, rho0, times, entropy)
     return Trajectory(times=times, states=states, entropy_values=ent,
-                      meta={"method": "rk4-linear", "dt": dt,
-                            "rejected_steps": 0})
+                      meta=meta)
 
 
 def exact_linear_solution(rho0, g, times):

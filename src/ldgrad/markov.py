@@ -13,10 +13,13 @@ with closed-form gradient and Hessian in xi, and its conjugate
     L(rho, s) = sup_xi <xi, s> - H(rho, xi),
 
 the cost functional whose zero set is the forward equation rho' = Q^T rho.
+H is a sum over the edges of the generator graph, evaluated by the
+`EdgeFunctional` core that the dissipation potentials in `structure` share.
 """
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -50,6 +53,15 @@ class GeneratorMatrix:
     def max_exit_rate(self):
         """gamma = max_i sum_{j != i} Q_ij."""
         return float(np.max(self.q.sum(axis=1) - np.diag(self.q)))
+
+    @cached_property
+    def edges(self):
+        """(src, dst, rate) of the positive off-diagonal entries, row-major.
+
+        Cached: q is built once by `validate_generator` and never mutated.
+        """
+        src, dst = np.nonzero(self.q > 0)  # the diagonal is <= 0
+        return src, dst, self.q[src, dst]
 
 
 def validate_generator(raw, state_labels=None):
@@ -194,39 +206,71 @@ def relative_entropy_gradient(rho, pi):
     return raw, convex.project_zero_sum(raw)
 
 
-def _exp_diff(xi):
-    D = xi[None, :] - xi[:, None]
-    if np.abs(D).max() > EXP_GUARD:
-        raise ExponentOverflow("potential difference exceeds %g" % EXP_GUARD)
-    return D
+# (phi, phi', phi'') of the Hamiltonian's edge terms.
+EXPM1 = (np.expm1, np.exp, np.exp)
+
+
+class EdgeFunctional:
+    """f(xi) = sum_e w_e phi(xi[dst_e] - xi[src_e]) over the edges of a graph.
+
+    `phi` is a triple (phi, phi', phi'') of vectorized scalar functions.  The
+    gradient gathers phi' at the edge heads minus the tails; the Hessian is
+    the graph Laplacian with edge weights w_e phi''.  Edge differences above
+    EXP_GUARD raise ExponentOverflow; non-edges exponentiate nothing.
+    """
+
+    def __init__(self, src, dst, weights, J, phi=EXPM1):
+        self.src, self.dst, self.weights, self.J = src, dst, weights, J
+        self.phi = phi
+
+    def _diff(self, xi):
+        d = xi[self.dst] - xi[self.src]
+        if d.size and np.abs(d).max() > EXP_GUARD:
+            raise ExponentOverflow(
+                "potential difference on an edge exceeds %g" % EXP_GUARD)
+        return d
+
+    def __call__(self, xi):
+        return float(self.weights @ self.phi[0](self._diff(xi)))
+
+    def gradient(self, xi):
+        m = self.weights * self.phi[1](self._diff(xi))
+        return (np.bincount(self.dst, m, self.J)
+                - np.bincount(self.src, m, self.J))
+
+    @cached_property
+    def _laplacian_index(self):
+        # Flat positions (i,j), (j,i), (i,i), (j,j) of each edge i -> j.
+        J, src, dst = self.J, self.src, self.dst
+        return np.concatenate([src * J + dst, dst * J + src,
+                               src * (J + 1), dst * (J + 1)])
+
+    def hessian(self, xi):
+        a = self.weights * self.phi[2](self._diff(xi))
+        return np.bincount(self._laplacian_index,
+                           np.concatenate([-a, -a, a, a]),
+                           self.J * self.J).reshape(self.J, self.J)
+
+
+def hamiltonian_functional(rho, g):
+    """H(rho, .) as an edge functional: weights rho_i Q_ij, phi = expm1."""
+    src, dst, rate = g.edges
+    return EdgeFunctional(src, dst, np.asarray(rho, dtype=float)[src] * rate,
+                          g.size)
 
 
 def hamiltonian(rho, xi, g):
     """H(rho, xi) = sum_ij rho_i Q_ij (e^{xi_j - xi_i} - 1)."""
-    rho = np.asarray(rho, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    D = _exp_diff(xi)
-    return float(np.sum(rho[:, None] * g.q * np.expm1(D)))
+    return hamiltonian_functional(rho, g)(np.asarray(xi, dtype=float))
 
 
 def hamiltonian_gradient(rho, xi, g):
     """d/dxi_k H = sum_i rho_i Q_ik e^{xi_k-xi_i} - rho_k sum_j Q_kj e^{xi_j-xi_k}."""
-    rho = np.asarray(rho, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    D = _exp_diff(xi)
-    M = rho[:, None] * g.q * np.exp(D)
-    return M.sum(axis=0) - M.sum(axis=1)
+    return hamiltonian_functional(rho, g).gradient(np.asarray(xi, dtype=float))
 
 
 def hamiltonian_hessian(rho, xi, g):
-    rho = np.asarray(rho, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    D = _exp_diff(xi)
-    M = rho[:, None] * g.q * np.exp(D)
-    np.fill_diagonal(M, 0.0)
-    H = -(M + M.T)
-    np.fill_diagonal(H, M.sum(axis=0) + M.sum(axis=1))
-    return H
+    return hamiltonian_functional(rho, g).hessian(np.asarray(xi, dtype=float))
 
 
 def lagrangian(rho, s, g, tol=convex.DEFAULT_TOL, x0=None):
@@ -235,11 +279,9 @@ def lagrangian(rho, s, g, tol=convex.DEFAULT_TOL, x0=None):
     The value is clamped to zero only when it is within tol of zero; genuine
     negatives (which cannot occur for valid inputs) are left visible.
     """
-    rho = np.asarray(rho, dtype=float)
-    res = convex.conjugate(
-        lambda xi: hamiltonian(rho, xi, g), s, x0=x0, tol=tol,
-        grad=lambda xi: hamiltonian_gradient(rho, xi, g),
-        hess=lambda xi: hamiltonian_hessian(rho, xi, g))
+    H = hamiltonian_functional(rho, g)
+    res = convex.conjugate(H, s, x0=x0, tol=tol, grad=H.gradient,
+                           hess=H.hessian)
     if abs(res.value) <= tol:
         res.value = max(res.value, 0.0)
     return res

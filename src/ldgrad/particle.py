@@ -4,7 +4,7 @@ n independent continuous-time Markov particles are simulated exactly
 (per-particle exponential clocks; thinning under a time-dependent tilt whose
 rates are Q_ij e^{xi_t(j) - xi_t(i)}).  Every particle draws from its own
 counter-based RNG stream keyed by (seed, stream id), so results are
-byte-identical regardless of scheduling or thread count.
+byte-identical regardless of the order in which particles are simulated.
 
 The pathwise objects follow two deliberately independent computational
 routes that must agree to 1e-10:
@@ -23,7 +23,6 @@ estimate of tube probabilities against that cost.
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -465,8 +464,9 @@ def path_rate_functional(times, states, g, tol=convex.DEFAULT_TOL,
 
     rho' by central differences (one-sided at the ends), L by Newton
     conjugation with warm starts, trapezoid in time.  Returns the value with
-    a per-time breakdown.  Empirical inputs should be mollified (window
-    reported alongside results).
+    a per-time breakdown and the per-time maximizers ("knots"), which are the
+    optimal tilt at the grid times (see `optimal_tilt`).  Empirical inputs
+    should be mollified (window reported alongside results).
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
@@ -484,6 +484,7 @@ def path_rate_functional(times, states, g, tol=convex.DEFAULT_TOL,
     sdot[-1] = (states[-1] - states[-2]) / dt
 
     per_time = np.empty(M)
+    knots = np.empty_like(states)
     x0 = None
     for m in range(M):
         try:
@@ -493,12 +494,12 @@ def path_rate_functional(times, states, g, tol=convex.DEFAULT_TOL,
             raise UnboundedConjugate(
                 "cost unbounded at t = %.6g: %s" % (times[m], exc)) from exc
         per_time[m] = res.value
-        x0 = res.argmax
+        knots[m] = x0 = res.argmax
     weights = np.full(M, dt)
     weights[0] = weights[-1] = 0.5 * dt
     value = float(weights @ per_time)
     return {"value": value, "per_time": per_time, "times": times,
-            "mollify_window": mollify_window}
+            "knots": knots, "mollify_window": mollify_window}
 
 
 def tightness_stats(path, g, M=None):
@@ -520,31 +521,22 @@ def tightness_stats(path, g, M=None):
     }
 
 
-def optimal_tilt(times, states, g, tol=convex.DEFAULT_TOL):
-    """Tilt that makes the target path typical: at each node, the maximizer
-    of <xi, rho'> - H(rho, xi), i.e. the stationarity condition
-    D_xi H(rho, xi) = rho'."""
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    dt = times[1] - times[0]
-    sdot = np.empty_like(states)
-    sdot[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
-    sdot[0] = (states[1] - states[0]) / dt
-    sdot[-1] = (states[-1] - states[-2]) / dt
-    knots = np.empty_like(states)
-    x0 = None
-    for m in range(times.size):
-        res = markov.lagrangian(states[m], convex.project_zero_sum(sdot[m]), g,
-                                tol=tol, x0=x0)
-        knots[m] = res.argmax
-        x0 = res.argmax
+def _tilt_from_knots(times, knots):
     if np.abs(knots - knots[0]).max() < 1e-12:
         return TiltField.constant(knots[0], float(times[-1]))
     return TiltField.piecewise_linear(times, knots)
 
 
-def _one_replica(args):
-    (g, n, T, init, seed, tilt, stream_offset, grid, target, tube) = args
+def optimal_tilt(times, states, g, tol=convex.DEFAULT_TOL):
+    """Tilt that makes the target path typical: at each node, the maximizer
+    of <xi, rho'> - H(rho, xi), i.e. the stationarity condition
+    D_xi H(rho, xi) = rho'.  These are the knots of `path_rate_functional`."""
+    rate = path_rate_functional(times, states, g, tol=tol)
+    return _tilt_from_knots(rate["times"], rate["knots"])
+
+
+def _one_replica(g, n, T, init, seed, tilt, stream_offset, grid, target,
+                 tube):
     p = simulate(g, n, T, init, seed, tilt=tilt, stream_offset=stream_offset)
     emp = empirical_measure_path(p, grid, J=g.size)
     dist = float(np.abs(emp - target).max())
@@ -555,7 +547,7 @@ def _one_replica(args):
 
 def rate_vs_probability_experiment(g, target_times, target_states,
                                    tube_radius, n_list, replicas, seed,
-                                   workers=1, ess_threshold=0.1):
+                                   ess_threshold=0.1):
     """Tilt-then-reweight estimate of tube probabilities against I_T.
 
     For each n: simulate `replicas` copies of n particles under the
@@ -575,22 +567,15 @@ def rate_vs_probability_experiment(g, target_times, target_states,
     T = float(target_times[-1])
     rate = path_rate_functional(target_times, target_states, g)
     I_T = rate["value"]
-    tilt = optimal_tilt(target_times, target_states, g)
+    tilt = _tilt_from_knots(target_times, rate["knots"])
 
     results = {}
     per_replica_rows = []
     for ni, n in enumerate(n_list):
         init = deterministic_assignment(target_states[0], n)
-        args = []
-        for r in range(replicas):
-            stream_offset = (ni * replicas + r) * n
-            args.append((g, n, T, init, seed, tilt, stream_offset,
-                         target_times, target_states, tube_radius))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_one_replica, args))
-        else:
-            rows = [_one_replica(a) for a in args]
+        rows = [_one_replica(g, n, T, init, seed, tilt, (ni * replicas + r) * n,
+                             target_times, target_states, tube_radius)
+                for r in range(replicas)]
         hits = np.array([r["hit"] for r in rows])
         Gs = np.array([r["G"] for r in rows])
         log_w = -n * Gs

@@ -22,6 +22,10 @@ whose quadratic member psi(z) = z^2/2 carries logarithmic-mean weights
 carries harmonic-type weights.  The driving entropy normalization per member
 is not hardcoded; `determine_entropy_scale` measures which multiple of E_pi
 makes the induced flow match Q^T rho and the answer is recorded in reports.
+
+Every potential above is a sum over the edges of the generator graph and is
+evaluated by `markov.EdgeFunctional`; the shift by V tilts the edge weights
+of H by e^{V_j - V_i}.
 """
 
 import enum
@@ -32,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import convex, markov
-from .errors import (BoundaryPoint, NotGradientSystem, NotWeaklyReversible)
+from .errors import (BoundaryPoint, NoCrossCheck, NotGradientSystem,
+                     NotWeaklyReversible)
 
 DIAG_TOL = 1e-6
 LOG_RATIO_GUARD = 1e-8
@@ -103,109 +108,67 @@ def critical_covector(rho, g, tol=convex.DEFAULT_TOL, x0=None):
         # Half log-ratio is exact under detailed balance; a good start always.
         balance_guess = 0.5 * np.log(rho / np.abs(rho).sum() * rho.size)
         x0 = convex.project_zero_sum(balance_guess)
-    res = convex.conjugate(
-        lambda xi: markov.hamiltonian(rho, xi, g),
-        np.zeros(rho.size), x0=x0, tol=tol,
-        grad=lambda xi: markov.hamiltonian_gradient(rho, xi, g),
-        hess=lambda xi: markov.hamiltonian_hessian(rho, xi, g))
+    H = markov.hamiltonian_functional(rho, g)
+    res = convex.conjugate(H, np.zeros(rho.size), x0=x0, tol=tol,
+                           grad=H.gradient, hess=H.hessian)
     return res.argmax
+
+
+def _shifted_hamiltonian(rho, V, g):
+    """xi -> H(rho, V + xi) - H(rho, V): the edges of H with weights tilted
+    by e^{V_j - V_i}."""
+    V = np.asarray(V, dtype=float)
+    H = markov.hamiltonian_functional(rho, g)
+    return markov.EdgeFunctional(H.src, H.dst,
+                                 H.weights * np.exp(V[H.dst] - V[H.src]), H.J)
 
 
 def shifted_dual(rho, V, xi, g):
     """Psi*_{L,V}(rho, xi) = H(rho, V + xi) - H(rho, V) for any covector V."""
-    rho = np.asarray(rho, dtype=float)
-    V = np.asarray(V, dtype=float)
-    return markov.hamiltonian(rho, V + xi, g) - markov.hamiltonian(rho, V, g)
+    return _shifted_hamiltonian(rho, V, g)(np.asarray(xi, dtype=float))
 
 
-def _ldp_weights(rho, pi, Q):
-    W = np.sqrt(np.outer(rho, rho) * np.outer(pi, 1.0 / pi)) * Q
-    np.fill_diagonal(W, 0.0)
-    return W
+# (psi, psi', psi'') of the family members.
+_QUADRATIC = (lambda z: 0.5 * z * z, lambda z: z, np.ones_like)
+_COSH = (lambda z: np.cosh(z) - 1.0, np.sinh, np.cosh)
 
 
-def _family_weights(rho, pi, Q, family):
-    """Edge weights L_ij of the dissipation family; L_jj = 0.
+def _dual_functional(gs, rho):
+    """Psi*(rho, .) of the structure as an edge functional.
 
-    At r_j = r_i the formula has a removable singularity with continuity
-    value pi_i Q_ij r_i / psi''(0) = rho_i Q_ij; the quadratic member uses a
-    guard band on |log r_j - log r_i|, the cosh member has the globally
-    regular closed form 2 r_i r_j / (r_i + r_j).
+    The exact structure has weights sqrt(rho_i rho_j pi_i / pi_j) Q_ij and
+    phi = expm1.  The family members have weights
+    L_ij = pi_i Q_ij (r_j - r_i) / psi'(log r_j - log r_i), r = rho/pi.  At
+    r_j = r_i that formula has a removable singularity with continuity value
+    rho_i Q_ij / psi''(0); the quadratic member uses a guard band on
+    |log r_j - log r_i|, the cosh member has the globally regular closed form
+    2 r_i r_j / (r_i + r_j).
     """
+    rho = np.asarray(rho, dtype=float)
+    g = gs.generator
+    src, dst, rate = g.edges
+    pi = gs.pi
+    if gs.family is Family.LDP_EXACT:
+        w = np.sqrt(rho[src] * rho[dst] * (pi[src] * (1.0 / pi[dst]))) * rate
+        return markov.EdgeFunctional(src, dst, w, g.size)
     r = rho / pi
-    L = np.zeros_like(Q)
-    ii, jj = np.nonzero((Q > 0) & ~np.eye(len(rho), dtype=bool))
-    ri, rj = r[ii], r[jj]
-    base = pi[ii] * Q[ii, jj]
-    if family is Family.QUADRATIC_FAMILY:
+    ri, rj = r[src], r[dst]
+    base = pi[src] * rate
+    if gs.family is Family.QUADRATIC_FAMILY:
         d = np.log(rj) - np.log(ri)
-        lam = np.where(np.abs(d) < LOG_RATIO_GUARD,
-                       0.5 * (ri + rj),
-                       (rj - ri) / np.where(np.abs(d) < LOG_RATIO_GUARD, 1.0, d))
-        L[ii, jj] = base * lam
-    elif family is Family.COSH_FAMILY:
-        L[ii, jj] = base * 2.0 * ri * rj / (ri + rj)
-    else:
-        raise ValueError("not a family tag: %r" % (family,))
-    return L
-
-
-def _psi_scalar(family):
-    if family is Family.QUADRATIC_FAMILY:
-        return (lambda z: 0.5 * z * z), (lambda z: z), (lambda z: np.ones_like(z))
-    return (lambda z: np.cosh(z) - 1.0), np.sinh, np.cosh
+        near = np.abs(d) < LOG_RATIO_GUARD
+        lam = np.where(near, 0.5 * (ri + rj),
+                       (rj - ri) / np.where(near, 1.0, d))
+        return markov.EdgeFunctional(src, dst, base * lam, g.size, _QUADRATIC)
+    if gs.family is Family.COSH_FAMILY:
+        return markov.EdgeFunctional(src, dst, base * 2.0 * ri * rj / (ri + rj),
+                                     g.size, _COSH)
+    raise ValueError("not a family tag: %r" % (gs.family,))
 
 
 def psi_star(gs, rho, xi):
     """Dual dissipation potential of the structure at (rho, xi)."""
-    rho = np.asarray(rho, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    Q = gs.generator.q
-    D = xi[None, :] - xi[:, None]
-    if gs.family is Family.LDP_EXACT:
-        W = _ldp_weights(rho, gs.pi, Q)
-        return float(np.sum(W * np.expm1(D)))
-    L = _family_weights(rho, gs.pi, Q, gs.family)
-    p, _, _ = _psi_scalar(gs.family)
-    return float(np.sum(L * p(D)))
-
-
-def _psi_star_derivatives(gs, rho):
-    """Closures (f, grad, hess) of xi -> Psi*(rho, xi) for conjugation."""
-    Q = gs.generator.q
-    if gs.family is Family.LDP_EXACT:
-        W = _ldp_weights(rho, gs.pi, Q)
-
-        def f(xi):
-            return float(np.sum(W * np.expm1(xi[None, :] - xi[:, None])))
-
-        def grad(xi):
-            M = W * np.exp(xi[None, :] - xi[:, None])
-            return M.sum(axis=0) - M.sum(axis=1)
-
-        def hess(xi):
-            M = W * np.exp(xi[None, :] - xi[:, None])  # zero diagonal via W
-            H = -(M + M.T)
-            np.fill_diagonal(H, M.sum(axis=0) + M.sum(axis=1))
-            return H
-    else:
-        L = _family_weights(rho, gs.pi, Q, gs.family)
-        p, dp, ddp = _psi_scalar(gs.family)
-
-        def f(xi):
-            return float(np.sum(L * p(xi[None, :] - xi[:, None])))
-
-        def grad(xi):
-            M = L * dp(xi[None, :] - xi[:, None])
-            return M.sum(axis=0) - M.sum(axis=1)
-
-        def hess(xi):
-            M = L * ddp(xi[None, :] - xi[:, None])
-            np.fill_diagonal(M, 0.0)
-            H = -(M + M.T)
-            np.fill_diagonal(H, M.sum(axis=0) + M.sum(axis=1))
-            return H
-    return f, grad, hess
+    return _dual_functional(gs, rho)(np.asarray(xi, dtype=float))
 
 
 def psi(gs, rho, s, check=True, tol=convex.DEFAULT_TOL):
@@ -219,28 +182,19 @@ def psi(gs, rho, s, check=True, tol=convex.DEFAULT_TOL):
     rho = np.asarray(rho, dtype=float)
     s = np.asarray(s, dtype=float)
     g = gs.generator
-    if gs.family is Family.LDP_EXACT:
-        V = critical_covector(rho, g)
-        HV = markov.hamiltonian(rho, V, g)
-        lag = markov.lagrangian(rho, s, g)
-        value = lag.value + HV - float(V @ s)
-        if check and gs.balance.detailed_balance:
-            f, grad, hess = _psi_star_derivatives(gs, rho)
-            dual = convex.conjugate(f, s, tol=tol, grad=grad, hess=hess)
-            if abs(dual.value - value) > 1e-7:
-                raise NoCrossCheck(value, dual.value)
-        return float(value)
-    f, grad, hess = _psi_star_derivatives(gs, rho)
-    return float(convex.conjugate(f, s, tol=tol, grad=grad, hess=hess).value)
-
-
-class NoCrossCheck(AssertionError):
-    def __init__(self, direct, dual):
-        super().__init__(
-            "psi routes disagree: direct %.12e vs conjugate %.12e"
-            % (direct, dual))
-        self.direct = direct
-        self.dual = dual
+    F = _dual_functional(gs, rho)
+    if gs.family is not Family.LDP_EXACT:
+        return float(convex.conjugate(F, s, tol=tol, grad=F.gradient,
+                                      hess=F.hessian).value)
+    V = critical_covector(rho, g)
+    HV = markov.hamiltonian(rho, V, g)
+    lag = markov.lagrangian(rho, s, g)
+    value = lag.value + HV - float(V @ s)
+    if check and gs.balance.detailed_balance:
+        dual = convex.conjugate(F, s, tol=tol, grad=F.gradient, hess=F.hessian)
+        if abs(dual.value - value) > 1e-7:
+            raise NoCrossCheck(value, dual.value)
+    return float(value)
 
 
 def decompose(gs, rho, s):
@@ -259,14 +213,8 @@ def decompose(gs, rho, s):
     HV = markov.hamiltonian(rho, V, g)
     lag = markov.lagrangian(rho, s, g)
     psi_star_at_minus_v = -HV
-
-    def f_shift(xi):
-        return markov.hamiltonian(rho, V + xi, g) - HV
-
-    dual = convex.conjugate(
-        f_shift, s,
-        grad=lambda xi: markov.hamiltonian_gradient(rho, V + xi, g),
-        hess=lambda xi: markov.hamiltonian_hessian(rho, V + xi, g))
+    F = _shifted_hamiltonian(rho, V, g)
+    dual = convex.conjugate(F, s, grad=F.gradient, hess=F.hessian)
     pairing = float(V @ s)
     residual = lag.value - (dual.value + psi_star_at_minus_v + pairing)
     return {
@@ -292,14 +240,7 @@ def flow_field(gs, rho):
     if np.any(rho < 1e-300):
         raise BoundaryPoint("flow field needs interior rho")
     xi = -gs.entropy_scale * (np.log(rho / gs.pi) + 1.0)
-    D = xi[None, :] - xi[:, None]
-    Q = gs.generator.q
-    if gs.family is Family.LDP_EXACT:
-        M = _ldp_weights(rho, gs.pi, Q) * np.exp(D)
-    else:
-        _, dp, _ = _psi_scalar(gs.family)
-        M = _family_weights(rho, gs.pi, Q, gs.family) * dp(D)
-    return M.sum(axis=0) - M.sum(axis=1)
+    return _dual_functional(gs, rho).gradient(xi)
 
 
 def determine_entropy_scale(g, family, seed=0, samples=20,

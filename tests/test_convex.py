@@ -3,8 +3,8 @@ import pytest
 
 from conftest import (cosh_conjugate, grid_search_conjugate_2state,
                       two_state_cost_closed_form)
-from ldgrad import convex, markov
-from ldgrad.errors import InvalidInput, UnboundedConjugate
+from ldgrad import chains, convex, markov
+from ldgrad.errors import InvalidInput, NoConvergence, UnboundedConjugate
 
 
 def test_project_zero_sum_examples():
@@ -133,3 +133,21 @@ def test_conjugate_unbounded_detected(two_state):
 def test_conjugate_rejects_nonzero_sum_slope():
     with pytest.raises(InvalidInput):
         convex.conjugate(lambda xi: 0.5 * xi @ xi, np.array([1.0, 1.0]))
+
+
+def test_conjugate_budget_exhausted_raises_with_best_iterate():
+    g = chains.random_reversible(5, 4)
+    rho = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
+    H = markov.hamiltonian_functional(rho, g)
+    s = convex.project_zero_sum(np.array([1.0, -0.5, 0.3, -0.2, -0.6]))
+    with pytest.raises(NoConvergence) as err:
+        convex.conjugate(H, s, grad=H.gradient, hess=H.hessian, max_iter=1)
+    best = err.value.best
+    assert best is not None and not best.converged
+    assert best.iterations == 1
+    assert best.residual_norm > convex.DEFAULT_TOL
+    assert abs(best.argmax.sum()) <= 1e-12
+    assert best.value == pytest.approx(float(best.argmax @ s) - H(best.argmax))
+    # The converged run from the same start goes past the first iterate.
+    full = convex.conjugate(H, s, grad=H.gradient, hess=H.hessian)
+    assert full.converged and full.value >= best.value

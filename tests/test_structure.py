@@ -312,3 +312,72 @@ def test_cosh_vs_ldp_discrepancy_reported():
     rep = structure.cosh_vs_ldp_report(g, samples=30, seed=5)
     assert rep["max_abs_discrepancy"] > 1e-7
     assert not rep["coincide_within_1e-7"]
+
+
+def _dense_diff(xi):
+    return xi[None, :] - xi[:, None]
+
+
+def _off_diagonal(Q):
+    off = Q.copy()
+    np.fill_diagonal(off, 0.0)
+    return off
+
+
+def _edge_instances(g, rho, V):
+    """Every edge functional of the package with an independent dense oracle
+    for its value."""
+    Q = g.q
+    balance = markov.analyze_balance(g)
+    pi = balance.invariant_measure
+    r = rho / pi
+
+    def dense_h(xi):
+        return float(np.sum(rho[:, None] * Q * np.expm1(_dense_diff(xi))))
+
+    def family(fam):
+        return structure._dual_functional(
+            structure.GradientStructure(generator=g, family=fam,
+                                        entropy_scale=0.5, balance=balance),
+            rho)
+
+    ldp_w = np.sqrt(np.outer(rho, rho) * np.outer(pi, 1.0 / pi)) * _off_diagonal(Q)
+    cosh_w = (pi[:, None] * _off_diagonal(Q) * 2.0 * np.outer(r, r)
+              / (r[:, None] + r[None, :]))
+    quad_w = pi[:, None] * _off_diagonal(Q) * np.array(
+        [[log_mean(a, b) for b in r] for a in r])
+    return {
+        "hamiltonian": (markov.hamiltonian_functional(rho, g), dense_h),
+        "shifted_hamiltonian": (structure._shifted_hamiltonian(rho, V, g),
+                                lambda xi: dense_h(V + xi) - dense_h(V)),
+        "ldp_psi_star": (family(Family.LDP_EXACT),
+                         lambda xi: float(np.sum(ldp_w * np.expm1(_dense_diff(xi))))),
+        "cosh_family": (family(Family.COSH_FAMILY),
+                        lambda xi: float(np.sum(cosh_w * (np.cosh(_dense_diff(xi)) - 1.0)))),
+        "quadratic_family": (family(Family.QUADRATIC_FAMILY),
+                             lambda xi: float(np.sum(quad_w * 0.5 * _dense_diff(xi) ** 2))),
+    }
+
+
+@pytest.mark.parametrize("name", ["hamiltonian", "shifted_hamiltonian",
+                                  "ldp_psi_star", "cosh_family",
+                                  "quadratic_family"])
+@pytest.mark.parametrize("seed", [3, 8])
+def test_edge_functional_matches_dense_and_finite_differences(name, seed):
+    # A chain with zero rates, so the edge list is not the dense pattern.
+    g = chains.random_irreducible(5, seed)
+    assert np.count_nonzero(g.q) < g.size ** 2
+    rng = np.random.default_rng(seed)
+    rho = random_interior(rng, 5)
+    V = structure.critical_covector(rho, g)
+    F, dense = _edge_instances(g, rho, V)[name]
+    for _ in range(3):
+        xi = random_zero_sum(rng, 5)
+        assert abs(F(xi) - dense(xi)) <= 1e-12 * max(1.0, abs(dense(xi)))
+        fd = convex.finite_diff_gradient(F, xi, 1e-5)
+        assert np.abs(F.gradient(xi) - fd).max() <= 1e-7
+        H = F.hessian(xi)
+        assert np.array_equal(H, H.T)
+        fd_h = np.stack([convex.finite_diff_gradient(
+            lambda x: F.gradient(x)[i], xi, 1e-5) for i in range(5)])
+        assert np.abs(H - fd_h).max() <= 1e-7
