@@ -78,7 +78,3 @@ class NoCrossCheck(LdgradError):
             % (direct, dual))
         self.direct = direct
         self.dual = dual
-
-
-class QuadratureWarning(UserWarning):
-    """Quadrature error estimate exceeded the target; result still returned."""

@@ -8,6 +8,7 @@ clamped.
 """
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,13 +151,22 @@ def compare_trajectories(a, b):
 
 
 def trajectory_to_csv(traj, path):
-    """CSV export: t, rho_1..rho_J, entropy (one row per step)."""
+    """CSV export: t, rho_1..rho_J, entropy (one row per step).  Written to
+    `path + ".tmp"` and renamed over `path`, so a failed export leaves any
+    earlier file intact."""
     J = traj.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + ["rho_%d" % (j + 1) for j in range(J)] + ["entropy"])
-        for k in range(traj.times.size):
-            ent = ("" if traj.entropy_values is None
-                   else repr(float(traj.entropy_values[k])))
-            w.writerow([repr(float(traj.times[k]))]
-                       + [repr(float(x)) for x in traj.states[k]] + [ent])
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        try:
+            w = csv.writer(fh)
+            w.writerow(["t"] + ["rho_%d" % (j + 1) for j in range(J)]
+                       + ["entropy"])
+            for k in range(traj.times.size):
+                ent = ("" if traj.entropy_values is None
+                       else repr(float(traj.entropy_values[k])))
+                w.writerow([repr(float(traj.times[k]))]
+                           + [repr(float(x)) for x in traj.states[k]] + [ent])
+        except BaseException:
+            os.remove(tmp)
+            raise
+    os.replace(tmp, path)

@@ -9,12 +9,14 @@ byte-identical regardless of the order in which particles are simulated.
 The pathwise objects follow two deliberately independent computational
 routes that must agree to 1e-10:
 
-  * `girsanov_log_density` evaluates the per-particle boundary-minus-integral
-    form of the tilted log density (time integrals in closed form per
-    constant-state interval),
+  * `girsanov_log_density` sums the boundary-minus-integral form of the
+    tilted log density over the jump list, with one per-state table
+    Phi_i(t) = xi_t(i) + int_0^t H(1_i, xi_u) du whose integral is in
+    closed form on each knot segment of the tilt,
   * `path_pairing_functional` evaluates G(rho, xi) = int <xi, rho'> -
-    H(rho_t, xi_t) dt from the jump-sum pairing and Gauss-Legendre
-    quadrature.
+    H(rho_t, xi_t) dt from the jump-sum pairing and 16-node Gauss-Legendre
+    quadrature of the dense H integrand on the piecewise-constant
+    empirical measure.
 
 `path_rate_functional` integrates the cost L(rho_t, rho_t') along a measure
 path, and `rate_vs_probability_experiment` runs the tilt-then-reweight
@@ -22,19 +24,16 @@ estimate of tube probabilities against that cost.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import convex, markov
-from .errors import (InvalidInput, QuadratureWarning, TiltTooStrong,
-                     UnboundedConjugate)
+from .errors import InvalidInput, TiltTooStrong, UnboundedConjugate
 
 _MASK64 = (1 << 64) - 1
 _GAUSS16 = np.polynomial.legendre.leggauss(16)
-_GAUSS8 = np.polynomial.legendre.leggauss(8)
 TILT_EXPONENT_CAP = 60.0
 PROPOSAL_BUDGET = 5e7
 
@@ -91,7 +90,19 @@ class TiltField:
         return float(np.abs(self.knot_values).max())
 
     def value_at(self, t):
+        """xi_t, clamped to the first/last knot value outside the knots.  A
+        scalar t gives shape (J,); an array of times gives one row per time,
+        by the same arithmetic."""
         tt = self.knot_times
+        if isinstance(t, np.ndarray) and t.ndim > 0:
+            k = np.searchsorted(tt, t, side="right") - 1
+            lo = np.maximum(k, 0)
+            hi = np.minimum(k + 1, tt.size - 1)
+            span = tt[hi] - tt[lo]  # 0 where clamped
+            lam = np.divide(t - tt[lo], span, out=np.zeros(t.shape),
+                            where=span > 0)[..., None]
+            kv = self.knot_values
+            return (1.0 - lam) * kv[lo] + lam * kv[hi]
         if t <= tt[0]:
             return self.knot_values[0]
         if t >= tt[-1]:
@@ -99,10 +110,6 @@ class TiltField:
         k = int(np.searchsorted(tt, t, side="right")) - 1
         lam = (t - tt[k]) / (tt[k + 1] - tt[k])
         return (1.0 - lam) * self.knot_values[k] + lam * self.knot_values[k + 1]
-
-    def segment_slope(self, k):
-        dt = self.knot_times[k + 1] - self.knot_times[k]
-        return (self.knot_values[k + 1] - self.knot_values[k]) / dt
 
     def segments_between(self, a, b):
         """Yield (t0, t1) subintervals of [a, b] on which the field is linear."""
@@ -127,6 +134,12 @@ class ParticlePath:
     jump_to: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # The state and particle arrays are used as indices, also when empty.
+        for name in ("initial_states", "jump_particles", "jump_from",
+                     "jump_to"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=int))
+
     def validate(self):
         if np.any(self.jump_times <= 0) or np.any(self.jump_times > self.horizon):
             raise InvalidInput("jump times must lie in (0, T]")
@@ -141,16 +154,6 @@ class ParticlePath:
                 raise InvalidInput("inconsistent per-particle state sequence")
             state[k] = j
         return True
-
-    def jumps_of_particle(self, k):
-        m = self.jump_particles == k
-        return self.jump_times[m], self.jump_from[m], self.jump_to[m]
-
-    def final_states(self):
-        state = self.initial_states.copy()
-        for k, j in zip(self.jump_particles, self.jump_to):
-            state[k] = j
-        return state
 
     def jumps_per_particle(self):
         return np.bincount(self.jump_particles, minlength=self.n)
@@ -286,156 +289,112 @@ def empirical_measure_path(path, grid, J=None):
         J = int(max(path.initial_states.max(initial=0),
                     path.jump_to.max(initial=0),
                     path.jump_from.max(initial=0))) + 1
-    counts = np.bincount(path.initial_states, minlength=J).astype(float)
-    out = np.empty((grid.size, J))
-    ev = 0
-    n_ev = path.jump_times.size
-    for gi, t in enumerate(grid):
-        while ev < n_ev and path.jump_times[ev] <= t:
-            counts[path.jump_from[ev]] -= 1.0
-            counts[path.jump_to[ev]] += 1.0
-            ev += 1
-        out[gi] = counts / path.n
-    return out
+    if np.any(np.diff(grid) < 0):
+        raise InvalidInput("grid times must be nondecreasing")
+    # A jump at tau counts from the first grid time >= tau on.
+    first = np.searchsorted(grid, path.jump_times, side="left")
+
+    def arrivals(states):
+        return np.bincount(first * J + states, minlength=(grid.size + 1) * J)
+
+    moves = (arrivals(path.jump_to) - arrivals(path.jump_from)).reshape(-1, J)
+    counts = (np.bincount(path.initial_states, minlength=J)
+              + np.cumsum(moves[:-1], axis=0))
+    return counts / path.n
 
 
-def _exp_integral_linear(c0, c1, a, b):
-    """int_a^b exp(c0 + c1 t) dt, exact."""
-    if abs(c1) * (b - a) < 1e-8:
-        # Trapezoid is exact to O((c1 dt)^2) <= 1e-16 here.
-        return 0.5 * (b - a) * (math.exp(c0 + c1 * a) + math.exp(c0 + c1 * b))
-    return (math.exp(c0 + c1 * b) - math.exp(c0 + c1 * a)) / c1
+def _h_integral(tilt, Q, t, i):
+    """F_i(t) = int_0^t H(1_i, xi_u) du for each pair (t, i) of the 1-D
+    arrays t and i.
+
+    The knots cut time into segments s = 0..K (s = searchsorted(knots, t,
+    "right")).  On each, xi is linear from the knot it starts at (constant
+    before the first knot and after the last), so every edge term Q_ij
+    (e^{xi_u(j) - xi_u(i)} - 1) integrates in closed form; the diagonal term
+    is exactly 0.  One evaluation covers every inner segment for every state
+    (their cumulative sums tabulate the integral from the first knot to each
+    knot), t = 0 for every state (the anchor, so that F_i(0) = 0) and the
+    requested pairs.
+    """
+    tt, kv = tilt.knot_times, tilt.knot_values
+    K, J = kv.shape
+    slope = np.zeros((K + 1, J))
+    slope[1:K] = np.diff(kv, axis=0) / np.diff(tt)[:, None]
+    states = np.arange(J)
+    whole = (K - 1) * J
+    t_all = np.concatenate([np.repeat(tt[1:], J), np.zeros(J), t])
+    i_all = np.concatenate([np.tile(states, K - 1), states, i])
+    s = np.searchsorted(tt, t_all, side="right")
+    s[:whole] -= 1  # a knot closes the segment it ends
+    b = np.maximum(s - 1, 0)
+    dt = t_all - tt[b]
+    d = kv[b] - kv[b, i_all][:, None]
+    x = (slope[s] - slope[s, i_all][:, None]) * dt[:, None]
+    phi1 = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
+    part = (Q[i_all] * (np.exp(d) * phi1 - 1.0)).sum(axis=1) * dt
+    at_knot = np.zeros((K, J))
+    at_knot[1:] = np.cumsum(part[:whole].reshape(K - 1, J), axis=0)
+    A = at_knot[b[whole:], i_all[whole:]] + part[whole:]
+    return A[J:] - A[:J][i]
 
 
-def _interval_h_integral_analytic(state, a, b, Q, tilt):
-    """int_a^b H(1_state, xi_t) dt in closed form (xi piecewise linear)."""
-    total = 0.0
-    row = Q[state]
-    for t0, t1 in tilt.segments_between(a, b):
-        xi0 = tilt.value_at(t0)
-        xi1 = tilt.value_at(t1)
-        for j in range(row.size):
-            if j == state or row[j] == 0.0:
-                continue
-            d0 = xi0[j] - xi0[state]
-            d1 = xi1[j] - xi1[state]
-            slope = (d1 - d0) / (t1 - t0)
-            c0 = d0 - slope * t0
-            total += row[j] * (_exp_integral_linear(c0, slope, t0, t1)
-                               - (t1 - t0))
-    return total
-
-
-def _interval_h_integral_gauss(state, a, b, Q, tilt, nodes):
-    x, w = nodes
-    row = Q[state]
-    total = 0.0
-    for t0, t1 in tilt.segments_between(a, b):
-        m0 = 0.5 * (t0 + t1)
-        h0 = 0.5 * (t1 - t0)
-        acc = 0.0
-        for xk, wk in zip(x, w):
-            t = m0 + h0 * xk
-            xi = tilt.value_at(t)
-            val = 0.0
-            for j in range(row.size):
-                if j != state and row[j] != 0.0:
-                    val += row[j] * math.expm1(xi[j] - xi[state])
-            acc += wk * val
-        total += h0 * acc
-    return total
-
-
-def _particle_intervals(path, k):
-    """Constant-state intervals (a, b, state) of particle k covering [0, T]."""
-    ts, fs, tos = path.jumps_of_particle(k)
-    segs = []
-    t_prev = 0.0
-    state = int(path.initial_states[k])
-    for t, f, to in zip(ts, fs, tos):
-        segs.append((t_prev, float(t), state))
-        t_prev = float(t)
-        state = int(to)
-    segs.append((t_prev, path.horizon, state))
-    return segs
-
-
-def girsanov_log_density(path, tilt, g, method="analytic"):
+def girsanov_log_density(path, tilt, g):
     """(1/n) log of the tilted path density against the original law.
 
-    Per particle: xi_T(x_{T-}) - xi_0(x_0) - int [xi'_t(x_t) + H(1_{x_t},
-    xi_t)] dt, with the xi' integral telescoping exactly and the H integral
-    in closed form per constant-state interval.  `method="gauss"` switches
-    the H integral to 16-node Gauss-Legendre with an 8-node error estimate;
-    a QuadratureWarning is emitted if the estimate exceeds 1e-9.
+    Per particle the log density is xi_T(x_T) - xi_0(x_0) - int [xi'_t(x_t)
+    + H(1_{x_t}, xi_t)] dt.  With the per-state table Phi_i(t) = xi_t(i) +
+    F_i(t), where F_i(t) = int_0^t H(1_i, xi_u) du in closed form
+    (`_h_integral`), summing over particles by parts gives
+
+        n G = sum_jumps [Phi_to(tau) - Phi_from(tau)] - sum_i N_i(T) F_i(T),
+
+    with N_i(T) the number of particles in state i at T: array operations
+    over the jump list, no per-particle loop.  `path_pairing_functional` is
+    the independent reference route.
     """
-    Q = g.q
-    xi_0 = tilt.value_at(0.0)
-    xi_T = tilt.value_at(path.horizon)
-    total = 0.0
-    worst_quad = 0.0
-    for k in range(path.n):
-        segs = _particle_intervals(path, k)
-        x0 = int(path.initial_states[k])
-        xT = segs[-1][2]
-        acc = xi_T[xT] - xi_0[x0]
-        for a, b, state in segs:
-            # int xi'_t(x_t) dt over a constant-state interval is exact.
-            acc -= tilt.value_at(b)[state] - tilt.value_at(a)[state]
-            if method == "analytic":
-                acc -= _interval_h_integral_analytic(state, a, b, Q, tilt)
-            else:
-                v16 = _interval_h_integral_gauss(state, a, b, Q, tilt, _GAUSS16)
-                v8 = _interval_h_integral_gauss(state, a, b, Q, tilt, _GAUSS8)
-                worst_quad = max(worst_quad, abs(v16 - v8))
-                acc -= v16
-        total += acc
-    if method != "analytic" and worst_quad > 1e-9:
-        warnings.warn("quadrature error estimate %.3e" % worst_quad,
-                      QuadratureWarning)
-    return total / path.n
+    J = g.size
+    tau = path.jump_times
+    M = tau.size
+    F = _h_integral(tilt, g.q,
+                    np.concatenate([tau, tau, np.full(J, path.horizon)]),
+                    np.concatenate([path.jump_to, path.jump_from,
+                                    np.arange(J)]))
+    xi = tilt.value_at(tau)
+    m = np.arange(M)
+    phi_to = xi[m, path.jump_to] + F[:M]
+    phi_from = xi[m, path.jump_from] + F[M:2 * M]
+    final = (np.bincount(path.initial_states, minlength=J)
+             + np.bincount(path.jump_to, minlength=J)
+             - np.bincount(path.jump_from, minlength=J))
+    return float((phi_to - phi_from).sum() - final @ F[2 * M:]) / path.n
 
 
 def path_pairing_functional(path, tilt, g):
     """G(rho, xi) = int <xi, rho'> - H(rho_t, xi_t) dt for an empirical path.
 
-    Independent route: the pairing is the jump sum (1/n) sum_m
-    [xi_{tau_m}(to) - xi_{tau_m}(from)] and the H integral uses Gauss
-    quadrature on the piecewise-constant empirical measure.
+    Independent reference route: the pairing is the jump sum (1/n) sum_m
+    [xi_{tau_m}(to) - xi_{tau_m}(from)], and the H integral applies 16-node
+    Gauss-Legendre quadrature to the dense integrand sum_ij rho_i Q_ij
+    expm1(xi_j - xi_i) on every piece where the empirical measure is
+    constant and the tilt is linear.
     """
-    pairing = 0.0
-    for t, i, j in zip(path.jump_times, path.jump_from, path.jump_to):
-        xi = tilt.value_at(float(t))
-        pairing += xi[j] - xi[i]
+    tau = path.jump_times
+    xi = tilt.value_at(tau)
+    m = np.arange(tau.size)
+    pairing = float((xi[m, path.jump_to] - xi[m, path.jump_from]).sum())
     pairing /= path.n
 
-    # H integral: piecewise-constant rho between event times (the tilt's own
-    # knots are handled inside segments_between).
-    cuts = np.unique(np.concatenate([[0.0, path.horizon], path.jump_times]))
     Q = g.q
-    J = Q.shape[0]
-    counts = np.bincount(path.initial_states, minlength=J).astype(float)
-    ev = 0
-    n_ev = path.jump_times.size
+    cuts = np.unique(np.concatenate([[0.0, path.horizon], tau]))
+    rhos = empirical_measure_path(path, cuts[:-1], J=Q.shape[0])
     x, w = _GAUSS16
     h_int = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        rho = counts / path.n
+    for a, b, rho in zip(cuts[:-1], cuts[1:], rhos):
         for t0, t1 in tilt.segments_between(float(a), float(b)):
-            m0 = 0.5 * (t0 + t1)
             h0 = 0.5 * (t1 - t0)
-            acc = 0.0
-            for xk, wk in zip(x, w):
-                xi = tilt.value_at(m0 + h0 * xk)
-                acc += wk * float(
-                    np.sum(rho[:, None] * Q * np.expm1(xi[None, :] - xi[:, None])))
-            h_int += h0 * acc
-        while ev < n_ev and path.jump_times[ev] <= b:
-            counts[path.jump_from[ev]] -= 1.0
-            counts[path.jump_to[ev]] += 1.0
-            ev += 1
+            xi = tilt.value_at(0.5 * (t0 + t1) + h0 * x)
+            dense = np.expm1(xi[:, None, :] - xi[:, :, None])
+            h_int += h0 * float(w @ (rho[:, None] * Q * dense).sum(axis=(1, 2)))
     return pairing - h_int
 
 

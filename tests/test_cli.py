@@ -46,3 +46,28 @@ def test_simulate_ignores_a_legacy_workers_key(tmp_path):
     assert report[0] == report[1]
     assert outputs[0][1] == outputs[1][1]
     assert np.isfinite(report[0]["rate_functional"])
+
+
+def _simulate_config(tmp_path, Q, target):
+    gen = tmp_path / "gen.json"
+    markov.save_generator(markov.validate_generator(Q), gen)
+    cfg = {"generator": str(gen), "T": 1.0, "grid_dt": 0.1, "target": target,
+           "tube_radius": 0.1, "n_list": [100], "replicas": 2, "seed": 0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+
+
+def test_simulate_over_budget_tilt_is_a_runtime_failure(tmp_path, capsys):
+    argv = _simulate_config(
+        tmp_path, [[-100.0, 100.0], [100.0, -100.0]],
+        {"type": "constant", "rho": [1.0 - 1e-9, 1e-9]})
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    assert "thinning proposal budget exceeded" in capsys.readouterr().err
+
+
+def test_simulate_unknown_target_is_an_input_error(tmp_path, capsys):
+    argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]],
+                            {"type": "bogus"})
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "unknown target type" in capsys.readouterr().err

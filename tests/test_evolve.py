@@ -139,3 +139,19 @@ def test_linear_on_reducible_chain_records_missing_entropy(q, reason):
     assert traj.entropy_values is None
     assert reason in traj.meta["entropy_unavailable"]
     assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_trajectory_csv_failed_write_keeps_earlier_file(tmp_path, two_state):
+    path = str(tmp_path / "traj.csv")
+    good = evolve.integrate_linear(np.array([0.9, 0.1]), two_state, 0.1, 1e-2)
+    evolve.trajectory_to_csv(good, path)
+    before = (tmp_path / "traj.csv").read_bytes()
+    assert before.endswith(b"\r\n")
+    # The last row's entropy cannot be converted to float.
+    bad = evolve.Trajectory(times=good.times, states=good.states,
+                            entropy_values=np.array(
+                                [0.0] * (good.times.size - 1) + [None]))
+    with pytest.raises(TypeError):
+        evolve.trajectory_to_csv(bad, path)
+    assert (tmp_path / "traj.csv").read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["traj.csv"]

@@ -103,6 +103,34 @@ def test_empirical_measure_right_continuity(two_state):
         jump_from=np.array([0]), jump_to=np.array([1]))
     emp = particle.empirical_measure_path(p, np.array([0.5]), J=2)
     assert np.all(emp[0] == [0.0, 1.0])
+    # Hand-built paths may give the empty jump arrays without a dtype.
+    still = particle.ParticlePath(
+        n=1, horizon=1.0, initial_states=[0], jump_times=np.array([]),
+        jump_particles=[], jump_from=[], jump_to=[])
+    assert np.all(particle.empirical_measure_path(still, [1.0], J=2) == [1, 0])
+    zero = particle.TiltField.constant(np.zeros(2), 1.0)
+    assert particle.girsanov_log_density(still, zero, chains.two_state(1, 1)) == 0
+
+
+def test_empirical_measure_matches_event_loop():
+    g = chains.random_irreducible(4, 5)
+    init = particle.deterministic_assignment(np.full(4, 0.25), 50)
+    p = particle.simulate(g, 50, 2.0, init, seed=9)
+    # Grid times on, between and beyond the jump times.
+    grid = np.sort(np.concatenate([np.linspace(0, 2.0, 41),
+                                   p.jump_times[::7]]))
+    counts = np.bincount(p.initial_states, minlength=4).astype(float)
+    loop, ev = [], 0
+    for t in grid:
+        while ev < p.jump_times.size and p.jump_times[ev] <= t:
+            counts[p.jump_from[ev]] -= 1.0
+            counts[p.jump_to[ev]] += 1.0
+            ev += 1
+        loop.append(counts / p.n)
+    emp = particle.empirical_measure_path(p, grid, J=4)
+    assert np.array_equal(emp, np.array(loop))
+    with pytest.raises(InvalidInput):
+        particle.empirical_measure_path(p, grid[::-1], J=4)
 
 
 def test_girsanov_zero_tilt_is_exactly_zero(two_state):
@@ -129,21 +157,24 @@ def test_girsanov_constant_tilt_no_jump_closed_form():
 
 @pytest.mark.parametrize("n,seed", [(1, 11), (10, 12), (100, 13)])
 def test_girsanov_equals_pairing_functional(two_state, n, seed):
-    init = particle.deterministic_assignment(np.array([0.5, 0.5]), n)
-    p = particle.simulate(two_state, n, 2.0, init, seed=seed)
-    rng = np.random.default_rng(seed)
-    tilts = [particle.TiltField.constant(np.array([0.5, -0.5]), 2.0)]
-    knots = np.linspace(0, 2.0, 5)
-    for _ in range(2):
-        vals = rng.normal(0, 0.6, (5, 2))
-        vals -= vals.mean(axis=1, keepdims=True)
-        tilts.append(particle.TiltField.piecewise_linear(knots, vals))
-    for tilt in tilts:
-        a = particle.girsanov_log_density(p, tilt, two_state)
-        b = particle.path_pairing_functional(p, tilt, two_state)
-        assert abs(a - b) <= 1e-10
-        c = particle.girsanov_log_density(p, tilt, two_state, method="gauss")
-        assert abs(a - c) <= 1e-10
+    # two_state, and a chain with zero rates and no reversibility; the last
+    # tilt's knots [0.3, 0.8, 1.2] leave the field clamped at both ends of
+    # [0, 2], which pins the table's anchoring F_i(0) = 0.
+    for g in (two_state, chains.random_irreducible(4, seed)):
+        J = g.size
+        init = particle.deterministic_assignment(np.full(J, 1.0 / J), n)
+        p = particle.simulate(g, n, 2.0, init, seed=seed)
+        rng = np.random.default_rng(seed)
+        tilts = [particle.TiltField.constant(np.linspace(0.5, -0.5, J), 2.0)]
+        for knots in (np.linspace(0, 2.0, 5), np.linspace(0, 2.0, 5),
+                      np.array([0.3, 0.8, 1.2])):
+            vals = rng.normal(0, 0.6, (knots.size, J))
+            vals -= vals.mean(axis=1, keepdims=True)
+            tilts.append(particle.TiltField.piecewise_linear(knots, vals))
+        for tilt in tilts:
+            a = particle.girsanov_log_density(p, tilt, g)
+            b = particle.path_pairing_functional(p, tilt, g)
+            assert abs(a - b) <= 1e-10
 
 
 def test_girsanov_on_tilted_paths(two_state):
@@ -335,3 +366,10 @@ def test_tilt_field_contract():
     assert np.allclose(knots.value_at(0.5), [0.5, -0.5])
     assert np.allclose(knots.value_at(2.0), [1.0, -1.0])  # clamped
     assert not knots.is_zero and knots.max_abs == 1.0
+    # An array of times gives the scalar rows exactly, clamped at both ends.
+    tilt = particle.TiltField.piecewise_linear(
+        np.array([0.3, 0.8, 1.2]), np.array([[0.1, -0.2], [0.7, 0.4],
+                                             [-0.5, 0.3]]))
+    times = np.array([0.0, 0.3, 0.41, 0.8, 1.0, 1.2, 2.0])
+    assert np.array_equal(tilt.value_at(times),
+                          np.stack([tilt.value_at(float(t)) for t in times]))
