@@ -45,10 +45,17 @@ def _json_default(o):
 
 
 def _atomic_write(path, data):
+    """Write `path + ".tmp"` and rename it over `path`; a failed write
+    removes the temp file and leaves any earlier file intact."""
     tmp = path + ".tmp"
     mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(data)
+    fh = open(tmp, mode)
+    try:
+        with fh:  # closing flushes, which can fail too
+            fh.write(data)
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 

@@ -69,6 +69,11 @@ class TiltTooStrong(LdgradError):
     """Thinning bound for the tilted simulation is not representable/affordable."""
 
 
+class ThinningBoundExceeded(LdgradError):
+    """A tilted jump rate exceeded its thinning bound, which would bias the
+    simulated law."""
+
+
 class NoCrossCheck(LdgradError):
     """Two independent routes to the same potential disagree."""
 

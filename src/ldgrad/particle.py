@@ -1,10 +1,12 @@
 """Independent-particle simulation and pathwise rate-functional machinery.
 
-n independent continuous-time Markov particles are simulated exactly
-(per-particle exponential clocks; thinning under a time-dependent tilt whose
-rates are Q_ij e^{xi_t(j) - xi_t(i)}).  Every particle draws from its own
-counter-based RNG stream keyed by (seed, stream id), so results are
-byte-identical regardless of the order in which particles are simulated.
+n independent continuous-time Markov particles are simulated exactly:
+untilted, with per-particle exponential clocks; under a time-dependent tilt
+with rates Q_ij e^{xi_t(j) - xi_t(i)}, by thinning all particles at once
+against a per-state bound on each knot segment of the tilt (the exit rate is
+convex there, so its larger end value bounds it).  Every particle draws from
+its own counter-based Philox stream keyed by (seed, stream id), so a
+particle's path does not depend on n or on the other particles.
 
 The pathwise objects follow two deliberately independent computational
 routes that must agree to 1e-10:
@@ -30,12 +32,20 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import convex, markov
-from .errors import InvalidInput, TiltTooStrong, UnboundedConjugate
+from .errors import (InvalidInput, ThinningBoundExceeded, TiltTooStrong,
+                     UnboundedConjugate)
 
 _MASK64 = (1 << 64) - 1
 _GAUSS16 = np.polynomial.legendre.leggauss(16)
 TILT_EXPONENT_CAP = 60.0
 PROPOSAL_BUDGET = 5e7
+# Relative slack for a tilted rate against its bound: far above the rounding
+# of the interpolated tilt (about 1e-14 at the exponent cap), far below any
+# real bound error.
+BOUND_SLACK = 1e-10
+# Uniforms (or bound-table entries) per particle chunk held at once by the
+# tilted thinning, 8 MB of doubles.
+THINNING_BLOCK = 1 << 20
 
 
 def particle_rng(seed, stream):
@@ -180,54 +190,152 @@ def _simulate_particle_plain(rng, state, T, exit_rate, cum_rates):
     return times, froms, tos
 
 
-def _simulate_particle_tilted(rng, state, T, Q, exit_rate, tilt):
-    """Thinning with a per-knot-interval bound gamma_i * e^{2 max|xi|}."""
-    t = 0.0
-    times, froms, tos = [], [], []
-    knots = tilt.knot_times
-    J = Q.shape[0]
-    while t < T:
-        k = int(np.searchsorted(knots, t, side="right")) - 1
-        k = min(max(k, 0), knots.size - 2)
-        seg_end = min(float(knots[k + 1]), T)
-        if seg_end <= t:  # beyond the last knot: field is frozen
-            seg_end = T
-        m = max(np.abs(tilt.knot_values[k]).max(),
-                np.abs(tilt.knot_values[k + 1]).max())
-        bound = exit_rate[state] * math.exp(2.0 * m)
-        if bound <= 0.0:
-            t = seg_end
-            if seg_end >= T:
-                break
-            continue
-        t_prop = t + rng.exponential(1.0 / bound)
-        if t_prop >= seg_end:
-            t = seg_end
-            if seg_end >= T:
-                break
-            continue
-        t = t_prop
-        xi = tilt.value_at(t)
-        rates = Q[state] * np.exp(xi - xi[state])
-        rates[state] = 0.0
-        lam = rates.sum()
-        if rng.random() * bound < lam:
-            u = rng.random() * lam
-            nxt = int(np.searchsorted(np.cumsum(rates), u, side="right"))
-            nxt = min(nxt, J - 1)
-            times.append(t)
-            froms.append(state)
-            tos.append(nxt)
-            state = nxt
-    return times, froms, tos
+def _tilted_rates(off, xi, states):
+    """Row r: the tilted rates off_ij e^{xi_r(j) - xi_r(i)} out of i =
+    states[r] (0 at j = i, because off has a zero diagonal)."""
+    return off[states] * np.exp(xi - xi[np.arange(states.size), states][:, None])
+
+
+def _thinning_table(tilt, off, T):
+    """Cuts 0 = c_0 < ... < c_S = T (the tilt knots inside (0, T)), xi at the
+    cuts, the bound b[s, i] on the exit rate lambda_i on segment s, and
+    Lam[s, i] = int_0^{c_s} b(u, i) du.
+
+    xi is linear on each segment, so lambda_i(t) = sum_j off_ij e^{xi_t(j) -
+    xi_t(i)}, a sum of exponentials of linear functions, is convex there and
+    peaks at an end: b[s, i] = max(lambda_i(c_s), lambda_i(c_{s+1})).
+    """
+    tt = tilt.knot_times
+    c = np.concatenate([[0.0], tt[(tt > 0.0) & (tt < T)], [float(T)]])
+    xc = tilt.value_at(c)
+    J = off.shape[0]
+    rates = _tilted_rates(off, np.repeat(xc, J, axis=0),
+                          np.tile(np.arange(J), c.size))
+    lam = np.cumsum(rates, axis=1)[:, -1].reshape(c.size, J)
+    b = np.maximum(lam[:-1], lam[1:])
+    Lam = np.zeros((c.size, J))
+    Lam[1:] = np.cumsum(b * np.diff(c)[:, None], axis=0)
+    return c, xc, b, Lam
+
+
+def _block_width(b, c):
+    """Uniforms per stream block: two per proposal, for the mean plus 4
+    standard deviations plus 2 of the at most 1 + Poisson(int max_i b)
+    proposals of a particle, rounded up to a multiple of 4 (the words a
+    Philox counter step makes).  A particle that uses up its block reads the
+    next block of its stream."""
+    top = float(b.max(axis=1) @ np.diff(c))
+    return 4 * math.ceil((top + 4.0 * math.sqrt(top) + 2.0) / 2.0)
+
+
+def _simulate_tilted(streams, stream_offset, initial_states, T, off, tilt):
+    """Thinning for all particles at once; returns (times, particles, froms,
+    tos, proposals) with the jumps in step order.
+
+    A particle in state i at level Lam_i(t) proposes the time where Lam_i
+    reaches Lam_i(t) + E, E ~ Exp(1): one step per proposal, whatever the
+    number of knots, and never onto a segment where b = 0 (Lam_i is flat
+    there).  The proposal at t' is accepted when u b < lambda_i(t'), and the
+    same u b picks the target against the cumulative rates, so a proposal
+    takes exactly two uniforms.  Particle k reads them in order from its own
+    stream (seed, stream_offset + k), in blocks whose width depends only on
+    the inputs, so its path does not depend on n, on the other particles or
+    on the block width.
+    """
+    c, xc, b, Lam = _thinning_table(tilt, off, T)
+    S = c.size - 1
+    width = _block_width(b, c)
+    chunk = max(1, THINNING_BLOCK // max(width, S + 1))
+    n = initial_states.size
+    jumps = []
+    proposals = 0
+    for lo in range(0, n, chunk):
+        ks = np.arange(lo, min(lo + chunk, n))
+        U = np.empty((ks.size, width))
+        for r, k in enumerate(ks):
+            streams.at(stream_offset + k).random(out=U[r])
+        base = np.zeros(ks.size, dtype=int)  # stream position of U[r, 0]
+        col = np.zeros(ks.size, dtype=int)
+        state = initial_states[ks].copy()
+        level = np.zeros(ks.size)
+        live = np.arange(ks.size)
+        while live.size:
+            for r in live[col[live] == width]:
+                base[r] += width
+                col[r] = 0
+                streams.at(stream_offset + ks[r], base[r]).random(out=U[r])
+            u1 = U[live, col[live]]
+            u2 = U[live, col[live] + 1]
+            col[live] += 2
+            st = state[live]
+            target = level[live] - np.log1p(-u1)
+            s = (Lam.T[st] <= target[:, None]).sum(axis=1) - 1
+            go = s < S  # else Lam_i(T) <= target: no proposal before T
+            live, s, st, target, u2 = (a[go] for a in (live, s, st, target, u2))
+            tp = c[s] + (target - Lam[s, st]) / b[s, st]
+            go = tp < T  # rounding can put a proposal at the end of [0, T]
+            live, s, st, target, u2, tp = (a[go] for a in (live, s, st, target,
+                                                           u2, tp))
+            proposals += live.size
+            w = ((tp - c[s]) / (c[s + 1] - c[s]))[:, None]
+            cum = np.cumsum(_tilted_rates(off, (1.0 - w) * xc[s] + w * xc[s + 1],
+                                          st), axis=1)
+            lam = cum[:, -1]
+            bound = b[s, st]
+            over = lam > bound * (1.0 + BOUND_SLACK)
+            if over.any():
+                r = int(np.argmax(over))
+                raise ThinningBoundExceeded(
+                    "tilted exit rate %.17g exceeds its thinning bound %.17g "
+                    "at t = %.17g" % (lam[r], bound[r], tp[r]))
+            v = u2 * bound
+            acc = v < lam
+            nxt = (cum[acc] <= v[acc, None]).sum(axis=1)
+            jumps.append((tp[acc], ks[live[acc]], st[acc], nxt))
+            level[live] = target
+            hit = live[acc]
+            state[hit] = nxt
+            sa = s[acc]
+            level[hit] = Lam[sa, nxt] + b[sa, nxt] * (tp[acc] - c[sa])
+    times, parts, froms, tos = (np.concatenate(a) for a in zip(*jumps))
+    return times, parts, froms, tos, proposals
+
+
+class ParticleStreams:
+    """The streams of `particle_rng(seed, stream)`, read through one reused
+    Philox bit generator: setting its state costs a fraction of constructing
+    one."""
+
+    def __init__(self, seed):
+        self._key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": self._counter, "key": self._key},
+                       "buffer": np.zeros(4, dtype=np.uint64),
+                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._bitgen = np.random.Philox(key=self._key)
+        self._rng = np.random.Generator(self._bitgen)
+
+    def at(self, stream, position=0):
+        """The generator positioned `position` uniforms into `stream`;
+        `position` is a multiple of 4."""
+        self._key[1] = int(stream) & _MASK64
+        self._counter[0] = position // 4
+        self._bitgen.state = self._state
+        return self._rng
 
 
 def simulate(g, n, T, initial_states, seed, tilt=None, stream_offset=0):
     """Exact simulation of n independent particles over [0, T].
 
-    A zero tilt dispatches to the plain simulator, so the zero-tilt and
-    untilted code paths coincide by construction.  Reproducible for fixed
-    (inputs, seed): particle k draws only from stream (seed, stream_offset+k).
+    A zero tilt dispatches to the plain simulator (per particle, exponential
+    clocks), so the zero-tilt and untilted code paths coincide by
+    construction.  A nonzero tilt is simulated by thinning all particles at
+    once under the per-state, per-knot-segment bound of `_thinning_table`;
+    tilted paths carry `meta["proposals"]` and `meta["accepted"]` (equal to
+    the number of jumps).  Reproducible for fixed (inputs, seed): particle k
+    draws only from stream (seed, stream_offset + k), so each particle's path
+    is the same in any n-particle run.
     """
     if n < 1 or T <= 0:
         raise InvalidInput("need n >= 1 and T > 0")
@@ -251,32 +359,34 @@ def simulate(g, n, T, initial_states, seed, tilt=None, stream_offset=0):
         if gamma * math.exp(expo) * T * n > PROPOSAL_BUDGET:
             raise TiltTooStrong("thinning proposal budget exceeded")
 
-    cum_rates = [np.cumsum(off[i]) for i in range(J)]
+    streams = ParticleStreams(seed)
+    meta = {"seed": seed, "stream_offset": stream_offset,
+            "tilted": bool(tilted)}
+    if tilted:
+        times, parts, froms, tos, proposals = _simulate_tilted(
+            streams, stream_offset, initial_states, float(T), off, tilt)
+        meta["proposals"] = proposals
+        meta["accepted"] = int(times.size)
+    else:
+        cum_rates = [np.cumsum(off[i]) for i in range(J)]
+        all_t, all_p, all_f, all_to = [], [], [], []
+        for k in range(n):
+            ts, fs, tos = _simulate_particle_plain(
+                streams.at(stream_offset + k), int(initial_states[k]), T,
+                exit_rate, cum_rates)
+            all_t.extend(ts)
+            all_p.extend([k] * len(ts))
+            all_f.extend(fs)
+            all_to.extend(tos)
+        times, parts = np.asarray(all_t, dtype=float), np.asarray(all_p, dtype=int)
+        froms, tos = np.asarray(all_f, dtype=int), np.asarray(all_to, dtype=int)
 
-    all_t, all_p, all_f, all_to = [], [], [], []
-    for k in range(n):
-        rng = particle_rng(seed, stream_offset + k)
-        st = int(initial_states[k])
-        if tilted:
-            ts, fs, tos = _simulate_particle_tilted(rng, st, T, Q, exit_rate,
-                                                    tilt)
-        else:
-            ts, fs, tos = _simulate_particle_plain(rng, st, T, exit_rate,
-                                                   cum_rates)
-        all_t.extend(ts)
-        all_p.extend([k] * len(ts))
-        all_f.extend(fs)
-        all_to.extend(tos)
-
-    order = np.argsort(np.asarray(all_t), kind="stable")
+    # Time order, ties by particle (each particle's own jumps are increasing).
+    order = np.lexsort((parts, times))
     return ParticlePath(
         n=n, horizon=float(T), initial_states=initial_states,
-        jump_times=np.asarray(all_t, dtype=float)[order],
-        jump_particles=np.asarray(all_p, dtype=int)[order],
-        jump_from=np.asarray(all_f, dtype=int)[order],
-        jump_to=np.asarray(all_to, dtype=int)[order],
-        meta={"seed": seed, "stream_offset": stream_offset,
-              "tilted": bool(tilted)})
+        jump_times=times[order], jump_particles=parts[order],
+        jump_from=froms[order], jump_to=tos[order], meta=meta)
 
 
 def empirical_measure_path(path, grid, J=None):
@@ -501,7 +611,9 @@ def _one_replica(g, n, T, init, seed, tilt, stream_offset, grid, target,
     dist = float(np.abs(emp - target).max())
     G = girsanov_log_density(p, tilt, g)
     return {"hit": dist <= tube, "distance": dist, "G": float(G),
-            "jumps": int(p.jump_times.size)}
+            "jumps": int(p.jump_times.size),
+            "proposals": p.meta.get("proposals", 0),
+            "accepted": p.meta.get("accepted", 0)}
 
 
 def rate_vs_probability_experiment(g, target_times, target_states,
@@ -519,8 +631,13 @@ def rate_vs_probability_experiment(g, target_times, target_states,
     The sup-norm-on-grid tube is a declared surrogate for the pathwise
     topology of the underlying theory; estimates are labelled accordingly.
     Zero hits give an infinite estimate (reported, not fatal); a small
-    effective sample size sets `variance_flagged`.
+    effective sample size sets `variance_flagged`.  `thinning` sums the
+    proposals and acceptances of the tilted replicas.
     """
+    if replicas < 2:
+        raise InvalidInput("need replicas >= 2 for a standard error")
+    if len(n_list) == 0 or min(n_list) < 1:
+        raise InvalidInput("need a nonempty n_list with every n >= 1")
     target_times = np.asarray(target_times, dtype=float)
     target_states = np.asarray(target_states, dtype=float)
     T = float(target_times[-1])
@@ -530,6 +647,7 @@ def rate_vs_probability_experiment(g, target_times, target_states,
 
     results = {}
     per_replica_rows = []
+    thinning = {"proposals": 0, "accepted": 0}
     for ni, n in enumerate(n_list):
         init = deterministic_assignment(target_states[0], n)
         rows = [_one_replica(g, n, T, init, seed, tilt, (ni * replicas + r) * n,
@@ -539,6 +657,8 @@ def rate_vs_probability_experiment(g, target_times, target_states,
         Gs = np.array([r["G"] for r in rows])
         log_w = -n * Gs
         for r, row in enumerate(rows):
+            for key in thinning:
+                thinning[key] += row[key]
             per_replica_rows.append({"n": n, "replica": r, "hit": int(row["hit"]),
                                      "G": row["G"],
                                      "log_weight": float(-n * row["G"]),
@@ -587,7 +707,7 @@ def rate_vs_probability_experiment(g, target_times, target_states,
             "plain_monte_carlo": plain,
         }
     # Exactness spot check: both G routes on one fresh replica.
-    p0 = simulate(g, max(n_list[0], 1), T,
+    p0 = simulate(g, n_list[0], T,
                   deterministic_assignment(target_states[0], n_list[0]), seed,
                   tilt=tilt, stream_offset=10 ** 9)
     g_a = girsanov_log_density(p0, tilt, g)
@@ -605,5 +725,6 @@ def rate_vs_probability_experiment(g, target_times, target_states,
         "estimates": results,
         "girsanov_consistency_abs_gap": float(abs(g_a - g_b)),
         "tilt": {"kind": tilt.smoothness, "max_abs": tilt.max_abs},
+        "thinning": thinning,
     }
     return report, per_replica_rows

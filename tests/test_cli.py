@@ -1,6 +1,8 @@
 import json
+import os
 
 import numpy as np
+import pytest
 
 from ldgrad import chains, cli, markov, structure
 from ldgrad.errors import LdgradError
@@ -71,3 +73,42 @@ def test_simulate_unknown_target_is_an_input_error(tmp_path, capsys):
                             {"type": "bogus"})
     assert cli.main(argv) == cli.EXIT_INPUT
     assert "unknown target type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("replicas", 1), ("replicas", 0),
+                                       ("n_list", []), ("n_list", [10, 0])])
+def test_simulate_rejects_too_few_replicas_or_particles(tmp_path, capsys,
+                                                        key, value):
+    argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]],
+                            {"type": "constant", "rho": [0.6, 0.4]})
+    cfg_path = argv[2]
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    cfg[key] = value
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ldp_report.json").exists()
+
+
+def test_simulate_report_counts_thinning(tmp_path):
+    argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]],
+                            {"type": "constant", "rho": [0.7, 0.3]})
+    reports = []
+    for _ in range(2):
+        assert cli.main(argv) == cli.EXIT_OK
+        reports.append((tmp_path / "out" / "ldp_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    thinning = json.loads(reports[0])["thinning"]
+    assert 0 < thinning["accepted"] <= thinning["proposals"]
+
+
+def test_failed_atomic_write_keeps_the_earlier_file(tmp_path):
+    path = str(tmp_path / "report.json")
+    cli.write_json(path, {"a": 1})
+    before = (tmp_path / "report.json").read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(path, "unpaired surrogate \ud800")
+    assert (tmp_path / "report.json").read_bytes() == before
+    assert os.listdir(tmp_path) == ["report.json"]

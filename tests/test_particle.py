@@ -6,7 +6,8 @@ import pytest
 
 from conftest import birth_death_tube_logp
 from ldgrad import chains, evolve, markov, particle, structure
-from ldgrad.errors import InvalidInput, TiltTooStrong, UnboundedConjugate
+from ldgrad.errors import (InvalidInput, ThinningBoundExceeded, TiltTooStrong,
+                          UnboundedConjugate)
 
 # Golden jump record for simulate(two_state_symmetric, n=3, T=2, seed=77,
 # initial [0, 1, 0]); regenerate by rerunning that call and pasting.
@@ -59,6 +60,20 @@ def test_tilt_too_strong(two_state):
     big = particle.TiltField.constant(np.array([40.0, -40.0]), 1.0)
     with pytest.raises(TiltTooStrong):
         particle.simulate(two_state, 1, 1.0, np.array([0]), seed=0, tilt=big)
+
+
+def test_tilted_rate_above_its_bound_is_an_error(monkeypatch):
+    table = particle._thinning_table
+
+    def halved(*args):
+        c, xc, b, Lam = table(*args)
+        return c, xc, 0.5 * b, 0.5 * Lam
+
+    monkeypatch.setattr(particle, "_thinning_table", halved)
+    g = chains.random_irreducible(3, 21)
+    init = particle.deterministic_assignment(np.full(3, 1.0 / 3.0), 30)
+    with pytest.raises(ThinningBoundExceeded):
+        particle.simulate(g, 30, 2.0, init, seed=8, tilt=_three_state_tilt(2.0))
 
 
 def test_tilted_law_concentrates_on_target(two_state):
@@ -259,24 +274,100 @@ def test_tightness_stats(two_state):
 
 def test_tilt_then_reweight_unbiased(two_state):
     # E_tilted[e^{-G} 1_A] must equal the plain probability of A (n = 1).
-    # A = {no jumps in [0, T], start in state 1}: P(A) = e^{-T}.
+    # A = {no jumps in [0, T], start in state 1}: P(A) = e^{-T}.  Particle r
+    # of one R-particle run is the one-particle run with stream_offset = r,
+    # and every path in A has the weight of the one-particle no-jump path.
     T = 1.0
     tilt = particle.TiltField.constant(np.array([0.3, -0.3]), T)
     R = 50000
-    acc = 0.0
-    acc2 = 0.0
-    for r in range(R):
-        p = particle.simulate(two_state, 1, T, np.array([0]), seed=777,
-                              tilt=tilt, stream_offset=r)
-        if p.jump_times.size == 0:
-            w = math.exp(-particle.girsanov_log_density(p, tilt, two_state))
-            acc += w
-            acc2 += w * w
+    p = particle.simulate(two_state, R, T, np.zeros(R, dtype=int), seed=777,
+                          tilt=tilt)
+    still = particle.ParticlePath(
+        n=1, horizon=T, initial_states=[0], jump_times=np.array([]),
+        jump_particles=[], jump_from=[], jump_to=[])
+    w = math.exp(-particle.girsanov_log_density(still, tilt, two_state))
+    hits = R - np.unique(p.jump_particles).size
+    acc = hits * w
+    acc2 = hits * w * w
     est = acc / R
     se = math.sqrt(max(acc2 / R - est * est, 0.0) / R)
     truth = math.exp(-T)
     # combined error: estimator SE plus nothing on the exact side
     assert abs(est - truth) <= 3 * se
+
+
+def _three_state_tilt(T):
+    # Knots strictly inside (0, T): the field is clamped at both ends.
+    return particle.TiltField.piecewise_linear(
+        np.array([0.25, 0.7, 1.1]) * T,
+        np.array([[0.6, -0.4, 0.1], [-0.5, 0.3, 0.8], [0.2, 0.7, -0.6]]))
+
+
+def test_tilted_particle_streams(monkeypatch):
+    # Particle k of an n-particle run is the one-particle run with
+    # stream_offset = k, and no path depends on how the particles are
+    # chunked or on the width of the stream blocks they read.
+    g = chains.random_irreducible(3, 21)
+    T = 2.0
+    tilt = _three_state_tilt(T)
+    n = 60
+    init = particle.deterministic_assignment(np.full(3, 1.0 / 3.0), n)
+    p = particle.simulate(g, n, T, init, seed=8, tilt=tilt)
+    assert p.validate()
+    assert p.meta["accepted"] == p.jump_times.size > 0
+    assert p.meta["proposals"] > p.meta["accepted"]
+    for k in range(n):
+        one = particle.simulate(g, 1, T, init[k:k + 1], seed=8, tilt=tilt,
+                                stream_offset=k)
+        mine = p.jump_particles == k
+        assert np.array_equal(one.jump_times, p.jump_times[mine])
+        assert np.array_equal(one.jump_from, p.jump_from[mine])
+        assert np.array_equal(one.jump_to, p.jump_to[mine])
+    monkeypatch.setattr(particle, "THINNING_BLOCK", 8)
+    monkeypatch.setattr(particle, "_block_width", lambda b, c: 4)
+    q = particle.simulate(g, n, T, init, seed=8, tilt=tilt)
+    for name in ("jump_times", "jump_particles", "jump_from", "jump_to"):
+        assert np.array_equal(getattr(q, name), getattr(p, name))
+    assert q.meta == p.meta
+    # The keyed streams are particle_rng's, also from a block boundary on.
+    streams = particle.ParticleStreams(8)
+    for stream in (0, 5, 2 ** 40):
+        ref = particle.particle_rng(8, stream).random(12)
+        assert np.array_equal(streams.at(stream).random(12), ref)
+        assert np.array_equal(streams.at(stream, 8).random(4), ref[8:])
+
+
+def test_tilted_law_matches_forward_equation():
+    # The tilted empirical measure against the exact time-inhomogeneous
+    # forward equation d rho/dt = rho Q_t, Q_t(i, j) = Q_ij e^{xi_t(j) -
+    # xi_t(i)}, entrywise within 4 multinomial standard errors.
+    from scipy.integrate import solve_ivp
+
+    g = chains.random_irreducible(3, 2)
+    T = 1.5
+    tilt = _three_state_tilt(T)
+    n = 20000
+    init = particle.deterministic_assignment(np.array([0.6, 0.3, 0.1]), n)
+    p = particle.simulate(g, n, T, init, seed=4, tilt=tilt)
+    grid = np.linspace(0.0, T, 16)
+    emp = particle.empirical_measure_path(p, grid, J=3)
+
+    def forward(t, rho):
+        xi = tilt.value_at(t)
+        Qt = g.q * np.exp(xi[None, :] - xi[:, None])
+        np.fill_diagonal(Qt, 0.0)
+        np.fill_diagonal(Qt, -Qt.sum(axis=1))
+        return rho @ Qt
+
+    sol = solve_ivp(forward, (0.0, T), np.bincount(init, minlength=3) / n,
+                    t_eval=grid, rtol=1e-10, atol=1e-12, max_step=0.01)
+    exact = sol.y.T
+    se = np.sqrt(exact * (1.0 - exact) / n)
+    assert np.all(np.abs(emp - exact) <= 4.0 * se + 1e-12)
+    # The tilt moves the law well beyond that band.
+    plain = particle.simulate(g, n, T, init, seed=4)
+    drift = np.abs(particle.empirical_measure_path(plain, grid, J=3) - exact)
+    assert drift.max() > 20.0 * se.max()
 
 
 def test_optimal_tilt_constant_target(two_state):
