@@ -60,7 +60,10 @@ def _atomic_write(path, data):
 
 
 def write_json(path, obj):
+    """Strict JSON: a NaN or infinity raises ValueError instead of being
+    written as a non-standard token."""
     _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2,
+                                   allow_nan=False,
                                    default=_json_default) + "\n")
 
 
@@ -221,9 +224,12 @@ def cmd_simulate(args):
                r["distance"]] for r in rows])
     print("I_T(target) = %.6e" % report["rate_functional"])
     for n, entry in report["estimates"].items():
-        print("  n=%s: -(1/n) log p-hat = %.6e (se %.2e, hits %.2f, ESS %.1f%s)"
-              % (n, entry["estimate"], entry["standard_error"],
-                 entry["hit_fraction"], entry["effective_sample_size"],
+        estimate = ("inf (no tube hits)" if entry["inf_estimate"] else
+                    "%.6e (se %.2e)" % (entry["estimate"],
+                                        entry["standard_error"]))
+        print("  n=%s: -(1/n) log p-hat = %s (hits %.2f, ESS %.1f%s)"
+              % (n, estimate, entry["hit_fraction"],
+                 entry["effective_sample_size"],
                  ", VARIANCE FLAGGED" if entry["variance_flagged"] else ""))
     print("girsanov consistency |gap| = %.3e"
           % report["girsanov_consistency_abs_gap"])

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from . import markov
 from .errors import DegenerateWeight, InvalidInput
@@ -136,35 +135,66 @@ def apply_stiffness(rho, xi, g):
     return out / (g.h * g.h)
 
 
+def _ldl_tridiagonal(diag, off):
+    """Root-free Cholesky factor A = L D L^T of the symmetric tridiagonal A
+    with diagonal `diag` and off-diagonal `off`, L unit lower bidiagonal:
+    returns (d, l), the diagonal of D and the subdiagonal of L.  The
+    operations are those of LAPACK's dpttrf, in its order;
+    scipy.linalg.solveh_banded solves a tridiagonal system with dpttrf and
+    dptts2 (through dptsv), so the two agree bit for bit where LAPACK does
+    not fuse multiply-adds.  A pivot that is not positive (A not
+    numerically positive definite) raises DegenerateWeight.
+    """
+    d = np.asarray(diag, dtype=float).tolist()
+    e = np.asarray(off, dtype=float).tolist()
+    l = [0.0] * len(e)
+    for i in range(len(d)):
+        if not d[i] > 0.0:
+            raise DegenerateWeight("stiffness matrix is not numerically "
+                                   "positive definite (pivot %d)" % i)
+        if i < len(e):
+            l[i] = e[i] / d[i]
+            d[i + 1] -= l[i] * e[i]
+    return d, l
+
+
+def _ldl_solve(factor, b):
+    """Solve L D L^T x = b for the factor of `_ldl_tridiagonal`: forward
+    substitution with L, then back substitution with D L^T, in the order
+    of LAPACK's dptts2."""
+    d, l = factor
+    x = np.asarray(b, dtype=float).tolist()
+    for i in range(1, len(x)):
+        x[i] = x[i] - x[i - 1] * l[i - 1]
+    x[-1] = x[-1] / d[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = x[i] / d[i] - x[i + 1] * l[i]
+    return np.array(x)
+
+
 def _solve_stiffness(rho, s, g):
     """Solve A(rho) xi = s on the zero-mean subspace (s must sum to zero).
 
-    The first node is pinned to zero (compatible by the zero-sum condition),
-    the remaining symmetric positive-definite tridiagonal system is solved
-    by banded Cholesky with two steps of iterative refinement, and the
-    result is shifted to zero mean.
+    The first node is pinned to zero (compatible by the zero-sum condition)
+    and the remaining symmetric positive-definite tridiagonal system is
+    factored once as L D L^T (`_ldl_tridiagonal`, LAPACK's dpttrf
+    operation order) and solved by forward and back substitution, followed
+    by two steps of iterative refinement with the same factor; the result
+    is shifted to zero mean.
     """
     s = np.asarray(s, dtype=float)
     if abs(s.sum()) > 1e-10 * max(1.0, np.abs(s).max()):
         raise InvalidInput("right-hand side must sum to zero")
     m = _edge_weights(rho) / (g.h * g.h)
-    N = s.size
-    # Reduced system on nodes 1..N-1 (node 0 pinned at zero).
-    diag = np.empty(N - 1)
-    diag[:-1] = m[:-1] + m[1:]
-    diag[-1] = m[-1]
-    upper = -m[1:]
-    ab = np.zeros((2, N - 1))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    xi = np.zeros(N)
-    rhs = s[1:].copy()
-    sol = solveh_banded(ab, rhs)
-    xi[1:] = sol
+    # Reduced system on nodes 1..N-1 (node 0 pinned at zero): diagonal
+    # m_{i-1/2} + m_{i+1/2} (m_{N-3/2} alone at the last node), off-diagonal
+    # -m_{i+1/2}.
+    factor = _ldl_tridiagonal(np.append(m[:-1] + m[1:], m[-1]), -m[1:])
+    xi = np.zeros(s.size)
+    xi[1:] = _ldl_solve(factor, s[1:])
     for _ in range(2):  # iterative refinement sharpens the residual
         r = s - apply_stiffness(rho, xi, g)
-        corr = solveh_banded(ab, r[1:])
-        xi[1:] += corr
+        xi[1:] += _ldl_solve(factor, r[1:])
     return xi - xi.mean()
 
 

@@ -2,7 +2,9 @@
 
 A generator is a J x J intensity matrix Q with Q_ij >= 0 off the diagonal
 and zero row sums; probability vectors live on the simplex.  This module
-provides the invariant measure, detailed-balance diagnosis, the relative
+provides the invariant measure, irreducibility (strong connectivity of the
+graph of Q, decided by two reachability sweeps from state 0, one along the
+edges and one against them), detailed-balance diagnosis, the relative
 entropy E_pi(rho) = sum_i rho_i log(rho_i / pi_i), the empirical-process
 Hamiltonian
 
@@ -22,8 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import convex
 from .errors import (BoundaryPoint, DegenerateInvariantMeasure,
@@ -149,20 +149,37 @@ class BalanceReport:
         }
 
 
+def _strongly_connected(adj):
+    """Whether the digraph with edges i -> j where adj[i, j] is strongly
+    connected: state 0 reaches every state along the edges and against
+    them (breadth-first, one frontier per step)."""
+    for a in (adj, adj.T):
+        seen = np.zeros(a.shape[0], dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = a[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
+
+
 def analyze_balance(g, tol=1e-9):
     """Invariant measure, irreducibility, and detailed-balance diagnosis.
 
-    pi solves Q^T pi = 0 (dense solve with a normalization row); detailed
-    balance holds when max_ij |pi_i Q_ij - pi_j Q_ji| <= tol relative to the
-    largest flux pi_i Q_ij.
+    The chain is irreducible when its graph (i -> j where Q_ij > 0) is
+    strongly connected, decided as: state 0 reaches every state both in the
+    graph and in its transpose.  pi solves Q^T pi = 0 (dense solve with a
+    normalization row); detailed balance holds when
+    max_ij |pi_i Q_ij - pi_j Q_ji| <= tol relative to the largest flux
+    pi_i Q_ij.
     """
     Q = g.q
     J = g.size
     off = Q.copy()
     np.fill_diagonal(off, 0.0)
-    n_comp, _ = connected_components(csr_matrix(off > 0), directed=True,
-                                     connection="strong")
-    irreducible = n_comp == 1
+    irreducible = _strongly_connected(off > 0)
     sv = np.linalg.svd(Q.T, compute_uv=False)
     nullity = J if sv[0] == 0 else int(np.sum(sv <= sv[0] * 1e-12))
     if nullity > 1:
@@ -181,7 +198,7 @@ def analyze_balance(g, tol=1e-9):
     max_violation = float(np.abs(flux - flux.T).max())
     scale = float(flux.max())
     db = max_violation <= tol * max(scale, 1e-300)
-    return BalanceReport(invariant_measure=pi, is_irreducible=bool(irreducible),
+    return BalanceReport(invariant_measure=pi, is_irreducible=irreducible,
                          detailed_balance=bool(db), max_violation=max_violation,
                          weakly_reversible=g.weakly_reversible, tol=tol)
 

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import convex, markov
 from .errors import (InvalidInput, ThinningBoundExceeded, TiltTooStrong,
@@ -604,6 +603,18 @@ def optimal_tilt(times, states, g, tol=convex.DEFAULT_TOL):
     return _tilt_from_knots(rate["times"], rate["knots"])
 
 
+def _logsumexp(a):
+    """log sum_i exp(a_i) by the algorithm of scipy.special.logsumexp
+    (1.17): the m tied maxima leave the sum, which is then
+    log1p(sum_{a_i < a_max} e^{a_i - a_max} / m) + log m + a_max."""
+    a_max = a.max()
+    tied = a == a_max
+    m = float(np.count_nonzero(tied))
+    e = np.exp(a - a_max)
+    e[tied] = 0.0  # kept in place: the same pairwise-summation order
+    return float(np.log1p(e.sum() / m) + np.log(m) + a_max)
+
+
 def _one_replica(g, n, T, init, seed, tilt, stream_offset, grid, target,
                  tube):
     p = simulate(g, n, T, init, seed, tilt=tilt, stream_offset=stream_offset)
@@ -630,8 +641,10 @@ def rate_vs_probability_experiment(g, target_times, target_states,
 
     The sup-norm-on-grid tube is a declared surrogate for the pathwise
     topology of the underlying theory; estimates are labelled accordingly.
-    Zero hits give an infinite estimate (reported, not fatal); a small
-    effective sample size sets `variance_flagged`.  `thinning` sums the
+    Zero hits give an infinite estimate, reported as `inf_estimate` with a
+    None (JSON null) `estimate` and `standard_error`, and not fatal; a plain
+    Monte Carlo run without hits has a None `estimate`.  A small effective
+    sample size sets `variance_flagged`.  `thinning` sums the
     proposals and acceptances of the tilted replicas.
     """
     if replicas < 2:
@@ -664,7 +677,7 @@ def rate_vs_probability_experiment(g, target_times, target_states,
                                      "log_weight": float(-n * row["G"]),
                                      "distance": row["distance"]})
         if hits.any():
-            log_sum = float(logsumexp(log_w[hits]))
+            log_sum = _logsumexp(log_w[hits])
             log_p = log_sum - math.log(replicas)
             estimate = -log_p / n
             # Delta-method standard error of -(1/n) log p-hat.
@@ -673,12 +686,12 @@ def rate_vs_probability_experiment(g, target_times, target_states,
             var_w = (np.sum((w_shift - mean_w) ** 2)
                      + (replicas - hits.sum()) * mean_w ** 2) / (replicas - 1)
             se_log = math.sqrt(var_w / replicas) / mean_w
-            se_estimate = se_log / n
+            se_estimate = float(se_log / n)
             ess = float(w_shift.sum() ** 2 / np.sum(w_shift ** 2))
             inf_estimate = False
         else:
-            estimate = math.inf
-            se_estimate = math.inf
+            estimate = None
+            se_estimate = None
             ess = 0.0
             inf_estimate = True
         plain = None
@@ -692,16 +705,16 @@ def rate_vs_probability_experiment(g, target_times, target_states,
                     plain_hits += 1
             plain = {"hits": plain_hits,
                      "estimate": (-math.log(plain_hits / replicas) / n
-                                  if plain_hits else math.inf)}
+                                  if plain_hits else None)}
         results[str(n)] = {
-            "estimate": float(estimate),
-            "standard_error": float(se_estimate),
+            "estimate": estimate,
+            "standard_error": se_estimate,
             "hit_fraction": float(hits.mean()),
             "effective_sample_size": ess,
             "variance_flagged": bool(ess < ess_threshold * replicas),
             "inf_estimate": inf_estimate,
             "relative_deviation_from_rate": (
-                float(estimate / I_T - 1.0) if np.isfinite(estimate) and I_T > 0
+                float(estimate / I_T - 1.0) if estimate is not None and I_T > 0
                 else None),
             "log_weight_sd": float(np.std(log_w)),
             "plain_monte_carlo": plain,

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -112,3 +114,84 @@ def test_failed_atomic_write_keeps_the_earlier_file(tmp_path):
         cli._atomic_write(path, "unpaired surrogate \ud800")
     assert (tmp_path / "report.json").read_bytes() == before
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def _reject_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
+def test_simulate_without_hits_writes_strict_json(tmp_path, capsys):
+    # n = 10 cannot start within 0.01 of (0.55, 0.45): no tilted and no
+    # plain replica hits the tube, so both estimates are infinite.
+    argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]],
+                            {"type": "constant", "rho": [0.55, 0.45]})
+    with open(argv[2]) as fh:
+        cfg = json.load(fh)
+    cfg.update(n_list=[10], tube_radius=0.01)
+    with open(argv[2], "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main(argv) == cli.EXIT_OK
+    text = (tmp_path / "out" / "ldp_report.json").read_text()
+    entry = json.loads(text, parse_constant=_reject_constant)["estimates"]["10"]
+    assert entry["inf_estimate"] is True
+    assert entry["estimate"] is None and entry["standard_error"] is None
+    assert entry["relative_deviation_from_rate"] is None
+    assert entry["plain_monte_carlo"] == {"hits": 0, "estimate": None}
+    assert "inf (no tube hits)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_refuses_non_finite_values(tmp_path, value):
+    with pytest.raises(ValueError):
+        cli.write_json(str(tmp_path / "report.json"), {"x": [1.0, value]})
+    assert os.listdir(tmp_path) == []
+
+
+# Runs in a fresh interpreter: the test process itself imports scipy for
+# its oracles.
+_IMPORT_GUARD = r"""
+import json, os, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+from ldgrad import chains, cli, markov
+after_import = scipy_modules()
+d = sys.argv[1]
+gen = os.path.join(d, "gen.json")
+markov.save_generator(chains.two_state_symmetric(), gen)
+sim = os.path.join(d, "sim.json")
+with open(sim, "w") as fh:
+    json.dump({"generator": gen, "T": 0.5, "grid_dt": 0.05,
+               "target": {"type": "constant", "rho": [0.6, 0.4]},
+               "tube_radius": 0.1, "n_list": [10], "replicas": 3,
+               "seed": 1}, fh)
+dif = os.path.join(d, "dif.json")
+with open(dif, "w") as fh:
+    json.dump({"a": -2.0, "b": 2.0, "N": 11, "potential": "quadratic",
+               "decomposition_samples": 2}, fh)
+runs = [["analyze", "--generator", gen, "--samples", "1"],
+        ["evolve", "--generator", gen, "--rho0", "0.7,0.3", "--T", "0.1",
+         "--dt", "0.01", "--structure", "linear,ldp"],
+        ["simulate", "--config", sim],
+        ["diffusion", "--config", dif, "--T", "0.1", "--dt", "0.01"]]
+codes = [cli.main(argv + ["--out", os.path.join(d, argv[0])])
+         for argv in runs]
+print(json.dumps({"codes": codes, "after_import": after_import,
+                  "after_commands": scipy_modules()}))
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("OUT_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD,
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [cli.EXIT_OK] * 4, "after_import": [],
+                      "after_commands": []}

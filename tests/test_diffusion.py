@@ -210,3 +210,24 @@ def test_profiles_rows():
     x, dens, pdens, ds = rows[2]
     assert abs(dens - 0.2 / g.h) <= 1e-15
     assert abs(dens - pdens) <= 1e-15
+
+
+def test_tridiagonal_solve_matches_solveh_banded():
+    from scipy.linalg import solveh_banded
+    rng = np.random.default_rng(9)
+    n = 200  # N = 201 nodes with node 0 pinned, as in _solve_stiffness
+    for k in range(20):
+        if k % 2:  # stiffness pattern: a pinned weighted path Laplacian
+            m = rng.uniform(0.01, 10.0, n) * 10.0 ** rng.uniform(-3, 3)
+            diag = np.append(m[:-1] + m[1:], m[-1])
+            upper = -m[1:]
+        else:  # a general diagonally dominant SPD tridiagonal matrix
+            upper = rng.standard_normal(n - 1)
+            pad = np.abs(np.append(upper, 0.0)) + np.abs(np.append(0.0, upper))
+            diag = pad + rng.uniform(0.01, 1.0, n)
+        b = rng.standard_normal(n)
+        x = diffusion._ldl_solve(diffusion._ldl_tridiagonal(diag, upper), b)
+        ref = solveh_banded(np.vstack([np.append(0.0, upper), diag]), b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    with pytest.raises(DegenerateWeight):  # indefinite: [[1, -2], [-2, 1]]
+        diffusion._ldl_tridiagonal([1.0, 1.0], [-2.0])

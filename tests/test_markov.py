@@ -252,3 +252,19 @@ def test_drift_examples(two_state, cyclic):
                        [-1, 1, 0])
     pi = markov.analyze_balance(cyclic).invariant_measure
     assert np.abs(markov.drift(pi, cyclic)).max() <= 1e-15
+
+
+def test_irreducibility_matches_strong_components_oracle():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    rng = np.random.default_rng(20)
+    verdicts = []
+    for _ in range(2000):
+        J = int(rng.integers(2, 12))
+        adj = rng.random((J, J)) < rng.uniform(0.05, 0.6)
+        np.fill_diagonal(adj, False)
+        n_comp, _ = connected_components(csr_matrix(adj), directed=True,
+                                         connection="strong")
+        assert markov._strongly_connected(adj) == (n_comp == 1)
+        verdicts.append(n_comp == 1)
+    assert 0.2 < np.mean(verdicts) < 0.8  # reducible graphs included

@@ -464,3 +464,19 @@ def test_tilt_field_contract():
     times = np.array([0.0, 0.3, 0.41, 0.8, 1.0, 1.2, 2.0])
     assert np.array_equal(tilt.value_at(times),
                           np.stack([tilt.value_at(float(t)) for t in times]))
+
+
+def test_logsumexp_equals_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(8)
+    cases = [[3.0], [-2.5], [1.0, 1.0], [0.0] * 7, [-1.0, 2.0, 2.0, 0.5],
+             [-800.0, 0.0, 1.0], [745.0, -745.0, 10.0, 745.0]]
+    for _ in range(500):
+        a = rng.standard_normal(int(rng.integers(1, 40)))
+        a *= rng.choice([1.0, 30.0, 1000.0])  # spreads beyond 700 included
+        if rng.random() < 0.3:
+            a = np.round(a)  # tied maxima
+        cases.append(a)
+    for a in cases:
+        a = np.asarray(a, dtype=float)
+        assert particle._logsumexp(a) == float(logsumexp(a))
