@@ -5,11 +5,12 @@ comparison gaps), simulate (particle experiment report), diffusion
 (grid profiles, entropy decay, decomposition report, plot script).
 
 Exit codes: 0 ok, 2 input error, 3 structural refusal (no gradient system),
-4 runtime/statistical failure.  Outputs are written atomically (temp file +
-rename) and are byte-identical for a fixed config and seed; every report
-carries its seeds and tolerances.  A run manifest (command, config hash,
-outputs, wall clock) is written next to the outputs; the manifest is the one
-file allowed to differ between reruns.
+4 runtime/statistical failure, which includes a report value that is NaN or
+infinite.  Outputs are written atomically (temp file + rename) and are
+byte-identical for a fixed config and seed; every report carries its seeds
+and tolerances.  A run manifest (command, config hash, outputs, wall clock)
+is written next to the outputs; the manifest is the one file allowed to
+differ between reruns.
 """
 
 import argparse
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import __version__, chains, diffusion, evolve, markov, particle, structure
 from .errors import (InvalidGenerator, InvalidInput, LdgradError,
-                     NotGradientSystem, NotWeaklyReversible, ReducibleChain,
-                     TiltTooStrong)
+                     NonFiniteOutput, NotGradientSystem, NotWeaklyReversible,
+                     ReducibleChain, TiltTooStrong)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -60,11 +61,14 @@ def _atomic_write(path, data):
 
 
 def write_json(path, obj):
-    """Strict JSON: a NaN or infinity raises ValueError instead of being
-    written as a non-standard token."""
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2,
-                                   allow_nan=False,
-                                   default=_json_default) + "\n")
+    """Strict JSON: a NaN or infinity raises NonFiniteOutput, a runtime
+    failure, instead of being written as a non-standard token."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=_json_default)
+    except ValueError as exc:
+        raise NonFiniteOutput("%s: %s" % (os.path.basename(path), exc)) from exc
+    _atomic_write(path, text + "\n")
 
 
 def write_csv(path, header, rows):

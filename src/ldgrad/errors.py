@@ -26,11 +26,12 @@ class InvalidGenerator(LdgradError):
 
 
 class ReducibleChain(LdgradError):
-    """Null space of the transposed generator has dimension > 1."""
+    """The generator graph is not strongly connected."""
 
 
 class DegenerateInvariantMeasure(LdgradError):
-    """Invariant measure has a non-positive coordinate."""
+    """The computed invariant measure of an irreducible chain has a
+    coordinate at or below rounding level."""
 
 
 class InfiniteEntropy(LdgradError):
@@ -72,6 +73,10 @@ class TiltTooStrong(LdgradError):
 class ThinningBoundExceeded(LdgradError):
     """A tilted jump rate exceeded its thinning bound, which would bias the
     simulated law."""
+
+
+class NonFiniteOutput(LdgradError):
+    """A report value is NaN or infinite, which strict JSON cannot hold."""
 
 
 class NoCrossCheck(LdgradError):

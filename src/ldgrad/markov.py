@@ -132,7 +132,6 @@ def is_interior(rho, floor=INTERIOR_FLOOR):
 @dataclass
 class BalanceReport:
     invariant_measure: np.ndarray
-    is_irreducible: bool
     detailed_balance: bool
     max_violation: float
     weakly_reversible: bool
@@ -141,7 +140,6 @@ class BalanceReport:
     def to_dict(self):
         return {
             "invariant_measure": self.invariant_measure.tolist(),
-            "is_irreducible": self.is_irreducible,
             "detailed_balance": self.detailed_balance,
             "max_violation": self.max_violation,
             "weakly_reversible": self.weakly_reversible,
@@ -166,25 +164,22 @@ def _strongly_connected(adj):
 
 
 def analyze_balance(g, tol=1e-9):
-    """Invariant measure, irreducibility, and detailed-balance diagnosis.
+    """Invariant measure and detailed-balance diagnosis of an irreducible chain.
 
-    The chain is irreducible when its graph (i -> j where Q_ij > 0) is
-    strongly connected, decided as: state 0 reaches every state both in the
-    graph and in its transpose.  pi solves Q^T pi = 0 (dense solve with a
-    normalization row); detailed balance holds when
-    max_ij |pi_i Q_ij - pi_j Q_ji| <= tol relative to the largest flux
-    pi_i Q_ij.
+    A chain whose graph (i -> j where Q_ij > 0) is not strongly connected
+    raises ReducibleChain; the test is that state 0 reaches every state both
+    in the graph and in its transpose.  pi then solves Q^T pi = 0 (dense
+    solve with a normalization row), and a coordinate pi_i <= 1e-14, which
+    only rounding can produce, raises DegenerateInvariantMeasure.  Detailed
+    balance holds when max_ij |pi_i Q_ij - pi_j Q_ji| <= tol relative to the
+    largest flux pi_i Q_ij.
     """
     Q = g.q
     J = g.size
     off = Q.copy()
     np.fill_diagonal(off, 0.0)
-    irreducible = _strongly_connected(off > 0)
-    sv = np.linalg.svd(Q.T, compute_uv=False)
-    nullity = J if sv[0] == 0 else int(np.sum(sv <= sv[0] * 1e-12))
-    if nullity > 1:
-        raise ReducibleChain(
-            "null space of Q^T has dimension %d" % nullity)
+    if not _strongly_connected(off > 0):
+        raise ReducibleChain("generator graph is not strongly connected")
     A = Q.T.copy()
     A[-1, :] = 1.0
     b = np.zeros(J)
@@ -198,7 +193,7 @@ def analyze_balance(g, tol=1e-9):
     max_violation = float(np.abs(flux - flux.T).max())
     scale = float(flux.max())
     db = max_violation <= tol * max(scale, 1e-300)
-    return BalanceReport(invariant_measure=pi, is_irreducible=irreducible,
+    return BalanceReport(invariant_measure=pi,
                          detailed_balance=bool(db), max_violation=max_violation,
                          weakly_reversible=g.weakly_reversible, tol=tol)
 

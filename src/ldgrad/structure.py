@@ -26,6 +26,14 @@ makes the induced flow match Q^T rho and the answer is recorded in reports.
 Every potential above is a sum over the edges of the generator graph and is
 evaluated by `markov.EdgeFunctional`; the shift by V tilts the edge weights
 of H by e^{V_j - V_i}.
+
+A gradient structure exists exactly when V_L is a derivative.  The simplex
+interior is simply connected, so this holds exactly when the projected
+Jacobian P D_rho V_L P (P the projection onto zero-sum vectors) is
+symmetric.  `covector_jacobian` gets D_rho V_L from V_L itself by the
+implicit function theorem, with one linear solve and no further Newton
+solve, and `diagnostics` reports the relative asymmetry
+max|M - M^T| / max|M| of M = P D_rho V_L P as the integrability defect.
 """
 
 import enum
@@ -204,7 +212,8 @@ def decompose(gs, rho, s):
     measures real numerical consistency; |residual| <= 1e-7 holds for every
     irreducible chain, detailed balance or not.  Output is labelled a
     gradient system only under detailed balance (the covector field is then
-    conservative and equals the entropy gradient).
+    conservative and equals the entropy gradient).  The covector V used in
+    the split is returned under "covector".
     """
     rho = np.asarray(rho, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -223,6 +232,7 @@ def decompose(gs, rho, s):
         "psi_star": psi_star_at_minus_v,
         "pairing": pairing,
         "residual": float(residual),
+        "covector": V,
         "system_label": ("gradient system" if gs.balance.detailed_balance
                          else "covector system"),
     }
@@ -344,57 +354,65 @@ class StructureDiagnostics:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, **kw)
 
 
-def _loop_integral_midpoint(vertices, field, segments):
-    """Midpoint-rule line integral of a covector field around the closed
-    piecewise-linear loop through `vertices` (each edge split into
-    `segments` pieces)."""
-    total = 0.0
-    n = len(vertices)
-    for e in range(n):
-        a = vertices[e]
-        b = vertices[(e + 1) % n]
-        d = (b - a) / segments
-        x0 = None
-        for k in range(segments):
-            mid = a + (k + 0.5) * d
-            v = field(mid, x0)
-            x0 = v
-            total += float(v @ d)
-    return total
+def covector_jacobian(rho, V, g):
+    """D_rho V_L at rho, given V = V_L(rho), by the implicit function theorem.
+
+    V_L zeroes G(rho, xi) = D_xi H(rho, xi), so H''(rho, V) D = -B with
+    B = D_rho G(rho, V):
+
+        B_km = Q_mk e^{V_k - V_m} - delta_km sum_j Q_kj e^{V_j - V_k}.
+
+    The columns of B sum to zero and H'' is the Laplacian of a connected
+    graph, so the solve with H'' + 1 1^T gives the zero-sum solution
+    -(H'')^+ B.  Column m is the derivative of V_L along rho_m.
+    """
+    rho = np.asarray(rho, dtype=float)
+    V = np.asarray(V, dtype=float)
+    src, dst, rate = g.edges
+    J = g.size
+    t = rate * np.exp(V[dst] - V[src])
+    B = np.bincount(np.concatenate([dst * J + src, src * (J + 1)]),
+                    np.concatenate([t, -t]), J * J).reshape(J, J)
+    hess = markov.hamiltonian_functional(rho, g).hessian(V)
+    return -np.linalg.solve(hess + 1.0, B)
 
 
-def diagnostics(g, sample_count, seed, tol=DIAG_TOL, segments=100):
+def diagnostics(g, sample_count, seed, tol=DIAG_TOL):
     """Numerical verdict on the structure of a chain.
 
     Over seeded random interior rho and zero-sum s, xi:
       * time_symmetry_defect_max = max |L(rho,s) - L(rho,-s) - 2 <V_L, s>|
       * psi_star_symmetry_defect = max |H(rho, V_L - xi) - H(rho, V_L + xi)|
-      * integrability_defect     = max |loop integral of V_L| over random
-        triangles (midpoint rule per edge at `segments` and 2 x `segments`
-        resolutions, Richardson-extrapolated)
+      * integrability_defect     = max |M - M^T| / max |M| over the samples,
+        M = P D_rho V_L P with P the projection onto zero-sum vectors and
+        D_rho V_L from `covector_jacobian`; V_L is a derivative, so that a
+        gradient structure exists, exactly when M is symmetric everywhere
       * critical_covector_is_half_entropy_gradient compares V_L against
         (1/2) the zero-sum entropy gradient.
-    All defects vanish together exactly when detailed balance holds; they
-    are always reported numerically, never only as booleans.
+    Each sample solves for V_L once.  All defects vanish together exactly
+    when detailed balance holds; they are always reported numerically, never
+    only as booleans.
     """
     if sample_count < 1:
         raise markov.InvalidInput("sample_count must be >= 1")
     balance = markov.analyze_balance(g)
-    if not balance.is_irreducible:
-        raise markov.ReducibleChain("diagnostics need an irreducible chain")
     J = g.size
     pi = balance.invariant_measure
+    gs = GradientStructure(generator=g, family=Family.LDP_EXACT,
+                           entropy_scale=0.5, balance=balance)
+    P = np.eye(J) - 1.0 / J
 
-    ts_max = sym_max = cc_max = dec_max = 0.0
+    ts_max = sym_max = cc_max = dec_max = integ_max = 0.0
     worst = {}
     for i in range(sample_count):
         rng = np.random.default_rng([seed, i])
         rho = markov.project_interior(rng.dirichlet(np.ones(J)), 1e-6)
         s = convex.project_zero_sum(rng.standard_normal(J))
         xi = convex.project_zero_sum(rng.standard_normal(J))
-        V = critical_covector(rho, g)
+        split = decompose(gs, rho, s)
+        V = split["covector"]
 
-        Lf = markov.lagrangian(rho, s, g).value
+        Lf = split["lagrangian"]
         Lb = markov.lagrangian(rho, -s, g).value
         ts = abs(Lf - Lb - 2.0 * float(V @ s))
         if ts > ts_max:
@@ -413,40 +431,16 @@ def diagnostics(g, sample_count, seed, tol=DIAG_TOL, segments=100):
             cc_max = cc
             worst["critical_covector"] = {"sample": i, "defect": cc}
 
-        gs = GradientStructure(generator=g, family=Family.LDP_EXACT,
-                               entropy_scale=0.5, balance=balance)
-        dec = abs(decompose(gs, rho, s)["residual"])
+        dec = abs(split["residual"])
         if dec > dec_max:
             dec_max = dec
             worst["decomposition"] = {"sample": i, "defect": dec}
 
-    def v_field(rho, x0):
-        return critical_covector(rho, g, x0=x0)
-
-    n_tri = max(2, sample_count // 10)
-    triangles = []
-    if J == 3:
-        triangles.append(np.array([[0.5, 0.3, 0.2],
-                                   [0.2, 0.5, 0.3],
-                                   [0.3, 0.2, 0.5]]))
-    for t in range(n_tri):
-        rng = np.random.default_rng([seed, 10_000 + t])
-        verts = np.stack([
-            0.7 * markov.project_interior(rng.dirichlet(np.ones(J)), 1e-6)
-            + 0.3 / J for _ in range(3)])
-        triangles.append(verts)
-    integ_max = 0.0
-    loops = []
-    for verts in triangles:
-        i1 = _loop_integral_midpoint(verts, v_field, segments)
-        i2 = _loop_integral_midpoint(verts, v_field, 2 * segments)
-        rich = (4.0 * i2 - i1) / 3.0
-        loops.append({"midpoint_coarse": i1, "midpoint_fine": i2,
-                      "richardson": rich})
-        if abs(rich) > integ_max:
-            integ_max = abs(rich)
-            worst["integrability"] = {"vertices": verts.tolist(),
-                                      "defect": abs(rich)}
+        M = P @ covector_jacobian(rho, V, g) @ P
+        integ = float(np.abs(M - M.T).max() / np.abs(M).max())
+        if integ > integ_max:
+            integ_max = integ
+            worst["integrability"] = {"sample": i, "defect": integ}
 
     return StructureDiagnostics(
         decomposition_residual_max=float(dec_max),
@@ -459,8 +453,5 @@ def diagnostics(g, sample_count, seed, tol=DIAG_TOL, segments=100):
         seed=seed,
         sample_count=sample_count,
         worst_cases=worst,
-        extras={"critical_covector_gap_max": float(cc_max),
-                "loop_integrals": loops,
-                "segments_per_edge": [segments, 2 * segments],
-                "quadrature": "midpoint + Richardson"},
+        extras={"critical_covector_gap_max": float(cc_max)},
     )

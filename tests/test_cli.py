@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ldgrad import chains, cli, markov, structure
-from ldgrad.errors import LdgradError
+from ldgrad.errors import LdgradError, NonFiniteOutput
 
 
 def test_no_cross_check_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
@@ -142,9 +142,88 @@ def test_simulate_without_hits_writes_strict_json(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_write_json_refuses_non_finite_values(tmp_path, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteOutput):
         cli.write_json(str(tmp_path / "report.json"), {"x": [1.0, value]})
     assert os.listdir(tmp_path) == []
+
+
+def test_non_finite_report_value_is_a_runtime_failure(tmp_path, monkeypatch,
+                                                      capsys):
+    original = structure.diagnostics
+
+    def nan_defect(*args, **kwargs):
+        diag = original(*args, **kwargs)
+        diag.integrability_defect = float("nan")
+        return diag
+
+    monkeypatch.setattr(structure, "diagnostics", nan_defect)
+    gen = tmp_path / "gen.json"
+    markov.save_generator(chains.two_state_symmetric(), gen)
+    out = tmp_path / "out"
+    code = cli.main(["analyze", "--generator", str(gen), "--samples", "1",
+                     "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    assert "runtime failure: diagnostics.json" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_evolve_ldp_on_a_cycle_is_a_structural_refusal(tmp_path, capsys):
+    gen = tmp_path / "gen.json"
+    markov.save_generator(chains.three_state_cycle(), gen)
+    code = cli.main(["evolve", "--generator", str(gen), "--structure", "ldp",
+                     "--T", "0.1", "--dt", "0.01",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_STRUCTURE
+    assert "structural refusal" in capsys.readouterr().err
+
+
+def test_analyze_absorbing_chain_is_an_input_error(tmp_path, capsys):
+    gen = tmp_path / "gen.json"
+    markov.save_generator(markov.validate_generator([[-1, 1], [0, 0]]), gen)
+    code = cli.main(["analyze", "--generator", str(gen), "--samples", "1",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT
+    assert "not strongly connected" in capsys.readouterr().err
+
+
+def _rerun_outputs(tmp_path, argv):
+    """Run `argv` twice into two directories; return both {name: bytes}
+    maps without manifest.json, the one file that may differ."""
+    runs = []
+    for k in range(2):
+        out = tmp_path / ("out%d" % k)
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()
+                     if p.name != "manifest.json"})
+    return runs
+
+
+def _rerun_argv(tmp_path, command):
+    gen = tmp_path / "gen.json"
+    markov.save_generator(chains.random_reversible(4, 2), gen)
+    if command == "analyze":
+        return ["analyze", "--generator", str(gen), "--samples", "3",
+                "--seed", "5"], {"diagnostics.json"}
+    if command == "evolve":
+        return ["evolve", "--generator", str(gen), "--rho0", "0.4,0.3,0.2,0.1",
+                "--structure", "linear,ldp", "--T", "0.2", "--dt", "0.01"], {
+                    "trajectory_linear.csv", "trajectory_ldp.csv",
+                    "evolve_report.json"}
+    cfg = tmp_path / "diffusion.json"
+    cfg.write_text(json.dumps({"a": -2.0, "b": 2.0, "N": 11,
+                               "potential": "quadratic", "seed": 4,
+                               "decomposition_samples": 3}))
+    return ["diffusion", "--config", str(cfg), "--T", "0.1", "--dt", "0.01"], {
+        "profiles.csv", "entropy.csv", "plot_diffusion.py",
+        "diffusion_report.json"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "evolve", "diffusion"])
+def test_rerun_is_byte_identical(tmp_path, command):
+    argv, names = _rerun_argv(tmp_path, command)
+    first, second = _rerun_outputs(tmp_path, argv)
+    assert set(first) == names
+    assert first == second
 
 
 # Runs in a fresh interpreter: the test process itself imports scipy for

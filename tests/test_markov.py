@@ -51,7 +51,7 @@ def test_generator_file_roundtrip(tmp_path, two_state):
 def test_balance_two_state(two_state):
     rep = markov.analyze_balance(two_state)
     assert np.allclose(rep.invariant_measure, [0.5, 0.5])
-    assert rep.detailed_balance and rep.is_irreducible
+    assert rep.detailed_balance
 
 
 def test_balance_cyclic(cyclic):
@@ -92,7 +92,15 @@ def test_balance_rejects_reducible():
 
 
 def test_balance_rejects_absorbing():
+    # State 1 reaches state 0 in no graph path: reducible, not degenerate.
     g = markov.validate_generator([[-1, 1], [0, 0]])
+    with pytest.raises(ReducibleChain):
+        markov.analyze_balance(g)
+
+
+def test_balance_rejects_rounding_level_invariant_mass():
+    # Irreducible, but pi_0 = 1e-20 / (1 + 1e-20) is below the 1e-14 guard.
+    g = markov.validate_generator([[-1.0, 1.0], [1e-20, -1e-20]])
     with pytest.raises(DegenerateInvariantMeasure):
         markov.analyze_balance(g)
 

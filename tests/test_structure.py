@@ -217,7 +217,102 @@ def test_diagnostics_json_serializable(cyclic):
     d = structure.diagnostics(cyclic, sample_count=5, seed=2)
     payload = json.loads(d.to_json())
     assert payload["detailed_balance"] is False
-    assert "loop_integrals" in payload["extras"]
+    assert set(payload["worst_cases"]["integrability"]) == {"sample", "defect"}
+    assert set(payload["extras"]) == {"critical_covector_gap_max"}
+
+
+def test_diagnostics_solves_for_the_covector_once_per_sample(monkeypatch):
+    calls = []
+    original = structure.critical_covector
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "critical_covector", counted)
+    structure.diagnostics(chains.random_irreducible(5, 4), sample_count=4,
+                          seed=0)
+    assert len(calls) == 4
+
+
+def _loop_integral_midpoint(vertices, field, segments):
+    """Midpoint-rule line integral of a covector field around the closed
+    piecewise-linear loop through `vertices` (each edge split into
+    `segments` pieces)."""
+    total = 0.0
+    n = len(vertices)
+    for e in range(n):
+        a = vertices[e]
+        b = vertices[(e + 1) % n]
+        d = (b - a) / segments
+        x0 = None
+        for k in range(segments):
+            v = field(a + (k + 0.5) * d, x0)
+            x0 = v
+            total += float(v @ d)
+    return total
+
+
+def _largest_loop_integral(g, segments=16):
+    """Largest |loop integral of V_L| over triangles in the simplex
+    interior: midpoint rule at `segments` and 2 x `segments` pieces per
+    edge, Richardson-extrapolated.  The 3-state chain gets one fixed
+    triangle, larger chains two seeded random ones."""
+    J = g.size
+    if J == 3:
+        triangles = [np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3],
+                               [0.3, 0.2, 0.5]])]
+    else:
+        rng = np.random.default_rng(5)
+        triangles = [np.stack([0.7 * rng.dirichlet(np.ones(J)) + 0.3 / J
+                               for _ in range(3)]) for _ in range(2)]
+
+    def field(rho, x0):
+        return structure.critical_covector(rho, g, x0=x0)
+
+    worst = 0.0
+    for verts in triangles:
+        coarse = _loop_integral_midpoint(verts, field, segments)
+        fine = _loop_integral_midpoint(verts, field, 2 * segments)
+        worst = max(worst, abs((4.0 * fine - coarse) / 3.0))
+    return worst
+
+
+_JACOBIAN_CHAINS = {
+    "cycle": (chains.three_state_cycle, False),
+    "irreducible6_1": (lambda: chains.random_irreducible(6, 1), False),
+    "irreducible6_2": (lambda: chains.random_irreducible(6, 2), False),
+    "reversible5_3": (lambda: chains.random_reversible(5, 3), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JACOBIAN_CHAINS))
+def test_jacobian_defect_agrees_with_loop_integrals(name):
+    make, integrable = _JACOBIAN_CHAINS[name]
+    g = make()
+    loop = _largest_loop_integral(g)
+    defect = structure.diagnostics(g, sample_count=3, seed=0
+                                   ).integrability_defect
+    if integrable:
+        assert loop <= 1e-6 and defect <= 1e-6
+    else:
+        assert loop > 1e-2 and defect > 1e-2
+
+
+@pytest.mark.parametrize("name", sorted(_JACOBIAN_CHAINS))
+def test_covector_jacobian_matches_finite_difference(name):
+    g = _JACOBIAN_CHAINS[name][0]()
+    J = g.size
+    rho = 0.5 * np.random.default_rng(9).dirichlet(np.ones(J)) + 0.5 / J
+    D = structure.covector_jacobian(
+        rho, structure.critical_covector(rho, g), g)
+    assert np.abs(D.sum(axis=0)).max() <= 1e-12
+    h = 1e-6
+    fd = np.stack([
+        (structure.critical_covector(rho + h * e, g, tol=1e-13)
+         - structure.critical_covector(rho - h * e, g, tol=1e-13)) / (2 * h)
+        for e in np.eye(J)], axis=1)
+    assert np.abs(D - fd).max() <= 1e-6
 
 
 def test_flow_field_stationary_at_pi():
