@@ -16,6 +16,7 @@ differ between reruns.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -72,11 +73,19 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
+    """Floats by repr; like `write_json`, a NaN or infinity raises
+    NonFiniteOutput and writes nothing."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(
-            repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-            for v in row))
+        cells = []
+        for v in row:
+            if isinstance(v, (float, np.floating)):
+                if not math.isfinite(v):
+                    raise NonFiniteOutput("%s: non-finite value %r"
+                                          % (os.path.basename(path), float(v)))
+                v = repr(float(v))
+            cells.append(str(v))
+        lines.append(",".join(cells))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

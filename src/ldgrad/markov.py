@@ -137,15 +137,6 @@ class BalanceReport:
     weakly_reversible: bool
     tol: float
 
-    def to_dict(self):
-        return {
-            "invariant_measure": self.invariant_measure.tolist(),
-            "detailed_balance": self.detailed_balance,
-            "max_violation": self.max_violation,
-            "weakly_reversible": self.weakly_reversible,
-            "tol": self.tol,
-        }
-
 
 def _strongly_connected(adj):
     """Whether the digraph with edges i -> j where adj[i, j] is strongly

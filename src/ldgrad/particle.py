@@ -1,12 +1,13 @@
 """Independent-particle simulation and pathwise rate-functional machinery.
 
-n independent continuous-time Markov particles are simulated exactly:
-untilted, with per-particle exponential clocks; under a time-dependent tilt
-with rates Q_ij e^{xi_t(j) - xi_t(i)}, by thinning all particles at once
-against a per-state bound on each knot segment of the tilt (the exit rate is
-convex there, so its larger end value bounds it).  Every particle draws from
-its own counter-based Philox stream keyed by (seed, stream id), so a
-particle's path does not depend on n or on the other particles.
+n independent continuous-time Markov particles are simulated exactly under
+a time-dependent tilt, with rates Q_ij e^{xi_t(j) - xi_t(i)}, by thinning all
+particles at once against a per-state bound on each knot segment of the tilt
+(the exit rate is convex there, so its larger end value bounds it).  An
+untilted run is the zero tilt, whose bound is the exit rate itself, so every
+proposal is a jump.  Every particle draws from its own counter-based Philox
+stream keyed by (seed, stream id), so a particle's path does not depend on n
+or on the other particles.
 
 The pathwise objects follow two deliberately independent computational
 routes that must agree to 1e-10:
@@ -99,26 +100,18 @@ class TiltField:
         return float(np.abs(self.knot_values).max())
 
     def value_at(self, t):
-        """xi_t, clamped to the first/last knot value outside the knots.  A
-        scalar t gives shape (J,); an array of times gives one row per time,
-        by the same arithmetic."""
+        """xi_t, clamped to the first/last knot value outside the knots: one
+        row per time of an array t, shape (J,) for a scalar t."""
+        t = np.asarray(t, dtype=float)
         tt = self.knot_times
-        if isinstance(t, np.ndarray) and t.ndim > 0:
-            k = np.searchsorted(tt, t, side="right") - 1
-            lo = np.maximum(k, 0)
-            hi = np.minimum(k + 1, tt.size - 1)
-            span = tt[hi] - tt[lo]  # 0 where clamped
-            lam = np.divide(t - tt[lo], span, out=np.zeros(t.shape),
-                            where=span > 0)[..., None]
-            kv = self.knot_values
-            return (1.0 - lam) * kv[lo] + lam * kv[hi]
-        if t <= tt[0]:
-            return self.knot_values[0]
-        if t >= tt[-1]:
-            return self.knot_values[-1]
-        k = int(np.searchsorted(tt, t, side="right")) - 1
-        lam = (t - tt[k]) / (tt[k + 1] - tt[k])
-        return (1.0 - lam) * self.knot_values[k] + lam * self.knot_values[k + 1]
+        k = np.searchsorted(tt, t, side="right") - 1
+        lo = np.maximum(k, 0)
+        hi = np.minimum(k + 1, tt.size - 1)
+        span = tt[hi] - tt[lo]  # 0 where clamped
+        lam = np.divide(t - tt[lo], span, out=np.zeros(t.shape),
+                        where=span > 0)[..., None]
+        kv = self.knot_values
+        return (1.0 - lam) * kv[lo] + lam * kv[hi]
 
     def segments_between(self, a, b):
         """Yield (t0, t1) subintervals of [a, b] on which the field is linear."""
@@ -166,27 +159,6 @@ class ParticlePath:
 
     def jumps_per_particle(self):
         return np.bincount(self.jump_particles, minlength=self.n)
-
-
-def _simulate_particle_plain(rng, state, T, exit_rate, cum_rates):
-    """Exact per-particle simulation; returns (times, froms, tos)."""
-    t = 0.0
-    J = len(cum_rates)
-    times, froms, tos = [], [], []
-    while True:
-        lam = exit_rate[state]
-        if lam <= 0.0:
-            break
-        t += rng.exponential(1.0 / lam)
-        if t >= T:
-            break
-        u = rng.random() * lam
-        nxt = min(int(np.searchsorted(cum_rates[state], u, side="right")), J - 1)
-        times.append(t)
-        froms.append(state)
-        tos.append(nxt)
-        state = nxt
-    return times, froms, tos
 
 
 def _tilted_rates(off, xi, states):
@@ -327,65 +299,65 @@ class ParticleStreams:
 def simulate(g, n, T, initial_states, seed, tilt=None, stream_offset=0):
     """Exact simulation of n independent particles over [0, T].
 
-    A zero tilt dispatches to the plain simulator (per particle, exponential
-    clocks), so the zero-tilt and untilted code paths coincide by
-    construction.  A nonzero tilt is simulated by thinning all particles at
-    once under the per-state, per-knot-segment bound of `_thinning_table`;
-    tilted paths carry `meta["proposals"]` and `meta["accepted"]` (equal to
-    the number of jumps).  Reproducible for fixed (inputs, seed): particle k
-    draws only from stream (seed, stream_offset + k), so each particle's path
-    is the same in any n-particle run.
+    All particles are thinned at once under the per-state, per-knot-segment
+    bound of `_thinning_table`; no tilt is the zero tilt, whose bound is the
+    exit rate, so every proposal is accepted.  The paths carry
+    `meta["proposals"]` and `meta["accepted"]` (the number of jumps), and
+    `meta["tilted"]` says whether the tilt is nonzero; the cap and budget
+    guards apply only then.  Reproducible for fixed (inputs, seed): particle
+    k draws only from stream (seed, stream_offset + k), so each particle's
+    path is the same in any n-particle run.
     """
     if n < 1 or T <= 0:
         raise InvalidInput("need n >= 1 and T > 0")
     initial_states = np.asarray(initial_states, dtype=int)
     if initial_states.size != n:
         raise InvalidInput("one initial state per particle")
-    Q = g.q
-    J = g.size
-    off = Q.copy()
+    off = g.q.copy()
     np.fill_diagonal(off, 0.0)
-    exit_rate = off.sum(axis=1)
-    gamma = exit_rate.max()
+    if tilt is None:
+        tilt = TiltField.constant(np.zeros(g.size), T)
 
-    tilted = tilt is not None and not tilt.is_zero
+    tilted = not tilt.is_zero
     if tilted:
         expo = 2.0 * tilt.max_abs
         if expo > TILT_EXPONENT_CAP:
             raise TiltTooStrong(
                 "2 max|xi| = %.3g exceeds the thinning cap %.3g"
                 % (expo, TILT_EXPONENT_CAP))
+        gamma = off.sum(axis=1).max()
         if gamma * math.exp(expo) * T * n > PROPOSAL_BUDGET:
             raise TiltTooStrong("thinning proposal budget exceeded")
 
-    streams = ParticleStreams(seed)
-    meta = {"seed": seed, "stream_offset": stream_offset,
-            "tilted": bool(tilted)}
-    if tilted:
-        times, parts, froms, tos, proposals = _simulate_tilted(
-            streams, stream_offset, initial_states, float(T), off, tilt)
-        meta["proposals"] = proposals
-        meta["accepted"] = int(times.size)
-    else:
-        cum_rates = [np.cumsum(off[i]) for i in range(J)]
-        all_t, all_p, all_f, all_to = [], [], [], []
-        for k in range(n):
-            ts, fs, tos = _simulate_particle_plain(
-                streams.at(stream_offset + k), int(initial_states[k]), T,
-                exit_rate, cum_rates)
-            all_t.extend(ts)
-            all_p.extend([k] * len(ts))
-            all_f.extend(fs)
-            all_to.extend(tos)
-        times, parts = np.asarray(all_t, dtype=float), np.asarray(all_p, dtype=int)
-        froms, tos = np.asarray(all_f, dtype=int), np.asarray(all_to, dtype=int)
-
+    times, parts, froms, tos, proposals = _simulate_tilted(
+        ParticleStreams(seed), stream_offset, initial_states, float(T), off,
+        tilt)
+    meta = {"seed": seed, "stream_offset": stream_offset, "tilted": tilted,
+            "proposals": proposals, "accepted": int(times.size)}
     # Time order, ties by particle (each particle's own jumps are increasing).
     order = np.lexsort((parts, times))
     return ParticlePath(
         n=n, horizon=float(T), initial_states=initial_states,
         jump_times=times[order], jump_particles=parts[order],
         jump_from=froms[order], jump_to=tos[order], meta=meta)
+
+
+def _split_replicas(path, replicas):
+    """The paths of replicas 0..replicas-1 of one run of replicas * m
+    particles: replica r is particles r m .. r m + m - 1, renumbered from 0.
+    Its jumps keep their order, so it equals the m-particle run whose
+    stream_offset is the run's plus r m."""
+    m = path.n // replicas
+    rep = path.jump_particles // m
+    order = np.argsort(rep, kind="stable")
+    ends = np.cumsum(np.bincount(rep, minlength=replicas))
+    for r, sel in enumerate(np.split(order, ends[:-1])):
+        yield ParticlePath(
+            n=m, horizon=path.horizon,
+            initial_states=path.initial_states[r * m:(r + 1) * m],
+            jump_times=path.jump_times[sel],
+            jump_particles=path.jump_particles[sel] - r * m,
+            jump_from=path.jump_from[sel], jump_to=path.jump_to[sel])
 
 
 def empirical_measure_path(path, grid, J=None):
@@ -615,18 +587,6 @@ def _logsumexp(a):
     return float(np.log1p(e.sum() / m) + np.log(m) + a_max)
 
 
-def _one_replica(g, n, T, init, seed, tilt, stream_offset, grid, target,
-                 tube):
-    p = simulate(g, n, T, init, seed, tilt=tilt, stream_offset=stream_offset)
-    emp = empirical_measure_path(p, grid, J=g.size)
-    dist = float(np.abs(emp - target).max())
-    G = girsanov_log_density(p, tilt, g)
-    return {"hit": dist <= tube, "distance": dist, "G": float(G),
-            "jumps": int(p.jump_times.size),
-            "proposals": p.meta.get("proposals", 0),
-            "accepted": p.meta.get("accepted", 0)}
-
-
 def rate_vs_probability_experiment(g, target_times, target_states,
                                    tube_radius, n_list, replicas, seed,
                                    ess_threshold=0.1):
@@ -646,6 +606,10 @@ def rate_vs_probability_experiment(g, target_times, target_states,
     Monte Carlo run without hits has a None `estimate`.  A small effective
     sample size sets `variance_flagged`.  `thinning` sums the
     proposals and acceptances of the tilted replicas.
+
+    Each n makes one tilted and at most one plain `simulate` call of n *
+    replicas particles, on the stream blocks ni and len(n_list) + ni; replica
+    r of block b reads the streams (b * replicas + r) * n onwards.
     """
     if replicas < 2:
         raise InvalidInput("need replicas >= 2 for a standard error")
@@ -658,24 +622,34 @@ def rate_vs_probability_experiment(g, target_times, target_states,
     I_T = rate["value"]
     tilt = _tilt_from_knots(target_times, rate["knots"])
 
+    def runs(n, init, block, tilt=None):
+        # All replicas of n particles in one simulate call, on the streams
+        # from block * replicas * n on.
+        p = simulate(g, n * replicas, T, np.tile(init, replicas), seed,
+                     tilt=tilt, stream_offset=block * replicas * n)
+        return p, list(_split_replicas(p, replicas))
+
+    def distance(p):
+        emp = empirical_measure_path(p, target_times, J=g.size)
+        return float(np.abs(emp - target_states).max())
+
     results = {}
     per_replica_rows = []
     thinning = {"proposals": 0, "accepted": 0}
     for ni, n in enumerate(n_list):
         init = deterministic_assignment(target_states[0], n)
-        rows = [_one_replica(g, n, T, init, seed, tilt, (ni * replicas + r) * n,
-                             target_times, target_states, tube_radius)
-                for r in range(replicas)]
-        hits = np.array([r["hit"] for r in rows])
-        Gs = np.array([r["G"] for r in rows])
+        run, paths = runs(n, init, ni, tilt)
+        for key in thinning:
+            thinning[key] += run.meta[key]
+        dists = np.array([distance(p) for p in paths])
+        Gs = np.array([girsanov_log_density(p, tilt, g) for p in paths])
+        hits = dists <= tube_radius
         log_w = -n * Gs
-        for r, row in enumerate(rows):
-            for key in thinning:
-                thinning[key] += row[key]
-            per_replica_rows.append({"n": n, "replica": r, "hit": int(row["hit"]),
-                                     "G": row["G"],
-                                     "log_weight": float(-n * row["G"]),
-                                     "distance": row["distance"]})
+        for r in range(replicas):
+            per_replica_rows.append({"n": n, "replica": r, "hit": int(hits[r]),
+                                     "G": float(Gs[r]),
+                                     "log_weight": float(log_w[r]),
+                                     "distance": float(dists[r])})
         if hits.any():
             log_sum = _logsumexp(log_w[hits])
             log_p = log_sum - math.log(replicas)
@@ -696,13 +670,8 @@ def rate_vs_probability_experiment(g, target_times, target_states,
             inf_estimate = True
         plain = None
         if n * I_T < 10.0:
-            plain_hits = 0
-            for r in range(replicas):
-                stream_offset = ((len(n_list) + ni) * replicas + r) * n
-                p = simulate(g, n, T, init, seed, stream_offset=stream_offset)
-                emp = empirical_measure_path(p, target_times, J=g.size)
-                if float(np.abs(emp - target_states).max()) <= tube_radius:
-                    plain_hits += 1
+            _, paths = runs(n, init, len(n_list) + ni)
+            plain_hits = sum(distance(p) <= tube_radius for p in paths)
             plain = {"hits": plain_hits,
                      "estimate": (-math.log(plain_hits / replicas) / n
                                   if plain_hits else None)}

@@ -147,6 +147,15 @@ def test_write_json_refuses_non_finite_values(tmp_path, value):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), np.float64("inf"),
+                                   -np.inf])
+def test_write_csv_refuses_non_finite_values(tmp_path, value):
+    with pytest.raises(NonFiniteOutput):
+        cli.write_csv(str(tmp_path / "rows.csv"), ["a", "b"],
+                      [[1, 0.5], [2, value]])
+    assert os.listdir(tmp_path) == []
+
+
 def test_non_finite_report_value_is_a_runtime_failure(tmp_path, monkeypatch,
                                                       capsys):
     original = structure.diagnostics

@@ -11,10 +11,30 @@ from ldgrad.errors import (InvalidInput, ThinningBoundExceeded, TiltTooStrong,
 
 # Golden jump record for simulate(two_state_symmetric, n=3, T=2, seed=77,
 # initial [0, 1, 0]); regenerate by rerunning that call and pasting.
-GOLDEN_TIMES = [0.649509649845653, 1.7569783303427806]
-GOLDEN_PARTICLES = [1, 2]
-GOLDEN_FROM = [1, 0]
-GOLDEN_TO = [0, 1]
+GOLDEN_TIMES = [0.15662220870686297, 1.8741332715511063, 1.9418397904596327]
+GOLDEN_PARTICLES = [1, 0, 2]
+GOLDEN_FROM = [1, 0, 0]
+GOLDEN_TO = [0, 1, 1]
+
+
+def _clock_reference(g, T, init, seed):
+    """Untilted paths one particle at a time, from the same two uniforms per
+    jump as `simulate`: an Exp(lambda_i) holding time from the first and the
+    first target j with cumsum(Q_i.)_j > u2 lambda_i from the second."""
+    off = g.q - np.diag(np.diag(g.q))
+    jumps = []
+    for k, state in enumerate(init):
+        rng, t, lam = particle.particle_rng(seed, k), 0.0, off[state].sum()
+        while lam > 0.0:
+            u1, u2 = rng.random(2)
+            t += -math.log1p(-u1) / lam
+            if t >= T:
+                break
+            nxt = int(np.argmax(np.cumsum(off[state]) > u2 * lam))
+            jumps.append((t, k, state, nxt))
+            state, lam = nxt, off[nxt].sum()
+    jumps.sort()
+    return [list(col) for col in zip(*jumps)]
 
 
 def test_simulate_golden_record(two_state):
@@ -23,7 +43,22 @@ def test_simulate_golden_record(two_state):
     assert p.jump_particles.tolist() == GOLDEN_PARTICLES
     assert p.jump_from.tolist() == GOLDEN_FROM
     assert p.jump_to.tolist() == GOLDEN_TO
+    assert p.meta["proposals"] == p.meta["accepted"] == 3
     assert p.validate()
+    # The thinning loop at zero tilt against the per-particle clocks, also on
+    # a chain with unequal exit rates and a zero rate.
+    g = markov.validate_generator([[-1.5, 1.5, 0.0], [0.4, -1.1, 0.7],
+                                   [2.0, 0.3, -2.3]])
+    init = particle.deterministic_assignment(np.full(3, 1.0 / 3.0), 20)
+    for chain, T, start, seed in ((two_state, 2.0, [0, 1, 0], 77),
+                                  (g, 3.0, init, 5)):
+        p = particle.simulate(chain, len(start), T, start, seed=seed)
+        times, parts, froms, tos = _clock_reference(chain, T, start, seed)
+        assert p.jump_times.size == len(times) > 0
+        assert np.allclose(p.jump_times, times, rtol=1e-12, atol=0.0)
+        assert p.jump_particles.tolist() == parts
+        assert p.jump_from.tolist() == froms
+        assert p.jump_to.tolist() == tos
 
 
 def test_simulate_seed_determinism(two_state):
@@ -107,8 +142,8 @@ def test_empirical_measure_path_basics(two_state):
     assert np.all(emp[0] == [1.0, 0.0])
     exact = 0.5 + 0.5 * math.exp(-10.0)
     assert abs(emp[1][0] - exact) <= 0.02
-    # entries are multiples of 1/n
-    assert np.abs(emp * 10000 - np.round(emp * 10000)).max() == 0.0
+    # every entry is the double k/n
+    assert np.array_equal(emp, np.round(emp * 10000) / 10000)
 
 
 def test_empirical_measure_right_continuity(two_state):
@@ -329,6 +364,22 @@ def test_tilted_particle_streams(monkeypatch):
     for name in ("jump_times", "jump_particles", "jump_from", "jump_to"):
         assert np.array_equal(getattr(q, name), getattr(p, name))
     assert q.meta == p.meta
+    # Replica r of one run of R n particles on stream block b is the
+    # n-particle run with stream_offset = (b R + r) n, tilted and untilted.
+    R, b = 4, 3
+    for field in (tilt, None):
+        run = particle.simulate(g, R * n, T, np.tile(init, R), seed=8,
+                                tilt=field, stream_offset=b * R * n)
+        assert run.meta["tilted"] == (field is not None)
+        reps = list(particle._split_replicas(run, R))
+        assert len(reps) == R
+        for r, rep in enumerate(reps):
+            one = particle.simulate(g, n, T, init, seed=8, tilt=field,
+                                    stream_offset=(b * R + r) * n)
+            assert rep.n == n and rep.horizon == T
+            for name in ("initial_states", "jump_times", "jump_particles",
+                         "jump_from", "jump_to"):
+                assert np.array_equal(getattr(rep, name), getattr(one, name))
     # The keyed streams are particle_rng's, also from a block boundary on.
     streams = particle.ParticleStreams(8)
     for stream in (0, 5, 2 ** 40):
