@@ -305,8 +305,7 @@ def cmd_diffusion(args):
     traj = evolve.integrate_linear(rho0, gen, args.T, args.dt,
                                    with_entropy=False)
     pi = g.invariant_masses()
-    entropy = [markov.relative_entropy(traj.states[k], pi)
-               for k in range(traj.times.size)]
+    entropy = markov.relative_entropy(traj.states, pi)
 
     # Exact quadratic-form split, checked on seeded random tangents.
     rng = np.random.default_rng(seed)

@@ -5,9 +5,14 @@ are deterministic and reproducible, which golden-file tests rely on.  Mass is
 renormalized every step (the drift per step must stay below 1e-12) and a
 trajectory that leaves the simplex by more than 1e-6 aborts rather than being
 clamped.
+
+The per-step work is array code built once per run: a gradient flow's
+stages call the structure's cached field (`GradientStructure.dual`), the
+entropy of a trajectory is one `relative_entropy` pass over the stack of
+states, and `trajectory_to_csv` formats blocks of rows.  All three give the
+same bits as the one-call-per-state route.
 """
 
-import csv
 import os
 from dataclasses import dataclass, field
 
@@ -15,12 +20,13 @@ import numpy as np
 
 from . import markov, structure
 from .errors import (BoundaryPoint, DegenerateInvariantMeasure, GridMismatch,
-                     InvalidInput, NotGradientSystem, ReducibleChain,
-                     StepSizeTooLarge)
+                     InvalidInput, NonFiniteOutput, NotGradientSystem,
+                     ReducibleChain, StepSizeTooLarge)
 
 MASS_DRIFT_TOL = 1e-12
 SIMPLEX_SLACK = 1e-6
 BOUNDARY_FLOOR = 1e-10
+CSV_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -49,6 +55,8 @@ def _rk4(field, y, dt):
 
 
 def _march(field, rho0, times, entropy=None, floor=None):
+    """RK4 states on `times`; `entropy`, if given, maps the (n, J) stack of
+    states to one value per row and is called once, after the last step."""
     states = np.empty((times.size, rho0.size))
     states[0] = rho0
     y = rho0.copy()
@@ -60,17 +68,14 @@ def _march(field, rho0, times, entropy=None, floor=None):
             raise StepSizeTooLarge(
                 "mass drifted by %.3e in one step" % abs(mass - 1.0))
         y = y / mass
-        if y.min() < -SIMPLEX_SLACK:
-            raise StepSizeTooLarge(
-                "state left the simplex by %.3e" % (-y.min()))
-        if floor is not None and y.min() < floor:
+        low = y.min()
+        if low < -SIMPLEX_SLACK:
+            raise StepSizeTooLarge("state left the simplex by %.3e" % -low)
+        if floor is not None and low < floor:
             raise BoundaryPoint(
-                "trajectory reached the boundary (min rho = %.3e)" % y.min())
+                "trajectory reached the boundary (min rho = %.3e)" % low)
         states[k] = y
-    ent = None
-    if entropy is not None:
-        ent = np.array([entropy(states[k]) for k in range(times.size)])
-    return states, ent
+    return states, None if entropy is None else entropy(states)
 
 
 def integrate_linear(rho0, g, T, dt, with_entropy=True):
@@ -83,7 +88,7 @@ def integrate_linear(rho0, g, T, dt, with_entropy=True):
     if with_entropy:
         try:
             pi = markov.analyze_balance(g).invariant_measure
-            entropy = lambda rho: markov.relative_entropy(rho, pi)
+            entropy = lambda states: markov.relative_entropy(states, pi)
         except (ReducibleChain, DegenerateInvariantMeasure) as exc:
             meta["entropy_unavailable"] = str(exc)
     states, ent = _march(lambda y: QT @ y, rho0, times, entropy)
@@ -124,12 +129,15 @@ def integrate_gradient_flow(rho0, gs, T, dt):
     if not markov.is_interior(rho0, BOUNDARY_FLOOR):
         raise BoundaryPoint("initial state must be interior")
     times = _grid(T, dt)
+    # The stage floor implies flow_field's interior guard, and detailed
+    # balance is checked above, so the stages call the field directly.
+    dual, scale = gs.dual, gs.entropy_scale
 
     def fld(y):
         if y.min() < BOUNDARY_FLOOR:
             raise BoundaryPoint(
                 "flow stage reached the boundary (min rho = %.3e)" % y.min())
-        return structure.flow_field(gs, y)
+        return dual.flow(y, scale)
 
     states, ent = _march(fld, rho0, times, entropy=gs.entropy,
                          floor=BOUNDARY_FLOOR)
@@ -151,22 +159,36 @@ def compare_trajectories(a, b):
 
 
 def trajectory_to_csv(traj, path):
-    """CSV export: t, rho_1..rho_J, entropy (one row per step).  Written to
+    """CSV export: t, rho_1..rho_J, entropy (one row per step), floats by
+    repr, with the bytes of `csv.writer`'s default dialect (comma, `\\r\\n`
+    line ends).  A NaN or infinity raises NonFiniteOutput and writes
+    nothing.  Rows are formatted in blocks of CSV_BLOCK_ROWS, written to
     `path + ".tmp"` and renamed over `path`, so a failed export leaves any
     earlier file intact."""
-    J = traj.states.shape[1]
+    times = np.asarray(traj.times, dtype=float)[:, None]
+    states = np.asarray(traj.states, dtype=float)
+    J = states.shape[1]
+    columns = [times, states]
+    end = ",\r\n"  # an empty entropy field
+    if traj.entropy_values is not None:
+        # float() refuses a value that is not a number; asarray would not.
+        columns.append(np.array([float(e) for e in traj.entropy_values])
+                       [:, None])
+        end = "\r\n"
+    if not all(np.isfinite(c).all() for c in columns):
+        raise NonFiniteOutput("%s: non-finite value in the trajectory"
+                              % os.path.basename(path))
     tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        try:
-            w = csv.writer(fh)
-            w.writerow(["t"] + ["rho_%d" % (j + 1) for j in range(J)]
-                       + ["entropy"])
-            for k in range(traj.times.size):
-                ent = ("" if traj.entropy_values is None
-                       else repr(float(traj.entropy_values[k])))
-                w.writerow([repr(float(traj.times[k]))]
-                           + [repr(float(x)) for x in traj.states[k]] + [ent])
-        except BaseException:
-            os.remove(tmp)
-            raise
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:  # closing flushes, which can fail too
+            fh.write(",".join(["t"] + ["rho_%d" % (j + 1) for j in range(J)]
+                              + ["entropy"]) + "\r\n")
+            for k in range(0, times.shape[0], CSV_BLOCK_ROWS):
+                block = np.hstack([c[k:k + CSV_BLOCK_ROWS] for c in columns])
+                fh.write("".join(",".join(map(repr, row)) + end
+                                 for row in block.tolist()))
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)

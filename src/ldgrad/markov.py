@@ -33,6 +33,7 @@ from .errors import (BoundaryPoint, DegenerateInvariantMeasure,
 ROW_SUM_TOL = 1e-9
 INTERIOR_FLOOR = 1e-12
 EXP_GUARD = 700.0
+ENTROPY_CHUNK = 8192
 
 
 @dataclass
@@ -189,14 +190,42 @@ def analyze_balance(g, tol=1e-9):
                          weakly_reversible=g.weakly_reversible, tol=tol)
 
 
-def relative_entropy(rho, pi):
-    """E_pi(rho) = sum rho_i log(rho_i/pi_i), with 0 log 0 := 0."""
-    rho = np.asarray(rho, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+def _check_entropy_support(rho, pi):
     if np.any((rho > 0) & (pi <= 0)):
         raise InfiniteEntropy("rho charges a state with zero reference mass")
+
+
+def _entropy_row(rho, pi):
     pos = rho > 0
     return float(np.sum(rho[pos] * np.log(rho[pos] / pi[pos])))
+
+
+def relative_entropy(rho, pi):
+    """E_pi(rho) = sum rho_i log(rho_i/pi_i), with 0 log 0 := 0.
+
+    An (n, J) stack of rows gives one value per row, each bit for bit the
+    value of its row alone.  The stack is worked through in chunks of at
+    most ENTROPY_CHUNK elements (one row if a row is longer), so that no
+    temporary grows with n.  A row sum over a strictly positive chunk adds
+    the terms in the order of the one-row sum; a chunk with a row that is
+    not strictly positive goes row by row, because dropping its zero terms
+    changes that order.
+    """
+    rho = np.asarray(rho, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    if rho.ndim == 1:
+        _check_entropy_support(rho, pi)
+        return _entropy_row(rho, pi)
+    out = np.empty(rho.shape[0])
+    step = max(1, ENTROPY_CHUNK // rho.shape[1])
+    for k in range(0, rho.shape[0], step):
+        block = rho[k:k + step]
+        _check_entropy_support(block, pi)
+        if np.all(block > 0):
+            out[k:k + step] = np.sum(block * np.log(block / pi), axis=1)
+        else:
+            out[k:k + step] = [_entropy_row(row, pi) for row in block]
+    return out
 
 
 def relative_entropy_gradient(rho, pi):

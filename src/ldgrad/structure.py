@@ -25,7 +25,9 @@ makes the induced flow match Q^T rho and the answer is recorded in reports.
 
 Every potential above is a sum over the edges of the generator graph and is
 evaluated by `markov.EdgeFunctional`; the shift by V tilts the edge weights
-of H by e^{V_j - V_i}.
+of H by e^{V_j - V_i}.  The edge constants of Psi* that do not depend on rho
+are built once per structure (`DualWeights`), and `flow_field`, `psi_star`
+and `psi` all take their weights from them.
 
 A gradient structure exists exactly when V_L is a derivative.  The simplex
 interior is simply connected, so this holds exactly when the projected
@@ -40,6 +42,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,8 +60,13 @@ class Family(enum.Enum):
     QUADRATIC_FAMILY = "quadratic_family"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradientStructure:
+    """(pi, S = entropy_scale * E_pi, dissipation family) of a generator.
+
+    Frozen, so that `dual`, the edge constants of Psi* built on first use,
+    cannot go stale.
+    """
     generator: markov.GeneratorMatrix
     family: Family
     entropy_scale: float
@@ -69,7 +77,12 @@ class GradientStructure:
     def pi(self):
         return self.balance.invariant_measure
 
+    @cached_property
+    def dual(self):
+        return DualWeights(self.generator, self.family, self.pi)
+
     def entropy(self, rho):
+        """S(rho); on an (n, J) stack, one value per row."""
         return self.entropy_scale * markov.relative_entropy(rho, self.pi)
 
     def entropy_gradient(self, rho):
@@ -141,8 +154,9 @@ _QUADRATIC = (lambda z: 0.5 * z * z, lambda z: z, np.ones_like)
 _COSH = (lambda z: np.cosh(z) - 1.0, np.sinh, np.cosh)
 
 
-def _dual_functional(gs, rho):
-    """Psi*(rho, .) of the structure as an edge functional.
+class DualWeights:
+    """The edge weights of Psi*(rho, .) for one structure, with the edge
+    constants that do not depend on rho built once.
 
     The exact structure has weights sqrt(rho_i rho_j pi_i / pi_j) Q_ij and
     phi = expm1.  The family members have weights
@@ -152,26 +166,51 @@ def _dual_functional(gs, rho):
     |log r_j - log r_i|, the cosh member has the globally regular closed form
     2 r_i r_j / (r_i + r_j).
     """
+
+    def __init__(self, g, family, pi):
+        if family is Family.LDP_EXACT:
+            phi = markov.EXPM1
+        elif family is Family.QUADRATIC_FAMILY:
+            phi = _QUADRATIC
+        elif family is Family.COSH_FAMILY:
+            phi = _COSH
+        else:
+            raise ValueError("not a family tag: %r" % (family,))
+        self.src, self.dst, self.rate = g.edges
+        self.J, self.family, self.pi, self.phi = g.size, family, pi, phi
+        src, dst = self.src, self.dst
+        self.const = (pi[src] * (1.0 / pi[dst]) if family is Family.LDP_EXACT
+                      else pi[src] * self.rate)
+
+    def weights(self, rho, r):
+        """Edge weights at rho, given r = rho / pi."""
+        src, dst = self.src, self.dst
+        if self.family is Family.LDP_EXACT:
+            return np.sqrt(rho[src] * rho[dst] * self.const) * self.rate
+        ri, rj = r[src], r[dst]
+        if self.family is Family.QUADRATIC_FAMILY:
+            d = np.log(rj) - np.log(ri)
+            near = np.abs(d) < LOG_RATIO_GUARD
+            return self.const * np.where(near, 0.5 * (ri + rj),
+                                         (rj - ri) / np.where(near, 1.0, d))
+        return self.const * 2.0 * ri * rj / (ri + rj)
+
+    def functional(self, rho, r):
+        return markov.EdgeFunctional(self.src, self.dst, self.weights(rho, r),
+                                     self.J, self.phi)
+
+    def flow(self, rho, scale):
+        """D_xi Psi*(rho, -DS(rho)) with S = scale * E_pi, for an interior
+        float array rho; the callers check the guards."""
+        r = rho / self.pi
+        xi = -scale * (np.log(r) + 1.0)
+        return self.functional(rho, r).gradient(xi)
+
+
+def _dual_functional(gs, rho):
+    """Psi*(rho, .) of the structure as an edge functional."""
     rho = np.asarray(rho, dtype=float)
-    g = gs.generator
-    src, dst, rate = g.edges
-    pi = gs.pi
-    if gs.family is Family.LDP_EXACT:
-        w = np.sqrt(rho[src] * rho[dst] * (pi[src] * (1.0 / pi[dst]))) * rate
-        return markov.EdgeFunctional(src, dst, w, g.size)
-    r = rho / pi
-    ri, rj = r[src], r[dst]
-    base = pi[src] * rate
-    if gs.family is Family.QUADRATIC_FAMILY:
-        d = np.log(rj) - np.log(ri)
-        near = np.abs(d) < LOG_RATIO_GUARD
-        lam = np.where(near, 0.5 * (ri + rj),
-                       (rj - ri) / np.where(near, 1.0, d))
-        return markov.EdgeFunctional(src, dst, base * lam, g.size, _QUADRATIC)
-    if gs.family is Family.COSH_FAMILY:
-        return markov.EdgeFunctional(src, dst, base * 2.0 * ri * rj / (ri + rj),
-                                     g.size, _COSH)
-    raise ValueError("not a family tag: %r" % (gs.family,))
+    return gs.dual.functional(rho, rho / gs.pi)
 
 
 def psi_star(gs, rho, xi):
@@ -249,8 +288,7 @@ def flow_field(gs, rho):
         raise NotGradientSystem("flow field needs detailed balance")
     if np.any(rho < 1e-300):
         raise BoundaryPoint("flow field needs interior rho")
-    xi = -gs.entropy_scale * (np.log(rho / gs.pi) + 1.0)
-    return _dual_functional(gs, rho).gradient(xi)
+    return gs.dual.flow(rho, gs.entropy_scale)
 
 
 def determine_entropy_scale(g, family, seed=0, samples=20,

@@ -176,6 +176,21 @@ def test_non_finite_report_value_is_a_runtime_failure(tmp_path, monkeypatch,
     assert os.listdir(out) == []
 
 
+def test_evolve_non_finite_trajectory_is_a_runtime_failure(tmp_path, capsys):
+    # Rates near the top of the float range overflow the RK4 stages, and the
+    # states turn to NaN.
+    gen = tmp_path / "gen.json"
+    markov.save_generator(chains.two_state_symmetric(1e300), gen)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["evolve", "--generator", str(gen), "--rho0",
+                         "0.9,0.1", "--T", "0.01", "--dt", "0.001",
+                         "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    assert "runtime failure" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_evolve_ldp_on_a_cycle_is_a_structural_refusal(tmp_path, capsys):
     gen = tmp_path / "gen.json"
     markov.save_generator(chains.three_state_cycle(), gen)

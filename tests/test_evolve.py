@@ -1,9 +1,13 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from conftest import random_interior
 from ldgrad import chains, evolve, markov, structure
-from ldgrad.errors import BoundaryPoint, GridMismatch, NotGradientSystem
+from ldgrad.errors import (BoundaryPoint, GridMismatch, NonFiniteOutput,
+                           NotGradientSystem)
 from ldgrad.structure import Family
 
 
@@ -154,4 +158,54 @@ def test_trajectory_csv_failed_write_keeps_earlier_file(tmp_path, two_state):
     with pytest.raises(TypeError):
         evolve.trajectory_to_csv(bad, path)
     assert (tmp_path / "traj.csv").read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["traj.csv"]
+
+
+def _csv_writer_bytes(traj):
+    """The export as `csv.writer` writes it, one row at a time."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    J = traj.states.shape[1]
+    w.writerow(["t"] + ["rho_%d" % (j + 1) for j in range(J)] + ["entropy"])
+    for k in range(traj.times.size):
+        ent = ("" if traj.entropy_values is None
+               else repr(float(traj.entropy_values[k])))
+        w.writerow([repr(float(traj.times[k]))]
+                   + [repr(float(x)) for x in traj.states[k]] + [ent])
+    return buf.getvalue().encode()
+
+
+_TRANSIENT = [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]]
+
+
+@pytest.mark.parametrize("q, T", [
+    (None, 0.511),  # exactly one block of rows
+    (None, 1.3),  # three blocks, the last one partial
+    (_TRANSIENT, 1.3),  # no invariant measure, so no entropy column
+], ids=["512-rows", "1301-rows", "no-entropy"])
+def test_csv_bytes_match_csv_writer(tmp_path, q, T):
+    g = (chains.random_reversible(4, 5) if q is None
+         else markov.validate_generator(q))
+    rho0 = np.array([0.7, 0.1, 0.1, 0.1][:g.size])
+    traj = evolve.integrate_linear(rho0 / rho0.sum(), g, T, 1e-3)
+    assert (traj.entropy_values is None) == (q is not None)
+    path = tmp_path / "traj.csv"
+    evolve.trajectory_to_csv(traj, path)
+    assert path.read_bytes() == _csv_writer_bytes(traj)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["times", "states", "entropy_values"])
+def test_trajectory_csv_refuses_non_finite_values(tmp_path, two_state, value,
+                                                  where):
+    path = tmp_path / "traj.csv"
+    good = evolve.integrate_linear(np.array([0.9, 0.1]), two_state, 0.1, 1e-2)
+    evolve.trajectory_to_csv(good, path)
+    before = path.read_bytes()
+    arrays = {k: getattr(good, k).copy()
+              for k in ("times", "states", "entropy_values")}
+    arrays[where].flat[3] = value
+    with pytest.raises(NonFiniteOutput, match="traj.csv"):
+        evolve.trajectory_to_csv(evolve.Trajectory(**arrays), path)
+    assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["traj.csv"]

@@ -121,6 +121,34 @@ def test_relative_entropy_infinite():
         markov.relative_entropy(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("J", [10, 201])
+def test_relative_entropy_of_a_stack_equals_each_row(J):
+    rng = np.random.default_rng(J)
+    pi = rng.dirichlet(np.ones(J))
+    # More rows than one chunk holds, so that chunk boundaries are crossed.
+    n = 3 * (markov.ENTROPY_CHUNK // J) + 7
+    assert n * J > 2 * markov.ENTROPY_CHUNK
+    stack = rng.dirichlet(np.ones(J), size=n)
+    stack[5, ::3] = 0.0
+    stack[n - 2, 0] = 0.0
+    stack[n - 1] = pi
+    out = markov.relative_entropy(stack, pi)
+    assert out.shape == (n,)
+    rows = np.array([markov.relative_entropy(row, pi) for row in stack])
+    assert np.array_equal(out, rows)
+    assert out[n - 1] == 0.0
+
+
+def test_relative_entropy_of_a_stack_charging_a_null_state_is_infinite():
+    pi = np.array([0.5, 0.5, 0.0])
+    n = markov.ENTROPY_CHUNK  # the charged row sits in the last chunk
+    stack = np.tile([0.5, 0.5, 0.0], (n, 1))
+    assert np.array_equal(markov.relative_entropy(stack, pi), np.zeros(n))
+    stack[n - 1] = [0.4, 0.4, 0.2]
+    with pytest.raises(InfiniteEntropy):
+        markov.relative_entropy(stack, pi)
+
+
 def test_relative_entropy_gradient():
     pi = np.array([0.5, 0.5])
     raw, zs = markov.relative_entropy_gradient(np.array([0.25, 0.75]), pi)

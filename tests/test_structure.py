@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from conftest import (cosh_conjugate, grid_search_conjugate_2state, log_mean,
                       random_interior, random_zero_sum)
 from ldgrad import chains, convex, markov, structure
-from ldgrad.errors import (BoundaryPoint, NotGradientSystem,
-                           NotWeaklyReversible)
+from ldgrad.errors import (BoundaryPoint, ExponentOverflow,
+                           NotGradientSystem, NotWeaklyReversible)
 from ldgrad.structure import Family
 
 
@@ -361,6 +362,75 @@ def test_flow_field_matches_finite_difference_of_psi_star():
     fd = convex.finite_diff_gradient(
         lambda xi: structure.psi_star(gs, rho, xi), -DS, 1e-6)
     assert np.abs(structure.flow_field(gs, rho) - fd).max() <= 1e-6
+
+
+def _rebuilt_flow_field(gs, rho):
+    """The flow field as D_xi Psi*(rho, -DS(rho)) with every edge weight,
+    its pi factors included, rebuilt from gs at each call."""
+    g = gs.generator
+    src, dst, rate = g.edges
+    pi = gs.pi
+    phi = markov.EXPM1
+    if gs.family is Family.LDP_EXACT:
+        w = np.sqrt(rho[src] * rho[dst] * (pi[src] * (1.0 / pi[dst]))) * rate
+    else:
+        r = rho / pi
+        ri, rj = r[src], r[dst]
+        base = pi[src] * rate
+        if gs.family is Family.QUADRATIC_FAMILY:
+            d = np.log(rj) - np.log(ri)
+            near = np.abs(d) < structure.LOG_RATIO_GUARD
+            w = base * np.where(near, 0.5 * (ri + rj),
+                                (rj - ri) / np.where(near, 1.0, d))
+            phi = (None, lambda z: z, None)
+        else:
+            w = base * 2.0 * ri * rj / (ri + rj)
+            phi = (None, np.sinh, None)
+    xi = -gs.entropy_scale * (np.log(rho / pi) + 1.0)
+    return markov.EdgeFunctional(src, dst, w, g.size, phi).gradient(xi)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cached_flow_field_equals_the_rebuilt_formula(family, seed):
+    g = chains.random_reversible(10, seed)
+    gs = structure.build_structure(g, family)
+    rng = np.random.default_rng(seed)
+    # Random interior points, and one within the quadratic guard band.
+    rhos = [random_interior(rng, 10) for _ in range(5)]
+    rhos.append(gs.pi * (1.0 + 1e-10 * random_zero_sum(rng, 10)))
+    for rho in rhos:
+        want = _rebuilt_flow_field(gs, rho)
+        assert np.array_equal(structure.flow_field(gs, rho), want)
+        assert np.array_equal(gs.dual.flow(rho, gs.entropy_scale), want)
+    # Frozen, so that the cached edge constants cannot go stale.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gs.entropy_scale = 1.0
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_cached_flow_field_raises_as_the_rebuilt_formula(family):
+    g = chains.random_reversible(10, 2)
+    rho = random_interior(np.random.default_rng(2), 10)
+    # A steep entropy puts potential differences above EXP_GUARD.
+    steep = structure.build_structure(g, family, entropy_scale=1e4)
+    with pytest.raises(ExponentOverflow):
+        _rebuilt_flow_field(steep, rho)
+    with pytest.raises(ExponentOverflow):
+        structure.flow_field(steep, rho)
+    gs = structure.build_structure(g, family)
+    for low in (0.0, 1e-301):
+        edge = rho.copy()
+        edge[3] = low
+        with pytest.raises(BoundaryPoint):
+            structure.flow_field(gs, edge)
+    # Weakly reversible, but the cycle 1 -> 2 -> 3 -> 1 fails Kolmogorov's
+    # criterion: no detailed balance.
+    skew = markov.validate_generator([[-3.0, 1.0, 2.0], [2.0, -3.0, 1.0],
+                                      [1.0, 2.0, -3.0]])
+    with pytest.raises(NotGradientSystem):
+        structure.flow_field(structure.build_structure(skew, family),
+                             np.full(3, 1 / 3))
 
 
 def test_fenchel_equality_on_flow():
