@@ -5,18 +5,19 @@ comparison gaps), simulate (particle experiment report), diffusion
 (grid profiles, entropy decay, decomposition report, plot script).
 
 Exit codes: 0 ok, 2 input error, 3 structural refusal (no gradient system),
-4 runtime/statistical failure, which includes a report value that is NaN or
-infinite.  Outputs are written atomically (temp file + rename) and are
-byte-identical for a fixed config and seed; every report carries its seeds
-and tolerances.  A run manifest (command, config hash, outputs, wall clock)
-is written next to the outputs; the manifest is the one file allowed to
-differ between reruns.
+4 runtime/statistical failure, which includes an output value that is NaN or
+infinite.  This module writes every output file, through one path: reports
+go through `write_json`, tables (trajectories included) through
+`write_csv`, and both through `_atomic_write` (temp file + rename).
+Outputs are byte-identical for a fixed config and seed; every report
+carries its seeds and tolerances.  A run manifest (command, config hash,
+outputs, wall clock) is written next to the outputs; the manifest is the
+one file allowed to differ between reruns.
 """
 
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -26,12 +27,14 @@ import numpy as np
 from . import __version__, chains, diffusion, evolve, markov, particle, structure
 from .errors import (InvalidGenerator, InvalidInput, LdgradError,
                      NonFiniteOutput, NotGradientSystem, NotWeaklyReversible,
-                     ReducibleChain, TiltTooStrong)
+                     ReducibleChain)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_STRUCTURE = 3
 EXIT_RUNTIME = 4
+
+CSV_BLOCK_ROWS = 512
 
 
 def _json_default(o):
@@ -46,15 +49,15 @@ def _json_default(o):
     raise TypeError("not JSON serializable: %r" % type(o))
 
 
-def _atomic_write(path, data):
-    """Write `path + ".tmp"` and rename it over `path`; a failed write
-    removes the temp file and leaves any earlier file intact."""
+def _atomic_write(path, chunks):
+    """Write the str `chunks` to `path + ".tmp"` and rename it over `path`;
+    a failed write removes the temp file and leaves any earlier file
+    intact."""
     tmp = path + ".tmp"
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fh = open(tmp, mode)
+    fh = open(tmp, "w")
     try:
         with fh:  # closing flushes, which can fail too
-            fh.write(data)
+            fh.writelines(chunks)
     except BaseException:
         os.remove(tmp)
         raise
@@ -69,24 +72,43 @@ def write_json(path, obj):
                           default=_json_default)
     except ValueError as exc:
         raise NonFiniteOutput("%s: %s" % (os.path.basename(path), exc)) from exc
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, [text + "\n"])
 
 
-def write_csv(path, header, rows):
-    """Floats by repr; like `write_json`, a NaN or infinity raises
-    NonFiniteOutput and writes nothing."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                if not math.isfinite(v):
-                    raise NonFiniteOutput("%s: non-finite value %r"
-                                          % (os.path.basename(path), float(v)))
-                v = repr(float(v))
-            cells.append(str(v))
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path, header, columns):
+    """One row per entry of the equal-length 1-D `columns`, every cell by
+    repr (so an int column stays ints), `\\n` line ends.  Like `write_json`,
+    a NaN or infinity raises NonFiniteOutput before any file is opened.
+    Rows are formatted in blocks of CSV_BLOCK_ROWS."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    if len(header) != len(columns) or any(c.shape != (n,) for c in columns):
+        raise ValueError("need one 1-D column of length %d per header name"
+                         % n)
+    for name, c in zip(header, columns):
+        if not np.isfinite(c).all():
+            raise NonFiniteOutput("%s: non-finite value in column %s"
+                                  % (os.path.basename(path), name))
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for k in range(0, n, CSV_BLOCK_ROWS):
+            rows = zip(*(c[k:k + CSV_BLOCK_ROWS].tolist() for c in columns))
+            yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+    _atomic_write(path, blocks())
+
+
+def write_trajectory(path, traj):
+    """Columns t, rho_1..rho_J and, when the trajectory has entropy values,
+    entropy: one row per time."""
+    header = ["t"] + ["rho_%d" % (j + 1)
+                      for j in range(traj.states.shape[1])]
+    columns = [traj.times, *traj.states.T]
+    if traj.entropy_values is not None:
+        header.append("entropy")
+        columns.append(traj.entropy_values)
+    write_csv(path, header, columns)
 
 
 def _out_dir(args):
@@ -178,7 +200,7 @@ def cmd_evolve(args):
                                            seed=args.seed)
             traj = evolve.integrate_gradient_flow(rho0, gs, args.T, args.dt)
         name = "trajectory_%s.csv" % tag
-        evolve.trajectory_to_csv(traj, os.path.join(out, name))
+        write_trajectory(os.path.join(out, name), traj)
         outputs.append(name)
         trajs[tag] = traj
     report = {"generator_file": args.generator, "rho0": rho0.tolist(),
@@ -231,10 +253,9 @@ def cmd_simulate(args):
     report["config_file"] = args.config
     out = _out_dir(args)
     write_json(os.path.join(out, "ldp_report.json"), report)
-    write_csv(os.path.join(out, "replicas.csv"),
-              ["n", "replica", "hit", "G", "log_weight", "distance"],
-              [[r["n"], r["replica"], r["hit"], r["G"], r["log_weight"],
-               r["distance"]] for r in rows])
+    keys = ["n", "replica", "hit", "G", "log_weight", "distance"]
+    write_csv(os.path.join(out, "replicas.csv"), keys,
+              [np.array([r[key] for r in rows]) for key in keys])
     print("I_T(target) = %.6e" % report["rate_functional"])
     for n, entry in report["estimates"].items():
         estimate = ("inf (no tube hits)" if entry["inf_estimate"] else
@@ -318,15 +339,13 @@ def cmd_diffusion(args):
 
     out = _out_dir(args)
     snap = np.linspace(0, traj.times.size - 1, 6).astype(int)
-    prof_rows = []
-    for k in snap:
-        for x, dens, pdens, ds in diffusion.profiles_rows(g, traj.states[k]):
-            prof_rows.append([float(traj.times[k]), x, dens, pdens, ds])
-    write_csv(os.path.join(out, "profiles.csv"),
-              ["t", "x", "rho", "pi", "DS"], prof_rows)
+    profiles = np.vstack([diffusion.profiles_rows(g, traj.states[k])
+                          for k in snap])
+    write_csv(os.path.join(out, "profiles.csv"), ["t", "x", "rho", "pi", "DS"],
+              [np.repeat(traj.times[snap], g.N), *profiles.T])
     write_csv(os.path.join(out, "entropy.csv"), ["t", "entropy"],
-              [[float(t), float(e)] for t, e in zip(traj.times, entropy)])
-    _atomic_write(os.path.join(out, "plot_diffusion.py"), PLOT_SCRIPT)
+              [traj.times, entropy])
+    _atomic_write(os.path.join(out, "plot_diffusion.py"), [PLOT_SCRIPT])
     report = {
         "grid": {"a": g.a, "b": g.b, "N": g.N, "h": g.h},
         "T": args.T, "dt": args.dt, "seed": seed,
@@ -402,9 +421,6 @@ def main(argv=None):
     except (NotGradientSystem, NotWeaklyReversible) as exc:
         print("structural refusal: %s" % exc, file=sys.stderr)
         return EXIT_STRUCTURE
-    except TiltTooStrong as exc:
-        print("runtime failure: %s" % exc, file=sys.stderr)
-        return EXIT_RUNTIME
     except (InvalidGenerator, ReducibleChain, InvalidInput,
             FileNotFoundError, KeyError, json.JSONDecodeError,
             ValueError) as exc:

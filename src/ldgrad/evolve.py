@@ -7,26 +7,25 @@ trajectory that leaves the simplex by more than 1e-6 aborts rather than being
 clamped.
 
 The per-step work is array code built once per run: a gradient flow's
-stages call the structure's cached field (`GradientStructure.dual`), the
-entropy of a trajectory is one `relative_entropy` pass over the stack of
-states, and `trajectory_to_csv` formats blocks of rows.  All three give the
-same bits as the one-call-per-state route.
+stages call the structure's cached field (`GradientStructure.dual`), and
+the entropy of a trajectory is one `relative_entropy` pass over the stack
+of states.  Both give the same bits as the one-call-per-state route.
+
+This module writes no files; `cli.write_trajectory` exports a trajectory.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import markov, structure
 from .errors import (BoundaryPoint, DegenerateInvariantMeasure, GridMismatch,
-                     InvalidInput, NonFiniteOutput, NotGradientSystem,
-                     ReducibleChain, StepSizeTooLarge)
+                     InvalidInput, NotGradientSystem, ReducibleChain,
+                     StepSizeTooLarge)
 
 MASS_DRIFT_TOL = 1e-12
 SIMPLEX_SLACK = 1e-6
 BOUNDARY_FLOOR = 1e-10
-CSV_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -64,12 +63,13 @@ def _march(field, rho0, times, entropy=None, floor=None):
         dt = times[k] - times[k - 1]
         y = _rk4(field, y, dt)
         mass = y.sum()
-        if abs(mass - 1.0) > MASS_DRIFT_TOL:
+        # Both tests are written so that a NaN state fails them.
+        if not abs(mass - 1.0) <= MASS_DRIFT_TOL:
             raise StepSizeTooLarge(
                 "mass drifted by %.3e in one step" % abs(mass - 1.0))
         y = y / mass
         low = y.min()
-        if low < -SIMPLEX_SLACK:
+        if not low >= -SIMPLEX_SLACK:
             raise StepSizeTooLarge("state left the simplex by %.3e" % -low)
         if floor is not None and low < floor:
             raise BoundaryPoint(
@@ -84,7 +84,7 @@ def integrate_linear(rho0, g, T, dt, with_entropy=True):
     times = _grid(T, dt)
     QT = g.q.T
     entropy = None
-    meta = {"method": "rk4-linear", "dt": dt, "rejected_steps": 0}
+    meta = {"method": "rk4-linear", "dt": dt}
     if with_entropy:
         try:
             pi = markov.analyze_balance(g).invariant_measure
@@ -111,8 +111,7 @@ def exact_linear_solution(rho0, g, times):
         from scipy.linalg import expm
         states = np.stack([expm(QT * t) @ rho0 for t in times])
     return Trajectory(times=times, states=states,
-                      meta={"method": "eigendecomposition", "dt": None,
-                            "rejected_steps": 0})
+                      meta={"method": "eigendecomposition", "dt": None})
 
 
 def integrate_gradient_flow(rho0, gs, T, dt):
@@ -144,8 +143,7 @@ def integrate_gradient_flow(rho0, gs, T, dt):
     return Trajectory(times=times, states=states, entropy_values=ent,
                       meta={"method": "rk4-gradient-flow", "dt": dt,
                             "family": gs.family.value,
-                            "entropy_scale": gs.entropy_scale,
-                            "rejected_steps": 0})
+                            "entropy_scale": gs.entropy_scale})
 
 
 def compare_trajectories(a, b):
@@ -156,39 +154,3 @@ def compare_trajectories(a, b):
     gaps = np.abs(a.states - b.states).max(axis=1)
     k = int(np.argmax(gaps))
     return {"sup_norm_gap": float(gaps[k]), "at_time": float(a.times[k])}
-
-
-def trajectory_to_csv(traj, path):
-    """CSV export: t, rho_1..rho_J, entropy (one row per step), floats by
-    repr, with the bytes of `csv.writer`'s default dialect (comma, `\\r\\n`
-    line ends).  A NaN or infinity raises NonFiniteOutput and writes
-    nothing.  Rows are formatted in blocks of CSV_BLOCK_ROWS, written to
-    `path + ".tmp"` and renamed over `path`, so a failed export leaves any
-    earlier file intact."""
-    times = np.asarray(traj.times, dtype=float)[:, None]
-    states = np.asarray(traj.states, dtype=float)
-    J = states.shape[1]
-    columns = [times, states]
-    end = ",\r\n"  # an empty entropy field
-    if traj.entropy_values is not None:
-        # float() refuses a value that is not a number; asarray would not.
-        columns.append(np.array([float(e) for e in traj.entropy_values])
-                       [:, None])
-        end = "\r\n"
-    if not all(np.isfinite(c).all() for c in columns):
-        raise NonFiniteOutput("%s: non-finite value in the trajectory"
-                              % os.path.basename(path))
-    tmp = os.fspath(path) + ".tmp"
-    fh = open(tmp, "w", newline="")
-    try:
-        with fh:  # closing flushes, which can fail too
-            fh.write(",".join(["t"] + ["rho_%d" % (j + 1) for j in range(J)]
-                              + ["entropy"]) + "\r\n")
-            for k in range(0, times.shape[0], CSV_BLOCK_ROWS):
-                block = np.hstack([c[k:k + CSV_BLOCK_ROWS] for c in columns])
-                fh.write("".join(",".join(map(repr, row)) + end
-                                 for row in block.tolist()))
-    except BaseException:
-        os.remove(tmp)
-        raise
-    os.replace(tmp, path)

@@ -191,6 +191,8 @@ def analyze_balance(g, tol=1e-9):
 
 
 def _check_entropy_support(rho, pi):
+    if not np.isfinite(rho).all():
+        raise InvalidInput("rho has a non-finite entry")
     if np.any((rho > 0) & (pi <= 0)):
         raise InfiniteEntropy("rho charges a state with zero reference mass")
 
@@ -209,7 +211,7 @@ def relative_entropy(rho, pi):
     temporary grows with n.  A row sum over a strictly positive chunk adds
     the terms in the order of the one-row sum; a chunk with a row that is
     not strictly positive goes row by row, because dropping its zero terms
-    changes that order.
+    changes that order.  A NaN or infinite entry raises InvalidInput.
     """
     rho = np.asarray(rho, dtype=float)
     pi = np.asarray(pi, dtype=float)

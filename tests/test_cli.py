@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -106,12 +108,19 @@ def test_simulate_report_counts_thinning(tmp_path):
     assert 0 < thinning["accepted"] <= thinning["proposals"]
 
 
+def _fail_part_way():
+    yield "a first chunk\n"
+    raise RuntimeError("no second chunk")
+
+
 def test_failed_atomic_write_keeps_the_earlier_file(tmp_path):
     path = str(tmp_path / "report.json")
     cli.write_json(path, {"a": 1})
     before = (tmp_path / "report.json").read_bytes()
     with pytest.raises(UnicodeEncodeError):
-        cli._atomic_write(path, "unpaired surrogate \ud800")
+        cli._atomic_write(path, ["ok\n", "unpaired surrogate \ud800"])
+    with pytest.raises(RuntimeError):
+        cli._atomic_write(path, _fail_part_way())
     assert (tmp_path / "report.json").read_bytes() == before
     assert os.listdir(tmp_path) == ["report.json"]
 
@@ -147,13 +156,61 @@ def test_write_json_refuses_non_finite_values(tmp_path, value):
     assert os.listdir(tmp_path) == []
 
 
+def _csv_writer_bytes(header, columns):
+    """The table as `csv.writer` writes it, one cell at a time: ints by
+    str, floats by repr."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for k in range(len(columns[0])):
+        w.writerow([repr(float(c[k])) if isinstance(c[k], float) else str(c[k])
+                    for c in columns])
+    return buf.getvalue().encode()
+
+
+def _table(rows, rng):
+    return (["n", "hit", "x", "y"],
+            [[7] * rows, [int(b) for b in rng.integers(0, 2, rows)],
+             rng.standard_normal(rows).tolist(),
+             (rng.uniform(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+              ).tolist()])
+
+
+@pytest.mark.parametrize("rows, ints", [(1301, False), (700, True)],
+                         ids=["1301-float-rows", "int-and-float"])
+def test_write_csv_bytes_match_csv_writer(tmp_path, rows, ints):
+    header, columns = _table(rows, np.random.default_rng(rows))
+    if not ints:  # three blocks of float rows, the last one partial
+        header, columns = header[2:], columns[2:]
+    path = tmp_path / "rows.csv"
+    cli.write_csv(str(path), header, [np.array(c) for c in columns])
+    assert path.read_bytes() == _csv_writer_bytes(header, columns)
+
+
+def test_write_csv_refuses_mismatched_columns(tmp_path):
+    # Unchecked, zip would cut every column to the shortest one.
+    for columns in ([np.zeros(512), np.zeros(513)], [np.zeros((3, 2))],
+                    [np.zeros(3)]):
+        with pytest.raises(ValueError):
+            cli.write_csv(str(tmp_path / "rows.csv"), ["a", "b"], columns)
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("value", [float("nan"), np.float64("inf"),
                                    -np.inf])
 def test_write_csv_refuses_non_finite_values(tmp_path, value):
-    with pytest.raises(NonFiniteOutput):
-        cli.write_csv(str(tmp_path / "rows.csv"), ["a", "b"],
-                      [[1, 0.5], [2, value]])
-    assert os.listdir(tmp_path) == []
+    path = str(tmp_path / "rows.csv")
+    header, columns = _table(600, np.random.default_rng(0))
+    cli.write_csv(path, header, columns)
+    before = (tmp_path / "rows.csv").read_bytes()
+    for j in (2, 3):  # each float column, in the second block
+        bad = [np.array(c) for c in columns]
+        bad[j][550] = value
+        with pytest.raises(NonFiniteOutput, match="rows.csv: .* column %s"
+                           % header[j]):
+            cli.write_csv(path, header, bad)
+    assert (tmp_path / "rows.csv").read_bytes() == before
+    assert os.listdir(tmp_path) == ["rows.csv"]
 
 
 def test_non_finite_report_value_is_a_runtime_failure(tmp_path, monkeypatch,
@@ -177,8 +234,8 @@ def test_non_finite_report_value_is_a_runtime_failure(tmp_path, monkeypatch,
 
 
 def test_evolve_non_finite_trajectory_is_a_runtime_failure(tmp_path, capsys):
-    # Rates near the top of the float range overflow the RK4 stages, and the
-    # states turn to NaN.
+    # Rates near the top of the float range overflow the RK4 stages to NaN
+    # states, which the step checks refuse before any file is written.
     gen = tmp_path / "gen.json"
     markov.save_generator(chains.two_state_symmetric(1e300), gen)
     out = tmp_path / "out"

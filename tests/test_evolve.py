@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import random_interior
-from ldgrad import chains, evolve, markov, structure
+from ldgrad import chains, cli, evolve, markov, structure
 from ldgrad.errors import (BoundaryPoint, GridMismatch, NonFiniteOutput,
-                           NotGradientSystem)
+                           NotGradientSystem, StepSizeTooLarge)
 from ldgrad.structure import Family
 
 
@@ -36,6 +36,15 @@ def test_mass_conservation(two_state):
     traj = evolve.integrate_linear(np.array([0.9, 0.1]), two_state, 5.0, 1e-3)
     assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-10
     assert np.all(np.diff(traj.times) > 0)
+
+
+def test_overflowing_steps_are_refused():
+    # Rates near the top of the float range overflow the RK4 stages to NaN
+    # states, which both step checks must refuse.
+    g = chains.two_state_symmetric(1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepSizeTooLarge):
+            evolve.integrate_linear([0.9, 0.1], g, 0.01, 1e-3)
 
 
 def test_gradient_flow_stationary_at_pi():
@@ -123,7 +132,7 @@ def test_compare_trajectories_contract(two_state):
 def test_csv_export(tmp_path, two_state):
     traj = evolve.integrate_linear(np.array([0.6, 0.4]), two_state, 0.1, 1e-2)
     path = tmp_path / "traj.csv"
-    evolve.trajectory_to_csv(traj, path)
+    cli.write_trajectory(str(path), traj)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,rho_1,rho_2,entropy"
     assert len(lines) == traj.times.size + 1
@@ -148,15 +157,15 @@ def test_linear_on_reducible_chain_records_missing_entropy(q):
 def test_trajectory_csv_failed_write_keeps_earlier_file(tmp_path, two_state):
     path = str(tmp_path / "traj.csv")
     good = evolve.integrate_linear(np.array([0.9, 0.1]), two_state, 0.1, 1e-2)
-    evolve.trajectory_to_csv(good, path)
+    cli.write_trajectory(path, good)
     before = (tmp_path / "traj.csv").read_bytes()
-    assert before.endswith(b"\r\n")
-    # The last row's entropy cannot be converted to float.
+    assert before.endswith(b"\n") and b"\r" not in before
+    # The last row's entropy is not a number.
     bad = evolve.Trajectory(times=good.times, states=good.states,
                             entropy_values=np.array(
                                 [0.0] * (good.times.size - 1) + [None]))
     with pytest.raises(TypeError):
-        evolve.trajectory_to_csv(bad, path)
+        cli.write_trajectory(path, bad)
     assert (tmp_path / "traj.csv").read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["traj.csv"]
 
@@ -164,14 +173,15 @@ def test_trajectory_csv_failed_write_keeps_earlier_file(tmp_path, two_state):
 def _csv_writer_bytes(traj):
     """The export as `csv.writer` writes it, one row at a time."""
     buf = io.StringIO(newline="")
-    w = csv.writer(buf)
+    w = csv.writer(buf, lineterminator="\n")
     J = traj.states.shape[1]
-    w.writerow(["t"] + ["rho_%d" % (j + 1) for j in range(J)] + ["entropy"])
+    entropy = [] if traj.entropy_values is None else ["entropy"]
+    w.writerow(["t"] + ["rho_%d" % (j + 1) for j in range(J)] + entropy)
     for k in range(traj.times.size):
-        ent = ("" if traj.entropy_values is None
-               else repr(float(traj.entropy_values[k])))
+        entropy = ([] if traj.entropy_values is None
+                   else [repr(float(traj.entropy_values[k]))])
         w.writerow([repr(float(traj.times[k]))]
-                   + [repr(float(x)) for x in traj.states[k]] + [ent])
+                   + [repr(float(x)) for x in traj.states[k]] + entropy)
     return buf.getvalue().encode()
 
 
@@ -190,7 +200,7 @@ def test_csv_bytes_match_csv_writer(tmp_path, q, T):
     traj = evolve.integrate_linear(rho0 / rho0.sum(), g, T, 1e-3)
     assert (traj.entropy_values is None) == (q is not None)
     path = tmp_path / "traj.csv"
-    evolve.trajectory_to_csv(traj, path)
+    cli.write_trajectory(str(path), traj)
     assert path.read_bytes() == _csv_writer_bytes(traj)
 
 
@@ -198,14 +208,14 @@ def test_csv_bytes_match_csv_writer(tmp_path, q, T):
 @pytest.mark.parametrize("where", ["times", "states", "entropy_values"])
 def test_trajectory_csv_refuses_non_finite_values(tmp_path, two_state, value,
                                                   where):
-    path = tmp_path / "traj.csv"
+    path = str(tmp_path / "traj.csv")
     good = evolve.integrate_linear(np.array([0.9, 0.1]), two_state, 0.1, 1e-2)
-    evolve.trajectory_to_csv(good, path)
-    before = path.read_bytes()
+    cli.write_trajectory(path, good)
+    before = (tmp_path / "traj.csv").read_bytes()
     arrays = {k: getattr(good, k).copy()
               for k in ("times", "states", "entropy_values")}
     arrays[where].flat[3] = value
     with pytest.raises(NonFiniteOutput, match="traj.csv"):
-        evolve.trajectory_to_csv(evolve.Trajectory(**arrays), path)
-    assert path.read_bytes() == before
+        cli.write_trajectory(path, evolve.Trajectory(**arrays))
+    assert (tmp_path / "traj.csv").read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["traj.csv"]

@@ -8,7 +8,8 @@ from conftest import (cosh_conjugate, grid_search_conjugate_2state,
                       two_state_cost_closed_form)
 from ldgrad import chains, convex, markov
 from ldgrad.errors import (BoundaryPoint, DegenerateInvariantMeasure,
-                           InfiniteEntropy, InvalidGenerator, ReducibleChain)
+                           InfiniteEntropy, InvalidGenerator, InvalidInput,
+                           ReducibleChain)
 
 
 def test_validate_accepts_symmetric_two_state():
@@ -146,6 +147,19 @@ def test_relative_entropy_of_a_stack_charging_a_null_state_is_infinite():
     assert np.array_equal(markov.relative_entropy(stack, pi), np.zeros(n))
     stack[n - 1] = [0.4, 0.4, 0.2]
     with pytest.raises(InfiniteEntropy):
+        markov.relative_entropy(stack, pi)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_relative_entropy_refuses_a_non_finite_entry(value):
+    # `rho > 0` is False for NaN: unchecked, a NaN entry counts as zero mass.
+    pi = np.array([0.5, 0.5])
+    with pytest.raises(InvalidInput):
+        markov.relative_entropy(np.array([value, 0.5]), pi)
+    n = 2 * markov.ENTROPY_CHUNK  # the bad row lies past the first chunk
+    stack = np.tile(pi, (n, 1))
+    stack[n - 1, 0] = value
+    with pytest.raises(InvalidInput):
         markov.relative_entropy(stack, pi)
 
 
