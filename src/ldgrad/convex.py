@@ -10,6 +10,11 @@ coordinates (the last coordinate is determined by the zero-sum constraint).
 An explicit box |xi|_inf <= 50 converts genuinely unbounded problems into a
 clean error; a run that stalls or exhausts its budget inside the box raises
 NoConvergence with its best iterate.
+
+The box belongs to this Newton route only.  Edge functionals of the Markov
+Hamiltonian whose graph is a tree take the closed form in
+`markov.EdgeTree`, which has no box: a finite cost is returned whatever
+the size of its maximiser.
 """
 
 from dataclasses import dataclass
@@ -146,6 +151,19 @@ def _newton(f, grad, hess, s, u0, tol, max_iter):
     return best[1], False, max_iter, best[0], False
 
 
+def check_slope(s, tol):
+    """s as a float array, after the checks every conjugate route shares:
+    finite entries, a zero sum up to 1e-9 relative, and a positive tol."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise InvalidInput("non-finite slope vector")
+    if abs(s.sum()) > 1e-9 * max(1.0, np.abs(s).max()):
+        raise InvalidInput("slope must lie in the zero-sum tangent space")
+    if tol <= 0:
+        raise InvalidInput("tol must be positive")
+    return s
+
+
 def conjugate(f, s, x0=None, tol=DEFAULT_TOL, grad=None, hess=None,
               max_iter=MAX_ITER):
     """Legendre transform sup_xi <xi,s> - f(xi) over zero-sum xi.
@@ -156,13 +174,7 @@ def conjugate(f, s, x0=None, tol=DEFAULT_TOL, grad=None, hess=None,
     box boundary and NoConvergence (with the best iterate attached) when
     Newton stalls or exhausts its iteration budget inside the box.
     """
-    s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise InvalidInput("non-finite slope vector")
-    if abs(s.sum()) > 1e-9 * max(1.0, np.abs(s).max()):
-        raise InvalidInput("slope must lie in the zero-sum tangent space")
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
+    s = check_slope(s, tol)
     J = s.size
     if grad is None:
         grad = _fd_grad_factory(f)

@@ -17,6 +17,10 @@ with closed-form gradient and Hessian in xi, and its conjugate
 the cost functional whose zero set is the forward equation rho' = Q^T rho.
 H is a sum over the edges of the generator graph, evaluated by the
 `EdgeFunctional` core that the dissipation potentials in `structure` share.
+When that graph, read as undirected, is a tree (the two-state, birth-death
+and discretized-diffusion chains), s fixes the flux on every edge and L is
+a sum of explicit per-edge transforms (`EdgeTree`); other graphs take
+Newton.
 """
 
 import json
@@ -28,7 +32,7 @@ import numpy as np
 from . import convex
 from .errors import (BoundaryPoint, DegenerateInvariantMeasure,
                      ExponentOverflow, InfiniteEntropy, InvalidGenerator,
-                     InvalidInput, ReducibleChain)
+                     InvalidInput, ReducibleChain, UnboundedConjugate)
 
 ROW_SUM_TOL = 1e-9
 INTERIOR_FLOOR = 1e-12
@@ -63,6 +67,13 @@ class GeneratorMatrix:
         """
         src, dst = np.nonzero(self.q > 0)  # the diagonal is <= 0
         return src, dst, self.q[src, dst]
+
+    @cached_property
+    def tree(self):
+        """`EdgeTree` of the edge graph read as undirected, or None when
+        that graph is not a tree.  Cached like `edges`."""
+        src, dst, _ = self.edges
+        return EdgeTree.build(src, dst, self.size)
 
 
 def validate_generator(raw, state_labels=None):
@@ -244,6 +255,110 @@ def relative_entropy_gradient(rho, pi):
 EXPM1 = (np.expm1, np.exp, np.exp)
 
 
+class EdgeTree:
+    """Elimination order of an edge graph that, read as undirected, is a tree.
+
+    The states are listed in depth-first preorder from state 0 (`order`), so
+    the subtree of the state at position k is the run of positions
+    k .. tout[k-1] - 1, and the reversed order eliminates leaves first.  The
+    state v at position k >= 1 owns the tree edge to its parent p
+    (`parent[k-1]`); `down` and `up` hold the positions of p -> v and
+    v -> p in the edge list (the list's length where that direction is
+    absent).
+
+    On a tree the slope s fixes the net flux j on every edge: the flux from
+    p into v is the mass that s puts on the subtree of v, a difference of
+    two prefix sums of s in preorder (on a path graph, one cumsum).  The
+    conjugate of sum_e w_e expm1(xi[dst_e] - xi[src_e]) then splits into one
+    Legendre transform per edge, sup_z j z - a expm1(z) - b expm1(-z) with
+    a = w(p -> v) and b = w(v -> p), and the maximiser is the sum of the
+    edge maximisers z along the path from the root.
+    """
+
+    def __init__(self, order, parent, tout, down, up):
+        self.order, self.parent, self.tout = order, parent, tout
+        self.down, self.up = down, up
+
+    @classmethod
+    def build(cls, src, dst, J):
+        """The tree of the edges src -> dst on J states, or None when the
+        undirected graph has a cycle or is disconnected."""
+        und = np.zeros((J, J), dtype=bool)
+        und[src, dst] = und[dst, src] = True
+        if np.count_nonzero(und) != 2 * (J - 1):
+            return None
+        adj = [np.flatnonzero(row).tolist() for row in und]
+        parent = [-1] * J
+        seen = [False] * J
+        seen[0] = True
+        order, stack = [], [0]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in reversed(adj[v]):
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = v
+                    stack.append(u)
+        if len(order) < J:
+            return None
+        size = [1] * J
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        child = np.array(order[1:], dtype=np.intp)
+        par = np.array([parent[v] for v in order[1:]], dtype=np.intp)
+        index = np.full((J, J), src.size, dtype=np.intp)
+        index[src, dst] = np.arange(src.size)
+        return cls(order=np.array(order, dtype=np.intp), parent=par,
+                   tout=np.arange(1, J) + np.array(
+                       [size[v] for v in order[1:]], dtype=np.intp),
+                   down=index[par, child], up=index[child, par])
+
+    def conjugate(self, weights, s):
+        """(value, zero-sum argmax) of sup_xi <xi, s> - sum_e w_e
+        expm1(xi[dst_e] - xi[src_e]) for zero-sum s, in closed form.
+
+        On an edge with a, b > 0, a e^z - b e^-z = j gives
+        z = asinh(j / (2 sqrt(ab))) + log(b/a) / 2.  An edge with one
+        direction has the finite maximiser z = log(j/a) (or log(b/-j)) only
+        for a nonzero flux of that direction's sign; any other flux makes
+        the cost infinite or its sup unattained and raises
+        UnboundedConjugate.  An edge without weight contributes 0 at zero
+        flux.  |z| above EXP_GUARD raises ExponentOverflow.
+        """
+        w = np.append(weights, 0.0)
+        a, b = w[self.down], w[self.up]
+        # Net flux from parent to child: the mass of s on the child's subtree.
+        cum = np.concatenate(([0.0], np.cumsum(s[self.order])))
+        j = cum[self.tout] - cum[1:-1]
+        z = np.zeros(j.size)
+        two = (a > 0) & (b > 0)
+        ra, rb = np.sqrt(a[two]), np.sqrt(b[two])
+        z[two] = (np.arcsinh(j[two] / (2.0 * ra * rb))
+                  + (np.log(rb) - np.log(ra)))
+        fwd = ~two & (j > 0) & (a > 0)
+        bwd = ~two & (j < 0) & (b > 0)
+        finite = two | fwd | bwd | ((j == 0) & (a == 0) & (b == 0))
+        if not finite.all():
+            k = int(np.flatnonzero(~finite)[0])
+            raise UnboundedConjugate(
+                "flux %.6g on tree edge %d -- %d has no finite cost (weights "
+                "%.6g forward, %.6g back)" % (j[k], self.parent[k],
+                                              self.order[k + 1], a[k], b[k]))
+        z[fwd] = np.log(j[fwd] / a[fwd])
+        z[bwd] = np.log(b[bwd] / -j[bwd])
+        if z.size and np.abs(z).max() > EXP_GUARD:
+            raise ExponentOverflow(
+                "potential difference on an edge exceeds %g" % EXP_GUARD)
+        value = float(np.sum(j * z - a * np.expm1(z) - b * np.expm1(-z)))
+        J = self.order.size
+        delta = -np.bincount(self.tout, z, J + 1)
+        delta[1:J] += z
+        xi = np.empty(J)
+        xi[self.order] = np.cumsum(delta[:J])
+        return value, xi - xi.mean()
+
+
 class EdgeFunctional:
     """f(xi) = sum_e w_e phi(xi[dst_e] - xi[src_e]) over the edges of a graph.
 
@@ -251,11 +366,18 @@ class EdgeFunctional:
     gradient gathers phi' at the edge heads minus the tails; the Hessian is
     the graph Laplacian with edge weights w_e phi''.  Edge differences above
     EXP_GUARD raise ExponentOverflow; non-edges exponentiate nothing.
+
+    `conjugate` takes one of two routes, decided by the graph.  When the
+    edges come from a generator whose graph is a tree (`tree`, the
+    generator's cached `EdgeTree`) and phi = expm1, the conjugate is the
+    exact closed form of `EdgeTree.conjugate`, O(J) and with no iteration.
+    Otherwise it is damped Newton (`convex.conjugate`) with the closed-form
+    gradient and Hessian.
     """
 
-    def __init__(self, src, dst, weights, J, phi=EXPM1):
+    def __init__(self, src, dst, weights, J, phi=EXPM1, tree=None):
         self.src, self.dst, self.weights, self.J = src, dst, weights, J
-        self.phi = phi
+        self.phi, self.tree = phi, tree
 
     def _diff(self, xi):
         d = xi[self.dst] - xi[self.src]
@@ -285,12 +407,27 @@ class EdgeFunctional:
                            np.concatenate([-a, -a, a, a]),
                            self.J * self.J).reshape(self.J, self.J)
 
+    def conjugate(self, s, x0=None, tol=convex.DEFAULT_TOL):
+        """sup_xi <xi, s> - f(xi) over zero-sum xi, as a ConjugateResult.
+
+        The tree route is exact and ignores x0 and tol; its result reports
+        zero iterations and the measured residual |P(D f(xi) - s)|.
+        """
+        if self.tree is None or self.phi is not EXPM1:
+            return convex.conjugate(self, s, x0=x0, tol=tol,
+                                    grad=self.gradient, hess=self.hessian)
+        s = convex.project_zero_sum(convex.check_slope(s, tol))
+        value, xi = self.tree.conjugate(self.weights, s)
+        resid = np.linalg.norm(convex.project_zero_sum(self.gradient(xi) - s))
+        return convex.ConjugateResult(value=value, argmax=xi, converged=True,
+                                      iterations=0, residual_norm=float(resid))
+
 
 def hamiltonian_functional(rho, g):
     """H(rho, .) as an edge functional: weights rho_i Q_ij, phi = expm1."""
     src, dst, rate = g.edges
     return EdgeFunctional(src, dst, np.asarray(rho, dtype=float)[src] * rate,
-                          g.size)
+                          g.size, tree=g.tree)
 
 
 def hamiltonian(rho, xi, g):
@@ -308,14 +445,13 @@ def hamiltonian_hessian(rho, xi, g):
 
 
 def lagrangian(rho, s, g, tol=convex.DEFAULT_TOL, x0=None):
-    """L(rho, s) = sup_xi <xi,s> - H(rho,xi) via Newton with exact Hessian.
+    """L(rho, s) = sup_xi <xi,s> - H(rho,xi), by `EdgeFunctional.conjugate`:
+    closed form on a tree, Newton with exact Hessian otherwise.
 
     The value is clamped to zero only when it is within tol of zero; genuine
     negatives (which cannot occur for valid inputs) are left visible.
     """
-    H = hamiltonian_functional(rho, g)
-    res = convex.conjugate(H, s, x0=x0, tol=tol, grad=H.gradient,
-                           hess=H.hessian)
+    res = hamiltonian_functional(rho, g).conjugate(s, x0=x0, tol=tol)
     if abs(res.value) <= tol:
         res.value = max(res.value, 0.0)
     return res

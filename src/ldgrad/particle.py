@@ -26,6 +26,7 @@ path, and `rate_vs_probability_experiment` runs the tilt-then-reweight
 estimate of tube probabilities against that cost.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +37,6 @@ from .errors import (InvalidInput, ThinningBoundExceeded, TiltTooStrong,
                      UnboundedConjugate)
 
 _MASK64 = (1 << 64) - 1
-_GAUSS16 = np.polynomial.legendre.leggauss(16)
 TILT_EXPONENT_CAP = 60.0
 PROPOSAL_BUDGET = 5e7
 # Relative slack for a tilted rate against its bound: far above the rounding
@@ -450,6 +450,15 @@ def girsanov_log_density(path, tilt, g):
     return float((phi_to - phi_from).sum() - final @ F[2 * M:]) / path.n
 
 
+@functools.cache
+def _gauss16():
+    """16-node Gauss-Legendre rule on [-1, 1], built on first use: the
+    numpy.polynomial import and the rule take about 10 ms, which commands
+    that never integrate should not pay."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(16)
+
+
 def path_pairing_functional(path, tilt, g):
     """G(rho, xi) = int <xi, rho'> - H(rho_t, xi_t) dt for an empirical path.
 
@@ -468,7 +477,7 @@ def path_pairing_functional(path, tilt, g):
     Q = g.q
     cuts = np.unique(np.concatenate([[0.0, path.horizon], tau]))
     rhos = empirical_measure_path(path, cuts[:-1], J=Q.shape[0])
-    x, w = _GAUSS16
+    x, w = _gauss16()
     h_int = 0.0
     for a, b, rho in zip(cuts[:-1], cuts[1:], rhos):
         for t0, t1 in tilt.segments_between(float(a), float(b)):
@@ -502,8 +511,9 @@ def path_rate_functional(times, states, g, tol=convex.DEFAULT_TOL,
                          mollify_window=None, interior_floor=1e-9):
     """I_T = int L(rho_t, rho'_t) dt on a uniform grid.
 
-    rho' by central differences (one-sided at the ends), L by Newton
-    conjugation with warm starts, trapezoid in time.  Returns the value with
+    rho' by central differences (one-sided at the ends), L by
+    `markov.lagrangian` (exact on a tree generator, else Newton conjugation
+    with warm starts), trapezoid in time.  Returns the value with
     a per-time breakdown and the per-time maximizers ("knots"), which are the
     optimal tilt at the grid times (see `optimal_tilt`).  Empirical inputs
     should be mollified (window reported alongside results).

@@ -29,6 +29,14 @@ of H by e^{V_j - V_i}.  The edge constants of Psi* that do not depend on rho
 are built once per structure (`DualWeights`), and `flow_field`, `psi_star`
 and `psi` all take their weights from them.
 
+Every conjugate here (V_L, L, the dual of the shifted Psi* and the
+cross-check in `psi`) goes through `EdgeFunctional.conjugate`.  On a
+generator whose graph, read as undirected, is a tree, s fixes the flux on
+each edge and the expm1 potentials are exact per-edge closed forms in O(J):
+V_L, L(rho, s), the split and the detailed-balance identities then hold to
+rounding, with no Newton solve and no search box.  Other graphs, and the
+family members, use Newton.
+
 A gradient structure exists exactly when V_L is a derivative.  The simplex
 interior is simply connected, so this holds exactly when the projected
 Jacobian P D_rho V_L P (P the projection onto zero-sum vectors) is
@@ -120,7 +128,8 @@ def build_structure(g, family=Family.LDP_EXACT, entropy_scale=None, seed=0):
 def critical_covector(rho, g, tol=convex.DEFAULT_TOL, x0=None):
     """V_L(rho) = argmin_xi H(rho, .), zero-sum representative.
 
-    This is also D_s L(rho, 0); computed by Newton on the convex H.
+    This is also D_s L(rho, 0): exact on a tree generator, by Newton on
+    the convex H otherwise (`EdgeFunctional.conjugate`).
     """
     rho = np.asarray(rho, dtype=float)
     if not markov.is_interior(rho):
@@ -130,9 +139,7 @@ def critical_covector(rho, g, tol=convex.DEFAULT_TOL, x0=None):
         balance_guess = 0.5 * np.log(rho / np.abs(rho).sum() * rho.size)
         x0 = convex.project_zero_sum(balance_guess)
     H = markov.hamiltonian_functional(rho, g)
-    res = convex.conjugate(H, np.zeros(rho.size), x0=x0, tol=tol,
-                           grad=H.gradient, hess=H.hessian)
-    return res.argmax
+    return H.conjugate(np.zeros(rho.size), x0=x0, tol=tol).argmax
 
 
 def _shifted_hamiltonian(rho, V, g):
@@ -141,7 +148,8 @@ def _shifted_hamiltonian(rho, V, g):
     V = np.asarray(V, dtype=float)
     H = markov.hamiltonian_functional(rho, g)
     return markov.EdgeFunctional(H.src, H.dst,
-                                 H.weights * np.exp(V[H.dst] - V[H.src]), H.J)
+                                 H.weights * np.exp(V[H.dst] - V[H.src]), H.J,
+                                 tree=H.tree)
 
 
 def shifted_dual(rho, V, xi, g):
@@ -178,6 +186,7 @@ class DualWeights:
             raise ValueError("not a family tag: %r" % (family,))
         self.src, self.dst, self.rate = g.edges
         self.J, self.family, self.pi, self.phi = g.size, family, pi, phi
+        self.tree = g.tree
         src, dst = self.src, self.dst
         self.const = (pi[src] * (1.0 / pi[dst]) if family is Family.LDP_EXACT
                       else pi[src] * self.rate)
@@ -197,7 +206,7 @@ class DualWeights:
 
     def functional(self, rho, r):
         return markov.EdgeFunctional(self.src, self.dst, self.weights(rho, r),
-                                     self.J, self.phi)
+                                     self.J, self.phi, self.tree)
 
     def flow(self, rho, scale):
         """D_xi Psi*(rho, -DS(rho)) with S = scale * E_pi, for an interior
@@ -231,14 +240,13 @@ def psi(gs, rho, s, check=True, tol=convex.DEFAULT_TOL):
     g = gs.generator
     F = _dual_functional(gs, rho)
     if gs.family is not Family.LDP_EXACT:
-        return float(convex.conjugate(F, s, tol=tol, grad=F.gradient,
-                                      hess=F.hessian).value)
+        return float(F.conjugate(s, tol=tol).value)
     V = critical_covector(rho, g)
     HV = markov.hamiltonian(rho, V, g)
     lag = markov.lagrangian(rho, s, g)
     value = lag.value + HV - float(V @ s)
     if check and gs.balance.detailed_balance:
-        dual = convex.conjugate(F, s, tol=tol, grad=F.gradient, hess=F.hessian)
+        dual = F.conjugate(s, tol=tol)
         if abs(dual.value - value) > 1e-7:
             raise NoCrossCheck(value, dual.value)
     return float(value)
@@ -261,8 +269,7 @@ def decompose(gs, rho, s):
     HV = markov.hamiltonian(rho, V, g)
     lag = markov.lagrangian(rho, s, g)
     psi_star_at_minus_v = -HV
-    F = _shifted_hamiltonian(rho, V, g)
-    dual = convex.conjugate(F, s, grad=F.gradient, hess=F.hessian)
+    dual = _shifted_hamiltonian(rho, V, g).conjugate(s)
     pairing = float(V @ s)
     residual = lag.value - (dual.value + psi_star_at_minus_v + pairing)
     return {
@@ -427,7 +434,9 @@ def diagnostics(g, sample_count, seed, tol=DIAG_TOL):
         gradient structure exists, exactly when M is symmetric everywhere
       * critical_covector_is_half_entropy_gradient compares V_L against
         (1/2) the zero-sum entropy gradient.
-    Each sample solves for V_L once.  All defects vanish together exactly
+    Each sample solves for V_L once.  extras["conjugate_route"] says which
+    conjugate solver ran: "tree" (the closed form, no Newton solve) when the
+    generator graph read as undirected is a tree, else "newton".  All defects vanish together exactly
     when detailed balance holds; they are always reported numerically, never
     only as booleans.
     """
@@ -491,5 +500,6 @@ def diagnostics(g, sample_count, seed, tol=DIAG_TOL):
         seed=seed,
         sample_count=sample_count,
         worst_cases=worst,
-        extras={"critical_covector_gap_max": float(cc_max)},
+        extras={"critical_covector_gap_max": float(cc_max),
+                "conjugate_route": "newton" if g.tree is None else "tree"},
     )

@@ -267,6 +267,26 @@ def test_analyze_absorbing_chain_is_an_input_error(tmp_path, capsys):
     assert "not strongly connected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N", [51, 201])
+def test_analyze_stiff_ou_chain_is_a_gradient_system(tmp_path, N):
+    from ldgrad import diffusion
+    g = diffusion.discretize_generator(
+        diffusion.make_grid(-4.0, 4.0, N, "quadratic"))
+    gen = tmp_path / "gen.json"
+    markov.save_generator(g, gen)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--generator", str(gen), "--samples", "20",
+                     "--seed", "0", "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "diagnostics.json").read_text())
+    assert report["verdict"] == "gradient system (detailed balance)"
+    assert report["extras"]["conjugate_route"] == "tree"
+    assert report["decomposition_residual_max"] <= 1e-9
+    # Under detailed balance V_L = (1/2) D E_pi and L(s) - L(-s) = 2 <V_L, s>
+    # hold exactly on the chain, not only in a limit.
+    assert report["time_symmetry_defect_max"] <= 1e-9
+    assert report["extras"]["critical_covector_gap_max"] <= 1e-9
+
+
 def _rerun_outputs(tmp_path, argv):
     """Run `argv` twice into two directories; return both {name: bytes}
     maps without manifest.json, the one file that may differ."""
@@ -342,16 +362,49 @@ print(json.dumps({"codes": codes, "after_import": after_import,
 """
 
 
-def test_cli_commands_load_no_scipy(tmp_path):
+def _fresh_interpreter(script, tmp_path):
+    """Run `script` with argv[1] = tmp_path in a new interpreter that
+    imports this checkout's ldgrad; returns its last output line as JSON."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     env.pop("OUT_DIR", None)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD,
-                           str(tmp_path)], capture_output=True, text=True,
-                          env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    result = _fresh_interpreter(_IMPORT_GUARD, tmp_path)
     assert result == {"codes": [cli.EXIT_OK] * 4, "after_import": [],
                       "after_commands": []}
+
+
+_POLYNOMIAL_GUARD = r"""
+import json, os, sys
+from ldgrad import chains, cli, markov
+d = sys.argv[1]
+gen = os.path.join(d, "gen.json")
+markov.save_generator(chains.two_state_symmetric(), gen)
+dif = os.path.join(d, "dif.json")
+with open(dif, "w") as fh:
+    json.dump({"a": -2.0, "b": 2.0, "N": 11, "potential": "quadratic",
+               "decomposition_samples": 2}, fh)
+runs = [["analyze", "--generator", gen, "--samples", "1"],
+        ["evolve", "--generator", gen, "--rho0", "0.7,0.3", "--T", "0.1",
+         "--dt", "0.01", "--structure", "linear,ldp"],
+        ["diffusion", "--config", dif, "--T", "0.1", "--dt", "0.01"]]
+codes = [cli.main(argv + ["--out", os.path.join(d, argv[0])])
+         for argv in runs]
+print(json.dumps({"codes": codes,
+                  "loaded": "numpy.polynomial" in sys.modules}))
+"""
+
+
+def test_commands_without_quadrature_skip_the_legendre_rule(tmp_path):
+    # The 16-node rule of path_pairing_functional is built on first use.
+    result = _fresh_interpreter(_POLYNOMIAL_GUARD, tmp_path)
+    assert result == {"codes": [cli.EXIT_OK] * 3, "loaded": False}

@@ -318,3 +318,137 @@ def test_irreducibility_matches_strong_components_oracle():
         assert markov._strongly_connected(adj) == (n_comp == 1)
         verdicts.append(n_comp == 1)
     assert 0.2 < np.mean(verdicts) < 0.8  # reducible graphs included
+
+
+# Exact conjugate on tree generators.
+
+def _random_tree_generator(rng, J, one_way_prob):
+    """Random labelled tree on J states: each tree edge carries both
+    directions, or with probability one_way_prob a single one."""
+    label = rng.permutation(J)
+    Q = np.zeros((J, J))
+    for v in range(1, J):
+        p, c = label[int(rng.integers(0, v))], label[v]
+        r = rng.uniform(0.2, 3.0, 2)
+        if rng.random() < one_way_prob:
+            r[int(rng.integers(0, 2))] = 0.0
+        Q[p, c], Q[c, p] = r
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return markov.validate_generator(Q)
+
+
+def _ou_generator(N):
+    from ldgrad import diffusion
+    return diffusion.discretize_generator(
+        diffusion.make_grid(-4.0, 4.0, N, "quadratic"))
+
+
+def _newton(H, s, tol=convex.DEFAULT_TOL):
+    return convex.conjugate(H, s, tol=tol, grad=H.gradient, hess=H.hessian)
+
+
+def test_tree_route_is_decided_by_the_graph(two_state, cyclic):
+    assert two_state.tree is not None
+    assert _ou_generator(21).tree is not None
+    assert cyclic.tree is None
+    assert chains.random_reversible(6, 3).tree is None
+    # Three edges on four states, with a cycle and an isolated state.
+    g = markov.validate_generator([[-2, 1, 1, 0], [1, -2, 1, 0],
+                                   [1, 1, -2, 0], [0, 0, 0, 0]])
+    assert g.tree is None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tree_conjugate_matches_newton_on_random_trees(seed):
+    rng = np.random.default_rng([77, seed])
+    for J in (2, 3, 7, 20, 50):
+        g = _random_tree_generator(rng, J, one_way_prob=0.3 * (seed % 2))
+        assert g.tree is not None
+        rho = random_interior(rng, J)
+        H = markov.hamiltonian_functional(rho, g)
+        # s is the slope at a known maximiser, so every one-way edge
+        # carries a flux of its own sign.
+        xi = random_zero_sum(rng, J)
+        s = H.gradient(xi)
+        res = H.conjugate(s)
+        # Below the default tol, so that Newton's own error stays under
+        # the argmax bound.
+        ref = _newton(H, s, tol=1e-12)
+        assert res.iterations == 0 and res.converged
+        assert abs(res.value - ref.value) <= 1e-12 * abs(ref.value)
+        assert np.abs(res.argmax - ref.argmax).max() <= 1e-9
+        assert np.abs(res.argmax - xi).max() <= 1e-9
+        assert abs(res.argmax.sum()) <= 1e-12
+        assert res.residual_norm <= 1e-12
+
+
+@pytest.mark.parametrize("N", [21, 51])
+def test_tree_conjugate_matches_newton_on_ou_samples(N):
+    from ldgrad.errors import NoConvergence, UnboundedConjugate
+    g = _ou_generator(N)
+    compared = 0
+    for i in range(20):
+        rng = np.random.default_rng([0, i])
+        rho = markov.project_interior(rng.dirichlet(np.ones(N)), 1e-6)
+        s = convex.project_zero_sum(rng.standard_normal(N))
+        H = markov.hamiltonian_functional(rho, g)
+        res = markov.lagrangian(rho, s, g)
+        try:
+            ref = _newton(H, s)
+        except (NoConvergence, UnboundedConjugate):
+            continue  # Newton's box, not the cost: the tree route is finite
+        compared += 1
+        assert abs(res.value - ref.value) <= 1e-12 * abs(ref.value)
+        assert np.abs(res.argmax - ref.argmax).max() <= 1e-9
+    assert compared >= 15
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tree_cost_at_rest_is_the_hellinger_sum(seed):
+    rng = np.random.default_rng([78, seed])
+    for J in (2, 9, 50):
+        g = _random_tree_generator(rng, J, one_way_prob=0.0)
+        rho = random_interior(rng, J)
+        i, k = np.nonzero(np.triu(g.q > 0, k=1))
+        a, b = rho[i] * g.q[i, k], rho[k] * g.q[k, i]
+        want = float(np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))
+        got = markov.lagrangian(rho, np.zeros(J), g).value
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_tree_conjugate_refuses_infinite_costs(two_state):
+    from ldgrad.errors import UnboundedConjugate
+    one_way = markov.validate_generator([[-1.0, 1.0], [0.0, 0.0]])
+    rho = np.array([0.5, 0.5])
+    # Right sign: mass moves along the edge 0 -> 1, z = log(j / a).
+    res = markov.lagrangian(rho, np.array([-0.3, 0.3]), one_way)
+    assert res.argmax[1] - res.argmax[0] == pytest.approx(np.log(0.3 / 0.5))
+    cases = [(one_way, rho, [0.3, -0.3]),   # wrong sign
+             (one_way, rho, [0.0, 0.0]),    # zero flux: sup not attained
+             (two_state, np.array([0.0, 1.0]), [-0.5, 0.5]),  # empty state
+             (_ou_generator(4), np.zeros(4), [0.1, -0.1, 0.2, -0.2])]
+    for g, r, s in cases:
+        with pytest.raises(UnboundedConjugate):
+            markov.lagrangian(r, np.array(s), g)
+    # No weight and no flux: the edge contributes nothing.
+    assert markov.lagrangian(np.zeros(4), np.zeros(4),
+                             _ou_generator(4)).value == 0.0
+
+
+def test_tree_conjugate_guards_the_exponent(two_state):
+    H = markov.EdgeFunctional(*two_state.edges[:2], np.array([1e-310, 1.0]),
+                              2, tree=two_state.tree)
+    with pytest.raises(markov.ExponentOverflow):
+        H.conjugate(np.array([-1.0, 1.0]))
+
+
+def test_tree_solves_make_no_newton_call(monkeypatch):
+    from ldgrad import structure
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Newton called on a tree generator")
+
+    monkeypatch.setattr(convex, "conjugate", refuse)
+    d = structure.diagnostics(_ou_generator(21), sample_count=3, seed=1)
+    assert d.extras["conjugate_route"] == "tree"
+    assert d.decomposition_residual_max <= 1e-12

@@ -219,7 +219,10 @@ def test_diagnostics_json_serializable(cyclic):
     payload = json.loads(d.to_json())
     assert payload["detailed_balance"] is False
     assert set(payload["worst_cases"]["integrability"]) == {"sample", "defect"}
-    assert set(payload["extras"]) == {"critical_covector_gap_max"}
+    assert set(payload["extras"]) == {"critical_covector_gap_max",
+                                      "conjugate_route"}
+    # The 3-cycle is not a tree, so its conjugates go to Newton.
+    assert payload["extras"]["conjugate_route"] == "newton"
 
 
 def test_diagnostics_solves_for_the_covector_once_per_sample(monkeypatch):
