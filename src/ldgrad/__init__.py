@@ -9,4 +9,4 @@ discretization carrying the quadratic transport structure.
 
 __version__ = "0.1.0"
 
-from . import chains, convex, diffusion, errors, evolve, markov, particle, structure  # noqa: F401
+from . import convex, diffusion, errors, evolve, markov, particle, structure  # noqa: F401

@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from . import __version__, chains, diffusion, evolve, markov, particle, structure
+from . import __version__, diffusion, evolve, markov, particle, structure
 from .errors import (InvalidGenerator, InvalidInput, LdgradError,
                      NonFiniteOutput, NotGradientSystem, NotWeaklyReversible,
                      ReducibleChain)
@@ -230,7 +230,7 @@ def cmd_simulate(args):
     g = markov.load_generator(cfg["generator"])
     T = float(cfg["T"])
     dt = float(cfg.get("grid_dt", 0.01))
-    times = np.arange(int(round(T / dt)) + 1) * dt
+    times = evolve.time_grid(T, dt)
     target_cfg = cfg["target"]
     if target_cfg["type"] == "constant":
         rho = markov.as_simplex(target_cfg["rho"])

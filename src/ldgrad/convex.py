@@ -7,6 +7,8 @@ every conjugate here is taken over vectors summing to zero.  The transform
 
 is computed by damped Newton with an Armijo line search over J-1 free
 coordinates (the last coordinate is determined by the zero-sum constraint).
+The caller passes the gradient and Hessian of f in closed form; nothing
+here differentiates numerically.
 An explicit box |xi|_inf <= 50 converts genuinely unbounded problems into a
 clean error; a run that stalls or exhausts its budget inside the box raises
 NoConvergence with its best iterate.
@@ -38,22 +40,6 @@ def project_zero_sum(v):
     return v - v.mean()
 
 
-def finite_diff_gradient(f, x, h):
-    """Central-difference gradient of a scalar function, O(h^2) for C^3 f."""
-    if h <= 0:
-        raise InvalidInput("step h must be positive")
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fp, fm = f(x + e), f(x - e)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise InvalidInput("function not finite at stencil point")
-        g[i] = (fp - fm) / (2.0 * h)
-    return g
-
-
 @dataclass
 class ConjugateResult:
     value: float
@@ -61,28 +47,6 @@ class ConjugateResult:
     converged: bool
     iterations: int
     residual_norm: float
-
-
-def _fd_grad_factory(f):
-    def grad(x):
-        h = 1e-6 * (1.0 + np.abs(x).max())
-        return finite_diff_gradient(f, x, h)
-
-    return grad
-
-
-def _fd_hess_factory(grad):
-    def hess(x):
-        h = 1e-6 * (1.0 + np.abs(x).max())
-        n = x.size
-        H = np.empty((n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            H[:, i] = (grad(x + e) - grad(x - e)) / (2.0 * h)
-        return 0.5 * (H + H.T)
-
-    return hess
 
 
 def _reduce_hessian(H):
@@ -164,24 +128,17 @@ def check_slope(s, tol):
     return s
 
 
-def conjugate(f, s, x0=None, tol=DEFAULT_TOL, grad=None, hess=None,
-              max_iter=MAX_ITER):
+def conjugate(f, s, grad, hess, x0=None, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """Legendre transform sup_xi <xi,s> - f(xi) over zero-sum xi.
 
-    f must be convex and finite on the zero-sum subspace; grad/hess are
-    optional closed forms (finite differences are used when absent).
+    f must be convex and finite on the zero-sum subspace; grad and hess are
+    its gradient and Hessian in closed form.
     Raises UnboundedConjugate when the objective is still ascending at the
     box boundary and NoConvergence (with the best iterate attached) when
     Newton stalls or exhausts its iteration budget inside the box.
     """
     s = check_slope(s, tol)
-    J = s.size
-    if grad is None:
-        grad = _fd_grad_factory(f)
-    if hess is None:
-        hess = _fd_hess_factory(grad)
-
-    m = J - 1
+    m = s.size - 1
     if x0 is None:
         u0 = np.zeros(m)
     else:

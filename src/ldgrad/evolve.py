@@ -1,7 +1,9 @@
 """Time integration of the linear evolution and of gradient flows.
 
-Fixed-step classical Runge-Kutta (4th order) is used throughout: trajectories
-are deterministic and reproducible, which golden-file tests rely on.  Mass is
+Flows are integrated by fixed-step classical Runge-Kutta (4th order):
+trajectories are deterministic and reproducible, which golden-file tests
+rely on.  `exact_linear_solution`, the reference for the linear flow, sums
+e^{t Q^T} rho0 by uniformization instead, in numpy alone.  Mass is
 renormalized every step (the drift per step must stay below 1e-12) and a
 trajectory that leaves the simplex by more than 1e-6 aborts rather than being
 clamped.
@@ -14,6 +16,7 @@ of states.  Both give the same bits as the one-call-per-state route.
 This module writes no files; `cli.write_trajectory` exports a trajectory.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +29,9 @@ from .errors import (BoundaryPoint, DegenerateInvariantMeasure, GridMismatch,
 MASS_DRIFT_TOL = 1e-12
 SIMPLEX_SLACK = 1e-6
 BOUNDARY_FLOOR = 1e-10
+# Poisson terms of the uniformization sum: at x < 1 the first term left out
+# is below 1/19! < 1e-17.
+UNIFORM_TERMS = 19
 
 
 @dataclass
@@ -36,7 +42,9 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
 
-def _grid(T, dt):
+def time_grid(T, dt):
+    """The uniform grid 0, dt, ..., T; InvalidInput unless 0 < dt <= T and
+    T is an integer multiple of dt (to 1e-9 max(1, T))."""
     if T <= 0 or dt <= 0 or dt > T:
         raise InvalidInput("need 0 < dt <= T")
     n = int(round(T / dt))
@@ -81,7 +89,7 @@ def _march(field, rho0, times, entropy=None, floor=None):
 def integrate_linear(rho0, g, T, dt, with_entropy=True):
     """Integrate rho' = Q^T rho with fixed-step RK4."""
     rho0 = markov.as_simplex(rho0)
-    times = _grid(T, dt)
+    times = time_grid(T, dt)
     QT = g.q.T
     entropy = None
     meta = {"method": "rk4-linear", "dt": dt}
@@ -97,21 +105,37 @@ def integrate_linear(rho0, g, T, dt, with_entropy=True):
 
 
 def exact_linear_solution(rho0, g, times):
-    """Reference solution by eigendecomposition of Q^T (expm fallback when
-    the eigenbasis is ill-conditioned)."""
+    """Reference solution rho_t = e^{t Q^T} rho0 by uniformization.
+
+    With Lambda = g.max_exit_rate, P = I + Q^T / Lambda is a nonnegative
+    matrix and e^{t Q^T} = sum_m e^{-x} x^m / m! P^m with x = Lambda t.  Each
+    time is scaled by 2^-s so that x / 2^s < 1, summed to UNIFORM_TERMS
+    terms (the tail is below 1e-17) and squared s times.  At t >= 0 every
+    term and product is nonnegative, so nothing cancels, whatever the
+    eigenbasis of Q^T: defective generators take the same route.
+    """
     rho0 = markov.as_simplex(rho0)
     times = np.asarray(times, dtype=float)
-    QT = g.q.T
-    w, V = np.linalg.eig(QT)
-    if np.linalg.cond(V) < 1e10:
-        coef = np.linalg.solve(V, rho0.astype(complex))
-        states = np.real((V[None, :, :] * np.exp(np.outer(times, w))[:, None, :])
-                         @ coef)
-    else:
-        from scipy.linalg import expm
-        states = np.stack([expm(QT * t) @ rho0 for t in times])
+    # Any Lambda at or above the exit rates works; the zero generator has
+    # none, and every P is the identity there.
+    lam = g.max_exit_rate or 1.0
+    P = np.eye(g.size) + g.q.T / lam
+    powers = np.empty((UNIFORM_TERMS, g.size, g.size))
+    powers[0] = np.eye(g.size)
+    for m in range(1, UNIFORM_TERMS):
+        powers[m] = powers[m - 1] @ P
+    states = np.empty((times.size, g.size))
+    for k, t in enumerate(times):
+        s = max(0, math.frexp(lam * t)[1])
+        x = math.ldexp(lam * t, -s)
+        coef = np.cumprod(np.concatenate([[math.exp(-x)],
+                                          x / np.arange(1, UNIFORM_TERMS)]))
+        E = np.tensordot(coef, powers, 1)
+        for _ in range(s):
+            E = E @ E
+        states[k] = E @ rho0
     return Trajectory(times=times, states=states,
-                      meta={"method": "eigendecomposition", "dt": None})
+                      meta={"method": "uniformization", "dt": None})
 
 
 def integrate_gradient_flow(rho0, gs, T, dt):
@@ -127,7 +151,7 @@ def integrate_gradient_flow(rho0, gs, T, dt):
             "chain fails detailed balance; only the covector reading exists")
     if not markov.is_interior(rho0, BOUNDARY_FLOOR):
         raise BoundaryPoint("initial state must be interior")
-    times = _grid(T, dt)
+    times = time_grid(T, dt)
     # The stage floor implies flow_field's interior guard, and detailed
     # balance is checked above, so the stages call the field directly.
     dual, scale = gs.dual, gs.entropy_scale

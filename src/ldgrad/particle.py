@@ -157,9 +157,6 @@ class ParticlePath:
             state[k] = j
         return True
 
-    def jumps_per_particle(self):
-        return np.bincount(self.jump_particles, minlength=self.n)
-
 
 def _tilted_rates(off, xi, states):
     """Row r: the tilted rates off_ij e^{xi_r(j) - xi_r(i)} out of i =
@@ -488,45 +485,21 @@ def path_pairing_functional(path, tilt, g):
     return pairing - h_int
 
 
-def mollify_path(states, window=5):
-    """Centered moving average down the time axis (shrinking windows at the
-    ends), then renormalized; empirical paths are piecewise constant and the
-    cost functional needs an absolutely continuous representative."""
-    if window < 1 or window % 2 == 0:
-        raise InvalidInput("window must be a positive odd integer")
-    states = np.asarray(states, dtype=float)
-    if window == 1:
-        return states.copy()
-    half = window // 2
-    out = np.empty_like(states)
-    T = states.shape[0]
-    for t in range(T):
-        lo = max(0, t - half)
-        hi = min(T, t + half + 1)
-        out[t] = states[lo:hi].mean(axis=0)
-    return out / out.sum(axis=1, keepdims=True)
-
-
-def path_rate_functional(times, states, g, tol=convex.DEFAULT_TOL,
-                         mollify_window=None, interior_floor=1e-9):
+def path_rate_functional(times, states, g, tol=convex.DEFAULT_TOL):
     """I_T = int L(rho_t, rho'_t) dt on a uniform grid.
 
     rho' by central differences (one-sided at the ends), L by
     `markov.lagrangian` (exact on a tree generator, else Newton conjugation
-    with warm starts), trapezoid in time.  Returns the value with
-    a per-time breakdown and the per-time maximizers ("knots"), which are the
-    optimal tilt at the grid times (see `optimal_tilt`).  Empirical inputs
-    should be mollified (window reported alongside results).
+    with warm starts), trapezoid in time.  Returns the value with a per-time
+    breakdown and the per-time maximizers ("knots"): at each grid time the
+    xi with D_xi H(rho_t, xi) = rho'_t, so the knots are the tilt that makes
+    the path typical (`_tilt_from_knots` interpolates them).
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     dt = times[1] - times[0]
     if np.abs(np.diff(times) - dt).max() > 1e-9 * max(dt, 1.0):
         raise InvalidInput("time grid must be uniform")
-    if mollify_window is not None:
-        states = mollify_path(states, mollify_window)
-        states = np.stack([markov.project_interior(r, interior_floor)
-                           for r in states])
     M = times.size
     sdot = np.empty_like(states)
     sdot[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
@@ -549,40 +522,13 @@ def path_rate_functional(times, states, g, tol=convex.DEFAULT_TOL,
     weights[0] = weights[-1] = 0.5 * dt
     value = float(weights @ per_time)
     return {"value": value, "per_time": per_time, "times": times,
-            "knots": knots, "mollify_window": mollify_window}
-
-
-def tightness_stats(path, g, M=None):
-    """Per-particle jump statistics and the Chernoff envelope
-    exp(-n M / 2) * exp(n gamma T (e - 1)) at a configurable M."""
-    counts = path.jumps_per_particle()
-    gamma = g.max_exit_rate
-    T = path.horizon
-    if M is None:
-        M = 2.0 * gamma * T * (math.e - 1.0) + 1.0
-    exponent = path.n * (gamma * T * (math.e - 1.0) - M / 2.0)
-    return {
-        "mean_jumps": float(counts.mean()),
-        "max_jumps": int(counts.max()),
-        "gamma": gamma,
-        "M": float(M),
-        "chernoff_exponent": float(exponent),
-        "chernoff_bound_rhs": float(math.exp(min(exponent, 700.0))),
-    }
+            "knots": knots}
 
 
 def _tilt_from_knots(times, knots):
     if np.abs(knots - knots[0]).max() < 1e-12:
         return TiltField.constant(knots[0], float(times[-1]))
     return TiltField.piecewise_linear(times, knots)
-
-
-def optimal_tilt(times, states, g, tol=convex.DEFAULT_TOL):
-    """Tilt that makes the target path typical: at each node, the maximizer
-    of <xi, rho'> - H(rho, xi), i.e. the stationarity condition
-    D_xi H(rho, xi) = rho'.  These are the knots of `path_rate_functional`."""
-    rate = path_rate_functional(times, states, g, tol=tol)
-    return _tilt_from_knots(rate["times"], rate["knots"])
 
 
 def _logsumexp(a):

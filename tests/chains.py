@@ -1,8 +1,8 @@
-"""Seeded generator factories used by diagnostics, demos, and tests."""
+"""Seeded generator factories for the tests."""
 
 import numpy as np
 
-from .markov import validate_generator
+from ldgrad.markov import validate_generator
 
 
 def two_state_symmetric(rate=1.0):

@@ -2,14 +2,16 @@
 
 The oracles here deliberately avoid the package's Newton machinery: dense
 grid search for conjugates, closed-form root formulas for the two-state
-cost, logarithmic means written from scratch, and a birth-death filtering
-computation of tube probabilities.
+cost, logarithmic means written from scratch, central differences for
+gradients and Hessians, and a birth-death filtering computation of tube
+probabilities.
 """
 
 import numpy as np
 import pytest
 
-from ldgrad import chains
+import chains
+from ldgrad.errors import InvalidInput
 
 
 @pytest.fixture
@@ -78,6 +80,38 @@ def birth_death_tube_logp(n, T, dt, center, radius, rate=1.0):
         v = expm_multiply(QT, v)
         v[~mask] = 0.0
     return float(np.log(v.sum()))
+
+
+def finite_diff_gradient(f, x, h):
+    """Central-difference gradient of a scalar function, O(h^2) for C^3 f."""
+    if h <= 0:
+        raise InvalidInput("step h must be positive")
+    x = np.asarray(x, dtype=float)
+    g = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        fp, fm = f(x + e), f(x - e)
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise InvalidInput("function not finite at stencil point")
+        g[i] = (fp - fm) / (2.0 * h)
+    return g
+
+
+def finite_diff_hessian(grad):
+    """x -> the symmetrized central-difference Jacobian of `grad` at x, with
+    the step 1e-6 (1 + |x|_inf)."""
+    def hess(x):
+        h = 1e-6 * (1.0 + np.abs(x).max())
+        n = x.size
+        H = np.empty((n, n))
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            H[:, i] = (grad(x + e) - grad(x - e)) / (2.0 * h)
+        return 0.5 * (H + H.T)
+
+    return hess
 
 
 def random_interior(rng, J, floor=1e-6):

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from ldgrad import chains, cli, markov, structure
+import chains
+from ldgrad import cli, markov, structure
 from ldgrad.errors import LdgradError, NonFiniteOutput
 
 
@@ -54,11 +56,12 @@ def test_simulate_ignores_a_legacy_workers_key(tmp_path):
     assert np.isfinite(report[0]["rate_functional"])
 
 
-def _simulate_config(tmp_path, Q, target):
+def _simulate_config(tmp_path, Q, target, **overrides):
     gen = tmp_path / "gen.json"
     markov.save_generator(markov.validate_generator(Q), gen)
     cfg = {"generator": str(gen), "T": 1.0, "grid_dt": 0.1, "target": target,
            "tube_radius": 0.1, "n_list": [100], "replicas": 2, "seed": 0}
+    cfg.update(overrides)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
@@ -84,13 +87,20 @@ def test_simulate_unknown_target_is_an_input_error(tmp_path, capsys):
 def test_simulate_rejects_too_few_replicas_or_particles(tmp_path, capsys,
                                                         key, value):
     argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]],
-                            {"type": "constant", "rho": [0.6, 0.4]})
-    cfg_path = argv[2]
-    with open(cfg_path) as fh:
-        cfg = json.load(fh)
-    cfg[key] = value
-    with open(cfg_path, "w") as fh:
-        json.dump(cfg, fh)
+                            {"type": "constant", "rho": [0.6, 0.4]},
+                            **{key: value})
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ldp_report.json").exists()
+
+
+@pytest.mark.parametrize("T,grid_dt", [(1.0, 0.0), (1.0, 2.0), (-1.0, 0.01),
+                                       (1.0, 0.03)])
+def test_simulate_rejects_a_bad_time_grid(tmp_path, capsys, T, grid_dt):
+    # 0.03 does not divide 1.0: the grid would stop at 0.99.
+    argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]],
+                            {"type": "linear_solution", "rho0": [0.9, 0.1]},
+                            T=T, grid_dt=grid_dt)
     assert cli.main(argv) == cli.EXIT_INPUT
     assert "input error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "ldp_report.json").exists()
@@ -335,11 +345,12 @@ import json, os, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-from ldgrad import chains, cli, markov
+from ldgrad import cli
 after_import = scipy_modules()
 d = sys.argv[1]
 gen = os.path.join(d, "gen.json")
-markov.save_generator(chains.two_state_symmetric(), gen)
+with open(gen, "w") as fh:
+    json.dump({"Q": [[-1.0, 1.0], [1.0, -1.0]]}, fh)
 sim = os.path.join(d, "sim.json")
 with open(sim, "w") as fh:
     json.dump({"generator": gen, "T": 0.5, "grid_dt": 0.05,
@@ -383,12 +394,75 @@ def test_cli_commands_load_no_scipy(tmp_path):
                       "after_commands": []}
 
 
-_POLYNOMIAL_GUARD = r"""
+# The one-way chain 1 -> 2 -> 3 is defective: Q^T has no eigenbasis.
+_SCIPY_BLOCKED = r"""
 import json, os, sys
-from ldgrad import chains, cli, markov
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+import numpy as np
+from ldgrad import cli, evolve, markov
+Q = [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]
+t = np.linspace(0.0, 10.0, 101)
+states = evolve.exact_linear_solution(
+    [1.0, 0.0, 0.0], markov.validate_generator(Q), t).states
+erlang = np.stack([np.exp(-t), t * np.exp(-t), 1.0 - (1.0 + t) * np.exp(-t)],
+                  axis=1)
 d = sys.argv[1]
 gen = os.path.join(d, "gen.json")
-markov.save_generator(chains.two_state_symmetric(), gen)
+with open(gen, "w") as fh:
+    json.dump({"Q": Q}, fh)
+sim = os.path.join(d, "sim.json")
+with open(sim, "w") as fh:
+    json.dump({"generator": gen, "T": 0.5, "grid_dt": 0.05,
+               "target": {"type": "linear_solution", "rho0": [0.5, 0.3, 0.2]},
+               "tube_radius": 0.1, "n_list": [10], "replicas": 3,
+               "seed": 1}, fh)
+code = cli.main(["simulate", "--config", sim, "--out", os.path.join(d, "sim")])
+print(json.dumps({"erlang_gap": float(np.abs(states - erlang).max()),
+                  "code": code}))
+"""
+
+
+def test_defective_generator_needs_no_scipy(tmp_path):
+    result = _fresh_interpreter(_SCIPY_BLOCKED, tmp_path)
+    assert result["code"] == cli.EXIT_OK
+    assert result["erlang_gap"] <= 1e-13
+
+
+def test_package_source_imports_no_scipy():
+    # A lazy import in a cold branch escapes the fresh-interpreter guards.
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module]
+            else:
+                continue
+            found += ["%s:%d" % (name, node.lineno) for m in mods
+                      if m.split(".")[0] == "scipy"]
+    assert found == []
+
+
+_POLYNOMIAL_GUARD = r"""
+import json, os, sys
+from ldgrad import cli
+d = sys.argv[1]
+gen = os.path.join(d, "gen.json")
+with open(gen, "w") as fh:
+    json.dump({"Q": [[-1.0, 1.0], [1.0, -1.0]]}, fh)
 dif = os.path.join(d, "dif.json")
 with open(dif, "w") as fh:
     json.dump({"a": -2.0, "b": 2.0, "N": 11, "potential": "quadratic",

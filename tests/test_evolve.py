@@ -4,8 +4,9 @@ import io
 import numpy as np
 import pytest
 
+import chains
 from conftest import random_interior
-from ldgrad import chains, cli, evolve, markov, structure
+from ldgrad import cli, evolve, markov, structure
 from ldgrad.errors import (BoundaryPoint, GridMismatch, NonFiniteOutput,
                            NotGradientSystem, StepSizeTooLarge)
 from ldgrad.structure import Family
@@ -110,7 +111,7 @@ def test_entropy_dissipation_identity(two_state):
 
 
 def test_fourth_order_convergence(two_state):
-    # Error against the eigendecomposition reference drops ~16x per halving.
+    # Error against the exact reference drops ~16x per halving.
     rho0 = np.array([0.95, 0.05])
     errs = []
     for dt in (4e-3, 2e-3):
@@ -118,6 +119,22 @@ def test_fourth_order_convergence(two_state):
         ref = evolve.exact_linear_solution(rho0, two_state, traj.times)
         errs.append(np.abs(traj.states - ref.states).max())
     assert errs[0] / errs[1] >= 8.0
+
+
+@pytest.mark.parametrize("make", [lambda: chains.random_reversible(10, 4),
+                                  lambda: chains.random_irreducible(6, 7),
+                                  chains.two_state_symmetric],
+                         ids=["reversible10", "irreducible6", "two_state"])
+def test_exact_linear_solution_matches_expm(make):
+    from scipy.linalg import expm
+
+    g = make()
+    rho0 = np.random.default_rng(g.size).dirichlet(np.ones(g.size))
+    times = np.linspace(0.0, 8.0, 41)
+    traj = evolve.exact_linear_solution(rho0, g, times)
+    ref = np.stack([expm(g.q.T * t) @ rho0 for t in times])
+    assert traj.meta["method"] == "uniformization"
+    assert np.abs(traj.states - ref).max() <= 1e-13
 
 
 def test_compare_trajectories_contract(two_state):

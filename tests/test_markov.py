@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (cosh_conjugate, grid_search_conjugate_2state,
-                      random_interior, random_zero_sum,
-                      two_state_cost_closed_form)
-from ldgrad import chains, convex, markov
+import chains
+from conftest import (cosh_conjugate, finite_diff_gradient,
+                      grid_search_conjugate_2state, random_interior,
+                      random_zero_sum, two_state_cost_closed_form)
+from ldgrad import convex, markov
 from ldgrad.errors import (BoundaryPoint, DegenerateInvariantMeasure,
                            InfiniteEntropy, InvalidGenerator, InvalidInput,
                            ReducibleChain)
@@ -213,7 +214,7 @@ def test_hamiltonian_gradient_matches_finite_differences():
             rho = random_interior(rng, 4)
             xi = random_zero_sum(rng, 4)
             grad = markov.hamiltonian_gradient(rho, xi, g)
-            fd = convex.finite_diff_gradient(
+            fd = finite_diff_gradient(
                 lambda z: markov.hamiltonian(rho, z, g), xi, 1e-6)
             assert np.abs(grad - fd).max() <= 1e-6
             assert abs(grad.sum()) <= 1e-12

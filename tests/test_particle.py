@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import chains
 from conftest import birth_death_tube_logp
-from ldgrad import chains, evolve, markov, particle, structure
+from ldgrad import evolve, markov, particle, structure
 from ldgrad.errors import (InvalidInput, ThinningBoundExceeded, TiltTooStrong,
                           UnboundedConjugate)
 
@@ -77,7 +78,7 @@ def test_mean_jump_count_matches_holding_law(two_state):
     n = 10000
     init = particle.deterministic_assignment(np.array([1.0, 0.0]), n)
     p = particle.simulate(two_state, n, 5.0, init, seed=123)
-    counts = p.jumps_per_particle()
+    counts = np.bincount(p.jump_particles, minlength=n)
     se = math.sqrt(5.0 / n)
     assert abs(counts.mean() - 5.0) <= 3 * se
 
@@ -278,35 +279,6 @@ def test_rate_functional_unbounded_reports_time(two_state):
     assert "t =" in str(err.value)
 
 
-def test_mollify_makes_empirical_paths_integrable(two_state):
-    init = particle.deterministic_assignment(np.array([0.8, 0.2]), 200)
-    p = particle.simulate(two_state, 200, 1.0, init, seed=15)
-    times = np.linspace(0, 1.0, 101)
-    emp = particle.empirical_measure_path(p, times, J=2)
-    out = particle.path_rate_functional(times, emp, two_state,
-                                        mollify_window=5)
-    assert np.isfinite(out["value"])
-    assert out["mollify_window"] == 5
-
-
-def test_tightness_stats(two_state):
-    init = particle.deterministic_assignment(np.array([1.0, 0.0]), 1000)
-    p = particle.simulate(two_state, 1000, 5.0, init, seed=99)
-    st = particle.tightness_stats(p, two_state)
-    assert abs(st["mean_jumps"] - 5.0) <= 3 * math.sqrt(5.0 / 1000)
-    assert st["max_jumps"] >= st["mean_jumps"]
-    assert st["gamma"] == 1.0
-    # bound is at most 1 whenever M > 2 gamma T (e - 1)
-    for M in (2 * 5.0 * (math.e - 1) + 0.1, 30.0, 50.0):
-        st2 = particle.tightness_stats(p, two_state, M=M)
-        assert st2["chernoff_bound_rhs"] <= 1.0
-    empty = particle.ParticlePath(
-        n=2, horizon=1.0, initial_states=np.array([0, 1]),
-        jump_times=np.array([]), jump_particles=np.array([], dtype=int),
-        jump_from=np.array([], dtype=int), jump_to=np.array([], dtype=int))
-    assert particle.tightness_stats(empty, two_state)["mean_jumps"] == 0.0
-
-
 def test_tilt_then_reweight_unbiased(two_state):
     # E_tilted[e^{-G} 1_A] must equal the plain probability of A (n = 1).
     # A = {no jumps in [0, T], start in state 1}: P(A) = e^{-T}.  Particle r
@@ -425,7 +397,8 @@ def test_optimal_tilt_constant_target(two_state):
     times = np.linspace(0, 1.0, 101)
     rho = np.array([0.7, 0.3])
     states = np.tile(rho, (times.size, 1))
-    tilt = particle.optimal_tilt(times, states, two_state)
+    rate = particle.path_rate_functional(times, states, two_state)
+    tilt = particle._tilt_from_knots(times, rate["knots"])
     V = structure.critical_covector(rho, two_state)
     assert np.abs(tilt.value_at(0.5) - V).max() <= 1e-9
     assert tilt.smoothness == "constant"
@@ -448,7 +421,7 @@ def test_rate_functional_knots_are_the_optimal_tilt(two_state):
     states = evolve.exact_linear_solution(np.array([0.9, 0.1]), two_state,
                                           times).states
     rate = particle.path_rate_functional(times, states, two_state)
-    tilt = particle.optimal_tilt(times, states, two_state)
+    tilt = particle._tilt_from_knots(times, rate["knots"])
     assert rate["knots"].shape == states.shape
     assert np.array_equal(tilt.knot_values, rate["knots"])
     # Each knot is the stationary point D_xi H(rho_t, xi) = rho'_t of the

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (cosh_conjugate, grid_search_conjugate_2state, log_mean,
-                      random_interior, random_zero_sum)
-from ldgrad import chains, convex, markov, structure
+import chains
+from conftest import (cosh_conjugate, finite_diff_gradient,
+                      grid_search_conjugate_2state, log_mean, random_interior,
+                      random_zero_sum)
+from ldgrad import convex, markov, structure
 from ldgrad.errors import (BoundaryPoint, ExponentOverflow,
                            NotGradientSystem, NotWeaklyReversible)
 from ldgrad.structure import Family
@@ -362,7 +364,7 @@ def test_flow_field_matches_finite_difference_of_psi_star():
     rng = np.random.default_rng(33)
     rho = random_interior(rng, 4)
     _, DS = gs.entropy_gradient(rho)
-    fd = convex.finite_diff_gradient(
+    fd = finite_diff_gradient(
         lambda xi: structure.psi_star(gs, rho, xi), -DS, 1e-6)
     assert np.abs(structure.flow_field(gs, rho) - fd).max() <= 1e-6
 
@@ -542,10 +544,10 @@ def test_edge_functional_matches_dense_and_finite_differences(name, seed):
     for _ in range(3):
         xi = random_zero_sum(rng, 5)
         assert abs(F(xi) - dense(xi)) <= 1e-12 * max(1.0, abs(dense(xi)))
-        fd = convex.finite_diff_gradient(F, xi, 1e-5)
+        fd = finite_diff_gradient(F, xi, 1e-5)
         assert np.abs(F.gradient(xi) - fd).max() <= 1e-7
         H = F.hessian(xi)
         assert np.array_equal(H, H.T)
-        fd_h = np.stack([convex.finite_diff_gradient(
+        fd_h = np.stack([finite_diff_gradient(
             lambda x: F.gradient(x)[i], xi, 1e-5) for i in range(5)])
         assert np.abs(H - fd_h).max() <= 1e-7
