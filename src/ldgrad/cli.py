@@ -313,8 +313,8 @@ def cmd_diffusion(args):
     with open(args.config) as fh:
         cfg = json.load(fh)
     g = diffusion.grid_from_config(cfg)
-    gen = diffusion.discretize_generator(g)
-    seed = int(cfg.get("seed", args.seed))
+    seed = diffusion.config_number(cfg, "seed", args.seed, 0)
+    samples = diffusion.config_number(cfg, "decomposition_samples", 20, 1)
     rho0_cfg = cfg.get("rho0", {"type": "gaussian", "mean": 1.0, "var": 0.8})
     if rho0_cfg["type"] == "gaussian":
         rho0 = diffusion.gaussian_initial_masses(g, rho0_cfg["mean"],
@@ -323,7 +323,7 @@ def cmd_diffusion(args):
         rho0 = g.invariant_masses()
     else:
         raise InvalidInput("unknown rho0 type %r" % rho0_cfg["type"])
-    traj = evolve.integrate_linear(rho0, gen, args.T, args.dt,
+    traj = evolve.integrate_linear(rho0, g.chain, args.T, args.dt,
                                    with_entropy=False)
     pi = g.invariant_masses()
     entropy = markov.relative_entropy(traj.states, pi)
@@ -331,7 +331,7 @@ def cmd_diffusion(args):
     # Exact quadratic-form split, checked on seeded random tangents.
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(int(cfg.get("decomposition_samples", 20))):
+    for _ in range(samples):
         rho = 0.5 * rng.dirichlet(np.ones(g.N)) + 0.5 / g.N
         s = rng.standard_normal(g.N)
         s = 0.01 * (s - s.mean())

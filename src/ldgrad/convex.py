@@ -13,10 +13,9 @@ An explicit box |xi|_inf <= 50 converts genuinely unbounded problems into a
 clean error; a run that stalls or exhausts its budget inside the box raises
 NoConvergence with its best iterate.
 
-The box belongs to this Newton route only.  Edge functionals of the Markov
-Hamiltonian whose graph is a tree take the closed form in
-`markov.EdgeTree`, which has no box: a finite cost is returned whatever
-the size of its maximiser.
+The box belongs to this Newton route only.  Edge functionals on a tree,
+whatever their phi, take the closed form in `markov.EdgeTree`, which has
+no box; in the package, only graphs that are not trees come here.
 """
 
 from dataclasses import dataclass
@@ -94,9 +93,13 @@ def _newton(f, grad, hess, s, u0, tol, max_iter):
                 continue
         phi0 = f(xi) - xi @ s
         slope = g_red @ d
-        alpha = 1.0
+        # First trial: the longest step (at most 1) that stays in the box.
+        dx = _full(d)
+        k = dx != 0
+        alpha0 = alpha = min(1.0, float(np.min(
+            (BOX - np.sign(dx[k]) * xi[k]) / np.abs(dx[k]))))
         accepted = False
-        while alpha > 1e-14:
+        while alpha > 1e-14 * alpha0:
             u_try = u + alpha * d
             xi_try = _full(u_try)
             if np.abs(xi_try).max() > BOX:

@@ -19,10 +19,14 @@ defines the discrete Sobolev pair: Psi*(rho, xi) = xi . A(rho) xi,
 Psi(rho, s) = (1/4) ||s||^2 in the dual norm, S(rho) = (1/2) E_pi(rho), and
 the cost (1/4) ||s - flux||^2 with flux = -2 A(rho) DS splits exactly
 (a quadratic-form identity) into Psi + Psi*(-DS) + <DS, s>.
+(1/2) xi . A(rho) xi is an edge sum over the grid chain with phi = z^2/2
+(`stiffness_functional`, a `markov.EdgeFunctional`); the chain is a path,
+so the dual norm is that functional's closed-form tree conjugate.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +46,11 @@ class Grid1D:
     potential: np.ndarray
     force: np.ndarray
     weights: np.ndarray  # trapezoid nodal masses, for density conversions
+
+    @cached_property
+    def chain(self):
+        """The grid's generator (`discretize_generator`), built once."""
+        return discretize_generator(self)
 
     def invariant_masses(self):
         """Chain invariant measure pi_i ~ e^{-P(x_i)}, normalized."""
@@ -88,8 +97,24 @@ def make_grid(a, b, N, potential="zero"):
                   potential=P, force=F, weights=w)
 
 
+def config_number(cfg, key, default=None, low=-math.inf, integer=True):
+    """cfg[key] (default when absent) if it is a finite int, or float unless
+    `integer`, and >= low; InvalidInput otherwise (bools included)."""
+    v = cfg.get(key, default)
+    kind = int if integer else (int, float)
+    if isinstance(v, bool) or not (isinstance(v, kind) and low <= v
+                                   and abs(v) < math.inf):
+        raise InvalidInput("config %r must be a finite %s >= %g, got %r" % (
+            key, "integer" if integer else "number", low, v))
+    return v
+
+
 def grid_from_config(cfg):
-    return make_grid(cfg["a"], cfg["b"], cfg["N"], cfg.get("potential", "zero"))
+    """The grid of a diffusion config: N an int >= 3, a and b finite reals."""
+    return make_grid(config_number(cfg, "a", integer=False),
+                     config_number(cfg, "b", integer=False),
+                     config_number(cfg, "N", low=3),
+                     cfg.get("potential", "zero"))
 
 
 def gaussian_tail_mass(g):
@@ -115,104 +140,39 @@ def discretize_generator(g):
     return markov.validate_generator(Q)
 
 
-def _edge_weights(rho):
+def stiffness_functional(rho, g):
+    """F(xi) = (1/2) xi . A(rho) xi as a `markov.EdgeFunctional` on the
+    edges of the grid chain (both directions of each neighbour pair), with
+    weights (rho_i + rho_j) / (4 h^2), phi = z^2/2 and the chain's tree.
+    A vanishing m_{i+1/2} raises DegenerateWeight."""
     rho = np.asarray(rho, dtype=float)
-    m = 0.5 * (rho[:-1] + rho[1:])
+    src, dst, _ = g.chain.edges
+    m = rho[src] + rho[dst]
     if np.any(m <= 0.0):
         raise DegenerateWeight("stiffness weights vanish (interior zeros)")
-    return m
+    return markov.EdgeFunctional(src, dst, m / (4.0 * g.h * g.h), g.N,
+                                 markov.QUADRATIC, g.chain.tree)
 
 
 def apply_stiffness(rho, xi, g):
-    """(A(rho) xi)_i; symmetric PSD with kernel = constants."""
-    xi = np.asarray(xi, dtype=float)
-    m = _edge_weights(rho)
-    flux = m * np.diff(xi)  # m_{i+1/2} (xi_{i+1} - xi_i)
-    out = np.empty_like(xi)
-    out[0] = -flux[0]
-    out[-1] = flux[-1]
-    out[1:-1] = flux[:-1] - flux[1:]
-    return out / (g.h * g.h)
-
-
-def _ldl_tridiagonal(diag, off):
-    """Root-free Cholesky factor A = L D L^T of the symmetric tridiagonal A
-    with diagonal `diag` and off-diagonal `off`, L unit lower bidiagonal:
-    returns (d, l), the diagonal of D and the subdiagonal of L.  The
-    operations are those of LAPACK's dpttrf, in its order;
-    scipy.linalg.solveh_banded solves a tridiagonal system with dpttrf and
-    dptts2 (through dptsv), so the two agree bit for bit where LAPACK does
-    not fuse multiply-adds.  A pivot that is not positive (A not
-    numerically positive definite) raises DegenerateWeight.
-    """
-    d = np.asarray(diag, dtype=float).tolist()
-    e = np.asarray(off, dtype=float).tolist()
-    l = [0.0] * len(e)
-    for i in range(len(d)):
-        if not d[i] > 0.0:
-            raise DegenerateWeight("stiffness matrix is not numerically "
-                                   "positive definite (pivot %d)" % i)
-        if i < len(e):
-            l[i] = e[i] / d[i]
-            d[i + 1] -= l[i] * e[i]
-    return d, l
-
-
-def _ldl_solve(factor, b):
-    """Solve L D L^T x = b for the factor of `_ldl_tridiagonal`: forward
-    substitution with L, then back substitution with D L^T, in the order
-    of LAPACK's dptts2."""
-    d, l = factor
-    x = np.asarray(b, dtype=float).tolist()
-    for i in range(1, len(x)):
-        x[i] = x[i] - x[i - 1] * l[i - 1]
-    x[-1] = x[-1] / d[-1]
-    for i in range(len(x) - 2, -1, -1):
-        x[i] = x[i] / d[i] - x[i + 1] * l[i]
-    return np.array(x)
-
-
-def _solve_stiffness(rho, s, g):
-    """Solve A(rho) xi = s on the zero-mean subspace (s must sum to zero).
-
-    The first node is pinned to zero (compatible by the zero-sum condition)
-    and the remaining symmetric positive-definite tridiagonal system is
-    factored once as L D L^T (`_ldl_tridiagonal`, LAPACK's dpttrf
-    operation order) and solved by forward and back substitution, followed
-    by two steps of iterative refinement with the same factor; the result
-    is shifted to zero mean.
-    """
-    s = np.asarray(s, dtype=float)
-    if abs(s.sum()) > 1e-10 * max(1.0, np.abs(s).max()):
-        raise InvalidInput("right-hand side must sum to zero")
-    m = _edge_weights(rho) / (g.h * g.h)
-    # Reduced system on nodes 1..N-1 (node 0 pinned at zero): diagonal
-    # m_{i-1/2} + m_{i+1/2} (m_{N-3/2} alone at the last node), off-diagonal
-    # -m_{i+1/2}.
-    factor = _ldl_tridiagonal(np.append(m[:-1] + m[1:], m[-1]), -m[1:])
-    xi = np.zeros(s.size)
-    xi[1:] = _ldl_solve(factor, s[1:])
-    for _ in range(2):  # iterative refinement sharpens the residual
-        r = s - apply_stiffness(rho, xi, g)
-        xi[1:] += _ldl_solve(factor, r[1:])
-    return xi - xi.mean()
+    """(A(rho) xi)_i = D F(xi); symmetric PSD with kernel = constants."""
+    return stiffness_functional(rho, g).gradient(np.asarray(xi, dtype=float))
 
 
 def h_minus1_norm_sq(rho, s, g):
-    """Dual Sobolev norm ||s||^2 = <xi, s> with A(rho) xi = s; returns
-    (value, potential xi as zero-mean representative)."""
-    xi = _solve_stiffness(rho, s, g)
-    value = float(xi @ np.asarray(s, dtype=float))
-    if value < 0 and value > -1e-13:
-        value = 0.0
-    return value, xi
+    """Dual Sobolev norm ||s||^2 = <xi, s> with A(rho) xi = s, for zero-sum
+    s; returns (value, potential xi as zero-mean representative).  The value
+    is 2 F*(s), on the path a sum of edge terms j^2 / (2c) >= 0 with j the
+    edge flux and c = m_{i+1/2} / h^2: no linear solve."""
+    res = stiffness_functional(rho, g).conjugate(s)
+    return 2.0 * res.value, res.argmax
 
 
-def wasserstein_structure(rho, g, s=None, xi=None):
+def wasserstein_structure(rho, g, s=None):
     """Quadratic structure pieces at rho: entropy (1/2) E_pi, nodal entropy
     gradient, flux -2 A(rho) DS (the discrete drift-diffusion right-hand
-    side: A applied to log rho + P, constants dropped), plus psi at s and
-    psi_star at xi when supplied."""
+    side: A applied to log rho + P, constants dropped), plus psi at s when
+    supplied."""
     rho = np.asarray(rho, dtype=float)
     pi = g.invariant_masses()
     DS = 0.5 * (np.log(rho / pi) + 1.0)
@@ -225,9 +185,6 @@ def wasserstein_structure(rho, g, s=None, xi=None):
         val, pot = h_minus1_norm_sq(rho, s, g)
         out["psi"] = 0.25 * val
         out["psi_potential"] = pot
-    if xi is not None:
-        xi = np.asarray(xi, dtype=float)
-        out["psi_star"] = float(xi @ apply_stiffness(rho, xi, g))
     return out
 
 
@@ -241,13 +198,12 @@ def quadratic_cost(rho, s, g):
 
 def decomposition_residual(rho, s, g):
     """|cost - (psi + psi_star(-DS) + <DS, s>)|; zero in exact arithmetic."""
-    rho = np.asarray(rho, dtype=float)
     s = np.asarray(s, dtype=float)
     ws = wasserstein_structure(rho, g, s=s)
-    psi_star_at = float(ws["DS"] @ apply_stiffness(rho, ws["DS"], g))
-    pairing = float(ws["DS"] @ s)
-    cost = quadratic_cost(rho, s, g)
-    return abs(cost - (ws["psi"] + psi_star_at + pairing))
+    DS, flux = ws["DS"], ws["flux_drift"]
+    cost = 0.25 * h_minus1_norm_sq(rho, s - flux, g)[0]
+    # psi_star(-DS) = DS . A(rho) DS, and flux = -2 A(rho) DS.
+    return abs(cost - (ws["psi"] - 0.5 * float(DS @ flux) + float(DS @ s)))
 
 
 def ou_exact_marginal(g, mu0, var0, t):

@@ -18,9 +18,9 @@ the cost functional whose zero set is the forward equation rho' = Q^T rho.
 H is a sum over the edges of the generator graph, evaluated by the
 `EdgeFunctional` core that the dissipation potentials in `structure` share.
 When that graph, read as undirected, is a tree (the two-state, birth-death
-and discretized-diffusion chains), s fixes the flux on every edge and L is
-a sum of explicit per-edge transforms (`EdgeTree`); other graphs take
-Newton.
+and discretized-diffusion chains), s fixes the flux on every edge and the
+conjugate of any edge sum is a sum of explicit per-edge transforms
+(`EdgeTree`); only graphs that are not trees take Newton.
 """
 
 import json
@@ -251,8 +251,39 @@ def relative_entropy_gradient(rho, pi):
     return raw, convex.project_zero_sum(raw)
 
 
-# (phi, phi', phi'') of the Hamiltonian's edge terms.
-EXPM1 = (np.expm1, np.exp, np.exp)
+def _expm1_argmax(a, b, j):
+    """a e^z - b e^-z = j: z = asinh(j / (2 sqrt(ab))) + log(b/a) / 2 when
+    a, b > 0.  A one-way edge has the finite maximiser log(j/a) (or
+    log(b/-j)) only for a nonzero flux of its sign, an edge without weight
+    only at zero flux (z = 0); any other flux has no finite cost."""
+    z = np.zeros(j.size)
+    two = (a > 0) & (b > 0)
+    ra, rb = np.sqrt(a[two]), np.sqrt(b[two])
+    z[two] = (np.arcsinh(j[two] / (2.0 * ra * rb))
+              + (np.log(rb) - np.log(ra)))
+    fwd = ~two & (j > 0) & (a > 0)
+    bwd = ~two & (j < 0) & (b > 0)
+    z[fwd] = np.log(j[fwd] / a[fwd])
+    z[bwd] = np.log(b[bwd] / -j[bwd])
+    return z, two | fwd | bwd | ((j == 0) & (a == 0) & (b == 0))
+
+
+def _even_argmax(inverse):
+    """For an even phi, (a + b) phi'(z) = j: z = inverse(j / (a + b)), where
+    inverse inverts phi'; a + b = 0 has finite cost only at zero flux."""
+    return lambda a, b, j: (
+        inverse(np.divide(j, a + b, out=np.zeros(j.size), where=a + b > 0)),
+        (a + b > 0) | (j == 0))
+
+
+# (phi, phi', phi'', argmax) of the edge potentials.  argmax(a, b, j) gives
+# per edge the maximiser z of j z - a phi(z) - b phi(-z), and a mask of the
+# edges whose cost is finite.
+EXPM1 = (np.expm1, np.exp, np.exp, _expm1_argmax)
+QUADRATIC = (lambda z: 0.5 * z * z, lambda z: z, np.ones_like,
+             _even_argmax(lambda y: y))
+COSH = (lambda z: np.cosh(z) - 1.0, np.sinh, np.cosh,
+        _even_argmax(np.arcsinh))
 
 
 class EdgeTree:
@@ -269,10 +300,11 @@ class EdgeTree:
     On a tree the slope s fixes the net flux j on every edge: the flux from
     p into v is the mass that s puts on the subtree of v, a difference of
     two prefix sums of s in preorder (on a path graph, one cumsum).  The
-    conjugate of sum_e w_e expm1(xi[dst_e] - xi[src_e]) then splits into one
-    Legendre transform per edge, sup_z j z - a expm1(z) - b expm1(-z) with
+    conjugate of sum_e w_e phi(xi[dst_e] - xi[src_e]) then splits into one
+    Legendre transform per edge, sup_z j z - a phi(z) - b phi(-z) with
     a = w(p -> v) and b = w(v -> p), and the maximiser is the sum of the
-    edge maximisers z along the path from the root.
+    edge maximisers z along the path from the root.  Only that edge
+    maximiser, the 4th entry of the phi tuple, depends on phi.
     """
 
     def __init__(self, order, parent, tout, down, up):
@@ -314,43 +346,30 @@ class EdgeTree:
                        [size[v] for v in order[1:]], dtype=np.intp),
                    down=index[par, child], up=index[child, par])
 
-    def conjugate(self, weights, s):
+    def conjugate(self, weights, s, phi):
         """(value, zero-sum argmax) of sup_xi <xi, s> - sum_e w_e
-        expm1(xi[dst_e] - xi[src_e]) for zero-sum s, in closed form.
+        phi(xi[dst_e] - xi[src_e]) for zero-sum s, in closed form.
 
-        On an edge with a, b > 0, a e^z - b e^-z = j gives
-        z = asinh(j / (2 sqrt(ab))) + log(b/a) / 2.  An edge with one
-        direction has the finite maximiser z = log(j/a) (or log(b/-j)) only
-        for a nonzero flux of that direction's sign; any other flux makes
-        the cost infinite or its sup unattained and raises
-        UnboundedConjugate.  An edge without weight contributes 0 at zero
-        flux.  |z| above EXP_GUARD raises ExponentOverflow.
+        phi[3] gives the edge maximisers; an edge whose cost is infinite or
+        whose sup is not attained raises UnboundedConjugate, and |z| above
+        EXP_GUARD raises ExponentOverflow.
         """
         w = np.append(weights, 0.0)
         a, b = w[self.down], w[self.up]
         # Net flux from parent to child: the mass of s on the child's subtree.
         cum = np.concatenate(([0.0], np.cumsum(s[self.order])))
         j = cum[self.tout] - cum[1:-1]
-        z = np.zeros(j.size)
-        two = (a > 0) & (b > 0)
-        ra, rb = np.sqrt(a[two]), np.sqrt(b[two])
-        z[two] = (np.arcsinh(j[two] / (2.0 * ra * rb))
-                  + (np.log(rb) - np.log(ra)))
-        fwd = ~two & (j > 0) & (a > 0)
-        bwd = ~two & (j < 0) & (b > 0)
-        finite = two | fwd | bwd | ((j == 0) & (a == 0) & (b == 0))
+        z, finite = phi[3](a, b, j)
         if not finite.all():
             k = int(np.flatnonzero(~finite)[0])
             raise UnboundedConjugate(
                 "flux %.6g on tree edge %d -- %d has no finite cost (weights "
                 "%.6g forward, %.6g back)" % (j[k], self.parent[k],
                                               self.order[k + 1], a[k], b[k]))
-        z[fwd] = np.log(j[fwd] / a[fwd])
-        z[bwd] = np.log(b[bwd] / -j[bwd])
         if z.size and np.abs(z).max() > EXP_GUARD:
             raise ExponentOverflow(
                 "potential difference on an edge exceeds %g" % EXP_GUARD)
-        value = float(np.sum(j * z - a * np.expm1(z) - b * np.expm1(-z)))
+        value = float(np.sum(j * z - a * phi[0](z) - b * phi[0](-z)))
         J = self.order.size
         delta = -np.bincount(self.tout, z, J + 1)
         delta[1:J] += z
@@ -362,17 +381,17 @@ class EdgeTree:
 class EdgeFunctional:
     """f(xi) = sum_e w_e phi(xi[dst_e] - xi[src_e]) over the edges of a graph.
 
-    `phi` is a triple (phi, phi', phi'') of vectorized scalar functions.  The
-    gradient gathers phi' at the edge heads minus the tails; the Hessian is
-    the graph Laplacian with edge weights w_e phi''.  Edge differences above
-    EXP_GUARD raise ExponentOverflow; non-edges exponentiate nothing.
+    `phi` is one of the tuples `EXPM1`, `QUADRATIC`, `COSH`.  The gradient
+    gathers phi' at the edge heads minus the tails; the Hessian is the graph
+    Laplacian with edge weights w_e phi''.  Edge differences above EXP_GUARD
+    raise ExponentOverflow; non-edges exponentiate nothing.
 
-    `conjugate` takes one of two routes, decided by the graph.  When the
-    edges come from a generator whose graph is a tree (`tree`, the
-    generator's cached `EdgeTree`) and phi = expm1, the conjugate is the
-    exact closed form of `EdgeTree.conjugate`, O(J) and with no iteration.
-    Otherwise it is damped Newton (`convex.conjugate`) with the closed-form
-    gradient and Hessian.
+    `conjugate` takes one of two routes, decided by the graph alone.  When
+    the edges come from a generator whose graph is a tree (`tree`, the
+    generator's cached `EdgeTree`), the conjugate is the exact closed form
+    of `EdgeTree.conjugate` for every phi, O(J) and with no iteration.  Any
+    other graph takes damped Newton (`convex.conjugate`) with the
+    closed-form gradient and Hessian.
     """
 
     def __init__(self, src, dst, weights, J, phi=EXPM1, tree=None):
@@ -410,14 +429,15 @@ class EdgeFunctional:
     def conjugate(self, s, x0=None, tol=convex.DEFAULT_TOL):
         """sup_xi <xi, s> - f(xi) over zero-sum xi, as a ConjugateResult.
 
-        The tree route is exact and ignores x0 and tol; its result reports
-        zero iterations and the measured residual |P(D f(xi) - s)|.
+        With a tree, the route for every phi, the result is exact and
+        ignores x0 and tol; it reports zero iterations and the measured
+        residual |P(D f(xi) - s)|.  Without one, Newton.
         """
-        if self.tree is None or self.phi is not EXPM1:
+        if self.tree is None:
             return convex.conjugate(self, s, x0=x0, tol=tol,
                                     grad=self.gradient, hess=self.hessian)
         s = convex.project_zero_sum(convex.check_slope(s, tol))
-        value, xi = self.tree.conjugate(self.weights, s)
+        value, xi = self.tree.conjugate(self.weights, s, self.phi)
         resid = np.linalg.norm(convex.project_zero_sum(self.gradient(xi) - s))
         return convex.ConjugateResult(value=value, argmax=xi, converged=True,
                                       iterations=0, residual_norm=float(resid))

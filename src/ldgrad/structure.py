@@ -32,10 +32,10 @@ and `psi` all take their weights from them.
 Every conjugate here (V_L, L, the dual of the shifted Psi* and the
 cross-check in `psi`) goes through `EdgeFunctional.conjugate`.  On a
 generator whose graph, read as undirected, is a tree, s fixes the flux on
-each edge and the expm1 potentials are exact per-edge closed forms in O(J):
-V_L, L(rho, s), the split and the detailed-balance identities then hold to
-rounding, with no Newton solve and no search box.  Other graphs, and the
-family members, use Newton.
+each edge and every potential, expm1 and the family members alike, has an
+exact per-edge closed form in O(J): V_L, L(rho, s), Psi, the split and the
+detailed-balance identities then hold to rounding, with no Newton solve and
+no search box.  Only graphs that are not trees use Newton.
 
 A gradient structure exists exactly when V_L is a derivative.  The simplex
 interior is simply connected, so this holds exactly when the projected
@@ -157,11 +157,6 @@ def shifted_dual(rho, V, xi, g):
     return _shifted_hamiltonian(rho, V, g)(np.asarray(xi, dtype=float))
 
 
-# (psi, psi', psi'') of the family members.
-_QUADRATIC = (lambda z: 0.5 * z * z, lambda z: z, np.ones_like)
-_COSH = (lambda z: np.cosh(z) - 1.0, np.sinh, np.cosh)
-
-
 class DualWeights:
     """The edge weights of Psi*(rho, .) for one structure, with the edge
     constants that do not depend on rho built once.
@@ -176,14 +171,8 @@ class DualWeights:
     """
 
     def __init__(self, g, family, pi):
-        if family is Family.LDP_EXACT:
-            phi = markov.EXPM1
-        elif family is Family.QUADRATIC_FAMILY:
-            phi = _QUADRATIC
-        elif family is Family.COSH_FAMILY:
-            phi = _COSH
-        else:
-            raise ValueError("not a family tag: %r" % (family,))
+        phi = {Family.LDP_EXACT: markov.EXPM1, Family.COSH_FAMILY: markov.COSH,
+               Family.QUADRATIC_FAMILY: markov.QUADRATIC}[family]
         self.src, self.dst, self.rate = g.edges
         self.J, self.family, self.pi, self.phi = g.size, family, pi, phi
         self.tree = g.tree
@@ -231,7 +220,8 @@ def psi(gs, rho, s, check=True, tol=convex.DEFAULT_TOL):
     """Primal dissipation potential at (rho, s).
 
     The exact structure uses Psi = L(rho,s) - L(rho,0) - <V_L, s>; for family
-    tags Psi is the numerical conjugate of Psi*.  With `check` (exact
+    tags Psi is the conjugate of Psi* (`EdgeFunctional.conjugate`: closed
+    form on a tree generator, Newton otherwise).  With `check` (exact
     structure under detailed balance only) both routes are computed and must
     agree within 1e-7.
     """

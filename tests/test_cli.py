@@ -106,6 +106,23 @@ def test_simulate_rejects_a_bad_time_grid(tmp_path, capsys, T, grid_dt):
     assert not (tmp_path / "out" / "ldp_report.json").exists()
 
 
+@pytest.mark.parametrize("override", [
+    {"N": 21.5}, {"N": "21"}, {"N": True}, {"N": 2}, {"a": "x"}, {"b": "x"},
+    {"b": float("inf")}, {"decomposition_samples": -3},
+    {"decomposition_samples": 0}, {"seed": 1.5}],
+    ids=lambda o: "%s=%r" % next(iter(o.items())))
+def test_diffusion_rejects_a_bad_config(tmp_path, capsys, override):
+    cfg = {"a": -2.0, "b": 2.0, "N": 21, "potential": "quadratic", "seed": 4,
+           "decomposition_samples": 3, **override}
+    path = tmp_path / "diffusion.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["diffusion", "--config", str(path), "--T", "0.1",
+                     "--dt", "0.01", "--out", str(out)]) == cli.EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+    assert not (out / "diffusion_report.json").exists()
+
+
 def test_simulate_report_counts_thinning(tmp_path):
     argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]],
                             {"type": "constant", "rho": [0.7, 0.3]})

@@ -152,18 +152,18 @@ def test_conjugate_invariant_under_constant_shift():
     assert abs(v1 - v2) <= 1e-10
 
 
-def test_conjugate_unbounded_detected(two_state):
-    # Mass must leave an empty state: the cost is +infinity.
-    rho = np.array([1.0, 0.0])
-    # Central differences, as this test always used: with H's closed-form
-    # Hessian, which decays like e^{xi_1 - xi_0}, Newton stalls at
-    # |xi| = 31.5 and raises NoConvergence instead.
-    H = markov.hamiltonian_functional(rho, two_state)
-    grad = lambda xi: finite_diff_gradient(H, xi,
-                                           1e-6 * (1.0 + np.abs(xi).max()))
+def test_conjugate_unbounded_detected(two_state, cyclic):
+    # Mass must leave an empty state: the cost is +infinity.  With the
+    # exact Hessian, which decays like e^{xi_1 - xi_0}, the Newton step is
+    # far longer than the box; the line search must still reach the box.
+    H = markov.hamiltonian_functional(np.array([1.0, 0.0]), two_state)
     with pytest.raises(UnboundedConjugate):
-        convex.conjugate(H, np.array([0.5, -0.5]), grad=grad,
-                         hess=finite_diff_hessian(grad))
+        convex.conjugate(H, np.array([0.5, -0.5]), grad=H.gradient,
+                         hess=H.hessian)
+    # The same on a graph with a cycle, by the package's own Newton route.
+    with pytest.raises(UnboundedConjugate):
+        markov.lagrangian(np.array([0.0, 0.5, 0.5]),
+                          np.array([-0.5, 0.25, 0.25]), cyclic)
 
 
 def test_conjugate_rejects_nonzero_sum_slope():

@@ -212,22 +212,22 @@ def test_profiles_rows():
     assert abs(dens - pdens) <= 1e-15
 
 
-def test_tridiagonal_solve_matches_solveh_banded():
+def test_h_minus1_matches_solveh_banded():
+    # Oracle: LAPACK's tridiagonal solve of A(rho) xi = s with node 0 pinned
+    # at zero; on nodes 1..N-1 the diagonal is m_{i-1/2} + m_{i+1/2}
+    # (m_{N-3/2} alone at the last node) and the off-diagonal -m_{i+1/2}.
     from scipy.linalg import solveh_banded
+    N = 201
+    g = diffusion.make_grid(0, 1, N, "quadratic")
     rng = np.random.default_rng(9)
-    n = 200  # N = 201 nodes with node 0 pinned, as in _solve_stiffness
-    for k in range(20):
-        if k % 2:  # stiffness pattern: a pinned weighted path Laplacian
-            m = rng.uniform(0.01, 10.0, n) * 10.0 ** rng.uniform(-3, 3)
-            diag = np.append(m[:-1] + m[1:], m[-1])
-            upper = -m[1:]
-        else:  # a general diagonally dominant SPD tridiagonal matrix
-            upper = rng.standard_normal(n - 1)
-            pad = np.abs(np.append(upper, 0.0)) + np.abs(np.append(0.0, upper))
-            diag = pad + rng.uniform(0.01, 1.0, n)
-        b = rng.standard_normal(n)
-        x = diffusion._ldl_solve(diffusion._ldl_tridiagonal(diag, upper), b)
-        ref = solveh_banded(np.vstack([np.append(0.0, upper), diag]), b)
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-    with pytest.raises(DegenerateWeight):  # indefinite: [[1, -2], [-2, 1]]
-        diffusion._ldl_tridiagonal([1.0, 1.0], [-2.0])
+    for _ in range(10):
+        rho = markov.project_interior(rng.dirichlet(np.ones(N)), 1e-6)
+        s = rng.standard_normal(N)
+        s -= s.mean()
+        m = 0.5 * (rho[:-1] + rho[1:]) / g.h ** 2
+        banded = np.vstack([np.append(0.0, -m[1:]),
+                            np.append(m[:-1] + m[1:], m[-1])])
+        ref = np.append(0.0, solveh_banded(banded, s[1:]))
+        val, xi = diffusion.h_minus1_norm_sq(rho, s, g)
+        assert abs(val - ref @ s) <= 1e-12 * (ref @ s)
+        assert abs(xi.mean()) <= 1e-15 * np.abs(xi).max()

@@ -359,14 +359,24 @@ def test_tree_route_is_decided_by_the_graph(two_state, cyclic):
     assert g.tree is None
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_tree_conjugate_matches_newton_on_random_trees(seed):
+_PHIS = {"expm1": markov.EXPM1, "quadratic": markov.QUADRATIC,
+         "cosh": markov.COSH}
+
+
+# The expm1 cases keep the plain seed as their id.
+@pytest.mark.parametrize("name,seed", [
+    pytest.param(name, seed, id=str(seed) if name == "expm1"
+                 else "%s-%d" % (name, seed))
+    for name in _PHIS for seed in range(8)])
+def test_tree_conjugate_matches_newton_on_random_trees(name, seed):
     rng = np.random.default_rng([77, seed])
     for J in (2, 3, 7, 20, 50):
         g = _random_tree_generator(rng, J, one_way_prob=0.3 * (seed % 2))
         assert g.tree is not None
         rho = random_interior(rng, J)
-        H = markov.hamiltonian_functional(rho, g)
+        src, dst, rate = g.edges
+        H = markov.EdgeFunctional(src, dst, rho[src] * rate, J, _PHIS[name],
+                                  g.tree)
         # s is the slope at a known maximiser, so every one-way edge
         # carries a flux of its own sign.
         xi = random_zero_sum(rng, J)
@@ -417,6 +427,23 @@ def test_tree_cost_at_rest_is_the_hellinger_sum(seed):
         assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("name", _PHIS)
+def test_edge_maximiser_solves_the_edge_equation(name):
+    # Contract of the 4th entry of a phi tuple: z with
+    # a phi'(z) - b phi'(-z) = j, and a mask of the edges with finite cost.
+    phi = _PHIS[name]
+    rng = np.random.default_rng(79)
+    a, b = rng.uniform(0.05, 5.0, (2, 200))
+    j = 3.0 * rng.standard_normal(200)
+    z, finite = phi[3](a, b, j)
+    assert finite.all()
+    assert np.abs(a * phi[1](z) - b * phi[1](-z) - j).max() <= 1e-12 * max(
+        1.0, np.abs(j).max())
+    # No weight in either direction: finite (z = 0) only at zero flux.
+    z, finite = phi[3](np.zeros(3), np.zeros(3), np.array([0.5, -0.5, 0.0]))
+    assert finite.tolist() == [False, False, True] and z[2] == 0.0
+
+
 def test_tree_conjugate_refuses_infinite_costs(two_state):
     from ldgrad.errors import UnboundedConjugate
     one_way = markov.validate_generator([[-1.0, 1.0], [0.0, 0.0]])
@@ -450,6 +477,13 @@ def test_tree_solves_make_no_newton_call(monkeypatch):
         raise AssertionError("Newton called on a tree generator")
 
     monkeypatch.setattr(convex, "conjugate", refuse)
-    d = structure.diagnostics(_ou_generator(21), sample_count=3, seed=1)
+    g = _ou_generator(21)
+    d = structure.diagnostics(g, sample_count=3, seed=1)
     assert d.extras["conjugate_route"] == "tree"
     assert d.decomposition_residual_max <= 1e-12
+    rng = np.random.default_rng(3)
+    rho = markov.project_interior(rng.dirichlet(np.ones(21)), 1e-6)
+    s = convex.project_zero_sum(rng.standard_normal(21))
+    for family in ("quadratic_family", "cosh_family"):
+        gs = structure.build_structure(g, family)
+        assert structure.psi(gs, rho, s) > 0.0
