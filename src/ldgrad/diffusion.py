@@ -117,6 +117,24 @@ def grid_from_config(cfg):
                      cfg.get("potential", "zero"))
 
 
+def initial_masses_from_config(cfg, g):
+    """rho0 of a diffusion config as grid masses: {"type": "pi"}, or
+    {"type": "gaussian", "mean": m, "var": v} with m a finite real and v a
+    finite real > 0 (default mean 1.0, var 0.8); InvalidInput otherwise."""
+    spec = cfg.get("rho0", {"type": "gaussian", "mean": 1.0, "var": 0.8})
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind == "pi":
+        return g.invariant_masses()
+    if kind != "gaussian":
+        raise InvalidInput("config 'rho0' must be an object with type "
+                           "'gaussian' or 'pi', got %r" % (spec,))
+    mean = config_number(spec, "mean", integer=False)
+    var = config_number(spec, "var", integer=False)
+    if not var > 0:
+        raise InvalidInput("config 'var' must be > 0, got %r" % var)
+    return gaussian_initial_masses(g, mean, var)
+
+
 def gaussian_tail_mass(g):
     """For the quadratic potential: stationary mass outside the truncated
     interval (documented against the 1e-8 default-example target)."""

@@ -8,10 +8,20 @@ renormalized every step (the drift per step must stay below 1e-12) and a
 trajectory that leaves the simplex by more than 1e-6 aborts rather than being
 clamped.
 
+There is one RK4 loop, `_march`, a generator.  It keeps the current state
+and one reused buffer of at most `markov.ENTROPY_CHUNK` elements
+(max(1, ENTROPY_CHUNK // J) rows), and yields each full buffer with the
+index of its first row; nothing it holds grows with the number of steps.
+`integrate_linear` and `integrate_gradient_flow` copy the blocks into one
+(n, J) stack of states, the `Trajectory`.  A caller that needs only part
+of the states, such as `cli.cmd_diffusion`, reads the blocks of
+`linear_blocks` instead and never builds that stack.
+
 The per-step work is array code built once per run: a gradient flow's
 stages call the structure's cached field (`GradientStructure.dual`), and
 the entropy of a trajectory is one `relative_entropy` pass over the stack
-of states.  Both give the same bits as the one-call-per-state route.
+of states.  Both give the same bits as the one-call-per-state route, and
+so does `relative_entropy` on each block.
 
 This module writes no files; `cli.write_trajectory` exports a trajectory.
 """
@@ -61,12 +71,17 @@ def _rk4(field, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(field, rho0, times, entropy=None, floor=None):
-    """RK4 states on `times`; `entropy`, if given, maps the (n, J) stack of
-    states to one value per row and is called once, after the last step."""
-    states = np.empty((times.size, rho0.size))
-    states[0] = rho0
+def _march(field, rho0, times, floor=None):
+    """RK4 states on `times`, as (k, block) pairs: rows k, k + 1, ... of the
+    (n, J) stack of states.  `block` is a view of one buffer that the next
+    step overwrites, so a caller copies what it keeps before asking for the
+    next block.  A step that fails a check raises before its block is
+    yielded."""
+    buf = np.empty((min(times.size, max(1, markov.ENTROPY_CHUNK
+                                        // rho0.size)), rho0.size))
+    buf[0] = rho0
     y = rho0.copy()
+    start, i = 0, 1
     for k in range(1, times.size):
         dt = times[k] - times[k - 1]
         y = _rk4(field, y, dt)
@@ -82,26 +97,44 @@ def _march(field, rho0, times, entropy=None, floor=None):
         if floor is not None and low < floor:
             raise BoundaryPoint(
                 "trajectory reached the boundary (min rho = %.3e)" % low)
-        states[k] = y
-    return states, None if entropy is None else entropy(states)
+        if i == len(buf):
+            yield start, buf
+            start, i = k, 0
+        buf[i] = y
+        i += 1
+    yield start, buf[:i]
+
+
+def _stack(blocks, n, J):
+    """The (n, J) stack of states of a `_march` block stream."""
+    states = np.empty((n, J))
+    for k, block in blocks:
+        states[k:k + len(block)] = block
+    return states
+
+
+def linear_blocks(rho0, g, times):
+    """The RK4 states of rho' = Q^T rho on `times`, from the probability
+    vector rho0, as the (k, block) stream of `_march`."""
+    QT = g.q.T
+    return _march(lambda y: QT @ y, markov.as_simplex(rho0), times)
 
 
 def integrate_linear(rho0, g, T, dt, with_entropy=True):
     """Integrate rho' = Q^T rho with fixed-step RK4."""
-    rho0 = markov.as_simplex(rho0)
     times = time_grid(T, dt)
-    QT = g.q.T
-    entropy = None
+    blocks = linear_blocks(rho0, g, times)
+    pi = None
     meta = {"method": "rk4-linear", "dt": dt}
     if with_entropy:
         try:
             pi = markov.analyze_balance(g).invariant_measure
-            entropy = lambda states: markov.relative_entropy(states, pi)
         except (ReducibleChain, DegenerateInvariantMeasure) as exc:
             meta["entropy_unavailable"] = str(exc)
-    states, ent = _march(lambda y: QT @ y, rho0, times, entropy)
-    return Trajectory(times=times, states=states, entropy_values=ent,
-                      meta=meta)
+    states = _stack(blocks, times.size, g.size)
+    return Trajectory(times=times, states=states,
+                      entropy_values=None if pi is None
+                      else markov.relative_entropy(states, pi), meta=meta)
 
 
 def exact_linear_solution(rho0, g, times):
@@ -162,9 +195,10 @@ def integrate_gradient_flow(rho0, gs, T, dt):
                 "flow stage reached the boundary (min rho = %.3e)" % y.min())
         return dual.flow(y, scale)
 
-    states, ent = _march(fld, rho0, times, entropy=gs.entropy,
-                         floor=BOUNDARY_FLOOR)
-    return Trajectory(times=times, states=states, entropy_values=ent,
+    states = _stack(_march(fld, rho0, times, floor=BOUNDARY_FLOOR),
+                    times.size, rho0.size)
+    return Trajectory(times=times, states=states,
+                      entropy_values=gs.entropy(states),
                       meta={"method": "rk4-gradient-flow", "dt": dt,
                             "family": gs.family.value,
                             "entropy_scale": gs.entropy_scale})

@@ -276,14 +276,15 @@ def _even_argmax(inverse):
         (a + b > 0) | (j == 0))
 
 
-# (phi, phi', phi'', argmax) of the edge potentials.  argmax(a, b, j) gives
-# per edge the maximiser z of j z - a phi(z) - b phi(-z), and a mask of the
-# edges whose cost is finite.
-EXPM1 = (np.expm1, np.exp, np.exp, _expm1_argmax)
+# (phi, phi', phi'', argmax, guard) of the edge potentials.  argmax(a, b, j)
+# gives per edge the maximiser z of j z - a phi(z) - b phi(-z), and a mask of
+# the edges whose cost is finite.  An edge difference above guard raises
+# ExponentOverflow: EXP_GUARD where phi exponentiates, none (inf) for z^2/2.
+EXPM1 = (np.expm1, np.exp, np.exp, _expm1_argmax, EXP_GUARD)
 QUADRATIC = (lambda z: 0.5 * z * z, lambda z: z, np.ones_like,
-             _even_argmax(lambda y: y))
+             _even_argmax(lambda y: y), np.inf)
 COSH = (lambda z: np.cosh(z) - 1.0, np.sinh, np.cosh,
-        _even_argmax(np.arcsinh))
+        _even_argmax(np.arcsinh), EXP_GUARD)
 
 
 class EdgeTree:
@@ -303,8 +304,9 @@ class EdgeTree:
     conjugate of sum_e w_e phi(xi[dst_e] - xi[src_e]) then splits into one
     Legendre transform per edge, sup_z j z - a phi(z) - b phi(-z) with
     a = w(p -> v) and b = w(v -> p), and the maximiser is the sum of the
-    edge maximisers z along the path from the root.  Only that edge
-    maximiser, the 4th entry of the phi tuple, depends on phi.
+    edge maximisers z along the path from the root.  Apart from phi itself,
+    only that edge maximiser and the guard on z (the 4th and 5th entries of
+    the phi tuple) depend on phi.
     """
 
     def __init__(self, order, parent, tout, down, up):
@@ -352,7 +354,7 @@ class EdgeTree:
 
         phi[3] gives the edge maximisers; an edge whose cost is infinite or
         whose sup is not attained raises UnboundedConjugate, and |z| above
-        EXP_GUARD raises ExponentOverflow.
+        phi's guard (phi[4]) raises ExponentOverflow.
         """
         w = np.append(weights, 0.0)
         a, b = w[self.down], w[self.up]
@@ -366,9 +368,9 @@ class EdgeTree:
                 "flux %.6g on tree edge %d -- %d has no finite cost (weights "
                 "%.6g forward, %.6g back)" % (j[k], self.parent[k],
                                               self.order[k + 1], a[k], b[k]))
-        if z.size and np.abs(z).max() > EXP_GUARD:
+        if z.size and np.abs(z).max() > phi[4]:
             raise ExponentOverflow(
-                "potential difference on an edge exceeds %g" % EXP_GUARD)
+                "potential difference on an edge exceeds %g" % phi[4])
         value = float(np.sum(j * z - a * phi[0](z) - b * phi[0](-z)))
         J = self.order.size
         delta = -np.bincount(self.tout, z, J + 1)
@@ -383,8 +385,9 @@ class EdgeFunctional:
 
     `phi` is one of the tuples `EXPM1`, `QUADRATIC`, `COSH`.  The gradient
     gathers phi' at the edge heads minus the tails; the Hessian is the graph
-    Laplacian with edge weights w_e phi''.  Edge differences above EXP_GUARD
-    raise ExponentOverflow; non-edges exponentiate nothing.
+    Laplacian with edge weights w_e phi''.  Edge differences above phi's
+    guard (EXP_GUARD for expm1 and cosh, none for z^2/2) raise
+    ExponentOverflow; non-edges exponentiate nothing.
 
     `conjugate` takes one of two routes, decided by the graph alone.  When
     the edges come from a generator whose graph is a tree (`tree`, the
@@ -400,9 +403,9 @@ class EdgeFunctional:
 
     def _diff(self, xi):
         d = xi[self.dst] - xi[self.src]
-        if d.size and np.abs(d).max() > EXP_GUARD:
+        if d.size and np.abs(d).max() > self.phi[4]:
             raise ExponentOverflow(
-                "potential difference on an edge exceeds %g" % EXP_GUARD)
+                "potential difference on an edge exceeds %g" % self.phi[4])
         return d
 
     def __call__(self, xi):

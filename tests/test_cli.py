@@ -109,7 +109,16 @@ def test_simulate_rejects_a_bad_time_grid(tmp_path, capsys, T, grid_dt):
 @pytest.mark.parametrize("override", [
     {"N": 21.5}, {"N": "21"}, {"N": True}, {"N": 2}, {"a": "x"}, {"b": "x"},
     {"b": float("inf")}, {"decomposition_samples": -3},
-    {"decomposition_samples": 0}, {"seed": 1.5}],
+    {"decomposition_samples": 0}, {"seed": 1.5},
+    {"rho0": {"type": "gaussian", "mean": 1.0, "var": -1}},
+    {"rho0": {"type": "gaussian", "mean": 1.0, "var": 0.0}},
+    {"rho0": {"type": "gaussian", "mean": 1.0, "var": float("inf")}},
+    {"rho0": {"type": "gaussian", "mean": 1.0, "var": True}},
+    {"rho0": {"type": "gaussian", "mean": "x", "var": 0.8}},
+    {"rho0": {"type": "gaussian", "mean": float("nan"), "var": 0.8}},
+    {"rho0": {"type": "gaussian", "var": 0.8}},
+    {"rho0": {"type": "uniform"}}, {"rho0": {"mean": 1.0, "var": 0.8}},
+    {"rho0": [1, 2]}, {"rho0": "pi"}],
     ids=lambda o: "%s=%r" % next(iter(o.items())))
 def test_diffusion_rejects_a_bad_config(tmp_path, capsys, override):
     cfg = {"a": -2.0, "b": 2.0, "N": 21, "potential": "quadratic", "seed": 4,
@@ -121,6 +130,68 @@ def test_diffusion_rejects_a_bad_config(tmp_path, capsys, override):
                      "--dt", "0.01", "--out", str(out)]) == cli.EXIT_INPUT
     assert "input error" in capsys.readouterr().err
     assert not (out / "diffusion_report.json").exists()
+
+
+def _diffusion_config(path, N, **cfg):
+    path.write_text(json.dumps({"a": -4.0, "b": 4.0, "N": N,
+                                "potential": "quadratic", "seed": 2,
+                                "decomposition_samples": 2, **cfg}))
+    return str(path)
+
+
+def test_diffusion_outputs_equal_the_full_stack_values(tmp_path):
+    # N = 101 at T = 1, dt = 1e-3: 1,001 states in 13 blocks of at most
+    # ENTROPY_CHUNK // 101 = 81 rows, the last one partial.
+    from ldgrad import diffusion, evolve
+    N, T, dt = 101, 1.0, 1e-3
+    rows = markov.ENTROPY_CHUNK // N
+    assert rows == 81 and -(-1001 // rows) == 13
+    cfg = _diffusion_config(tmp_path / "dif.json", N)
+    out = tmp_path / "out"
+    assert cli.main(["diffusion", "--config", cfg, "--T", repr(T), "--dt",
+                     repr(dt), "--out", str(out)]) == cli.EXIT_OK
+    # The same outputs from the (n, N) stack of states.
+    g = diffusion.make_grid(-4.0, 4.0, N, "quadratic")
+    pi = g.invariant_masses()
+    traj = evolve.integrate_linear(diffusion.gaussian_initial_masses(
+        g, 1.0, 0.8), g.chain, T, dt, with_entropy=False)
+    snap = np.linspace(0, traj.times.size - 1, 6).astype(int)
+    profiles = np.vstack([diffusion.profiles_rows(g, traj.states[k])
+                          for k in snap])
+    want = tmp_path / "want"
+    want.mkdir()
+    cli.write_csv(str(want / "profiles.csv"), ["t", "x", "rho", "pi", "DS"],
+                  [np.repeat(traj.times[snap], N), *profiles.T])
+    cli.write_csv(str(want / "entropy.csv"), ["t", "entropy"],
+                  [traj.times, markov.relative_entropy(traj.states, pi)])
+    for name in ("profiles.csv", "entropy.csv"):
+        assert (out / name).read_bytes() == (want / name).read_bytes()
+    report = json.loads((out / "diffusion_report.json").read_text())
+    assert report["final_gap_to_pi"] == float(
+        np.abs(traj.states[-1] - pi).max())
+
+
+def test_diffusion_memory_does_not_grow_with_the_step_count(tmp_path):
+    # The (steps + 1, N) stack at T = 2 would take 2,001 * 101 * 8 B =
+    # 1.62 MB; the run may hold half of it at most, and quadrupling the
+    # step count may add only the times and entropy columns.
+    import tracemalloc
+    cfg = _diffusion_config(tmp_path / "dif.json", 101)
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            assert cli.main(["diffusion", "--config", cfg, "--T", T,
+                             "--dt", "1e-3", "--out",
+                             str(tmp_path / "out")]) == cli.EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("0.5")  # first-call set-up, outside the comparison
+    short, long = peak("0.5"), peak("2")
+    assert long < 0.5 * 2001 * 101 * 8
+    assert long - short < 0.1e6
 
 
 def test_simulate_report_counts_thinning(tmp_path):

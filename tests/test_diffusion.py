@@ -212,10 +212,18 @@ def test_profiles_rows():
     assert abs(dens - pdens) <= 1e-15
 
 
+def _pinned_stiffness(rho, g):
+    """Oracle matrix: A(rho) on nodes 1..N-1 with node 0 pinned at zero, in
+    the upper banded form of `solveh_banded`.  The diagonal is
+    m_{i-1/2} + m_{i+1/2} (m_{N-3/2} alone at the last node) and the
+    off-diagonal -m_{i+1/2}."""
+    m = 0.5 * (rho[:-1] + rho[1:]) / g.h ** 2
+    return np.vstack([np.append(0.0, -m[1:]),
+                      np.append(m[:-1] + m[1:], m[-1])])
+
+
 def test_h_minus1_matches_solveh_banded():
-    # Oracle: LAPACK's tridiagonal solve of A(rho) xi = s with node 0 pinned
-    # at zero; on nodes 1..N-1 the diagonal is m_{i-1/2} + m_{i+1/2}
-    # (m_{N-3/2} alone at the last node) and the off-diagonal -m_{i+1/2}.
+    # Oracle: LAPACK's tridiagonal solve of A(rho) xi = s.
     from scipy.linalg import solveh_banded
     N = 201
     g = diffusion.make_grid(0, 1, N, "quadratic")
@@ -224,10 +232,33 @@ def test_h_minus1_matches_solveh_banded():
         rho = markov.project_interior(rng.dirichlet(np.ones(N)), 1e-6)
         s = rng.standard_normal(N)
         s -= s.mean()
-        m = 0.5 * (rho[:-1] + rho[1:]) / g.h ** 2
-        banded = np.vstack([np.append(0.0, -m[1:]),
-                            np.append(m[:-1] + m[1:], m[-1])])
-        ref = np.append(0.0, solveh_banded(banded, s[1:]))
+        ref = np.append(0.0, solveh_banded(_pinned_stiffness(rho, g), s[1:]))
         val, xi = diffusion.h_minus1_norm_sq(rho, s, g)
         assert abs(val - ref @ s) <= 1e-12 * (ref @ s)
         assert abs(xi.mean()) <= 1e-15 * np.abs(xi).max()
+
+
+def test_h_minus1_has_no_exponent_guard():
+    # Two near-empty middle nodes carry the whole flux: the potential jumps
+    # by 2.5e5 across them, far above EXP_GUARD, and phi = z^2/2 has no
+    # exponential to overflow.
+    from scipy.linalg import solveh_banded
+    N = 201
+    g = diffusion.make_grid(-5, 5, N, "quadratic")
+    rho = np.ones(N)
+    rho[100] = rho[101] = 201e-6
+    rho /= rho.sum()
+    s = np.concatenate([np.ones(100), [0.0], -np.ones(100)])
+    val, xi = diffusion.h_minus1_norm_sq(rho, s, g)
+    assert np.abs(np.diff(xi)).max() > 300 * markov.EXP_GUARD
+    banded = _pinned_stiffness(rho, g)
+    ref = solveh_banded(banded, s[1:])
+    # The weights differ by a factor of 5,000, which costs LAPACK's solve
+    # alone about 1e-12 of the value; one step of iterative refinement
+    # with the banded product restores the oracle to rounding.
+    upper, diag = banded
+    r = s[1:] - diag * ref
+    r[:-1] -= upper[1:] * ref[1:]
+    r[1:] -= upper[1:] * ref[:-1]
+    ref += solveh_banded(banded, r)
+    assert abs(val - ref @ s[1:]) <= 1e-12 * (ref @ s[1:])

@@ -48,6 +48,48 @@ def test_overflowing_steps_are_refused():
             evolve.integrate_linear([0.9, 0.1], g, 0.01, 1e-3)
 
 
+def _step_by_step(field, rho0, times):
+    """Reference: one `_rk4` step and one renormalization per time, each
+    state kept as its own row."""
+    states = [rho0]
+    for k in range(1, times.size):
+        y = evolve._rk4(field, states[-1], times[k] - times[k - 1])
+        states.append(y / y.sum())
+    return np.array(states)
+
+
+_J = 10
+_ROWS = markov.ENTROPY_CHUNK // _J
+
+
+@pytest.mark.parametrize("steps", [1, _ROWS - 1, _ROWS, _ROWS + 1,
+                                   3 * _ROWS + 5])
+def test_block_march_equals_a_step_by_step_loop(steps):
+    g = chains.random_reversible(_J, 6)
+    gs = structure.build_structure(g)
+    pi = markov.analyze_balance(g).invariant_measure
+    rho0 = markov.project_interior(
+        np.random.default_rng(6).dirichlet(np.ones(_J)), 1e-2)
+    start = markov.as_simplex(rho0)  # as both integrators take rho0
+    lin = evolve.integrate_linear(rho0, g, steps * 1e-3, 1e-3)
+    assert lin.times.size == steps + 1
+    want = _step_by_step(lambda y: g.q.T @ y, start, lin.times)
+    assert np.array_equal(lin.states, want)
+    assert np.array_equal(lin.entropy_values,
+                          [markov.relative_entropy(r, pi) for r in want])
+    flow = evolve.integrate_gradient_flow(rho0, gs, steps * 1e-3, 1e-3)
+    want = _step_by_step(lambda y: gs.dual.flow(y, gs.entropy_scale), start,
+                         flow.times)
+    assert np.array_equal(flow.states, want)
+    assert np.array_equal(flow.entropy_values, [gs.entropy(r) for r in want])
+    # Blocks of at most _ROWS rows that tile the times in order.
+    starts, sizes = zip(*((k, len(block)) for k, block in
+                          evolve.linear_blocks(rho0, g, lin.times)))
+    assert max(sizes) <= _ROWS
+    assert list(starts) == np.cumsum((0,) + sizes[:-1]).tolist()
+    assert sum(sizes) == steps + 1
+
+
 def test_gradient_flow_stationary_at_pi():
     g = chains.random_reversible(4, 2)
     gs = structure.build_structure(g)

@@ -387,10 +387,10 @@ def _rebuilt_flow_field(gs, rho):
             near = np.abs(d) < structure.LOG_RATIO_GUARD
             w = base * np.where(near, 0.5 * (ri + rj),
                                 (rj - ri) / np.where(near, 1.0, d))
-            phi = (None, lambda z: z, None)
+            phi = (None, lambda z: z, None, None, np.inf)
         else:
             w = base * 2.0 * ri * rj / (ri + rj)
-            phi = (None, np.sinh, None)
+            phi = (None, np.sinh, None, None, markov.EXP_GUARD)
     xi = -gs.entropy_scale * (np.log(rho / pi) + 1.0)
     return markov.EdgeFunctional(src, dst, w, g.size, phi).gradient(xi)
 
@@ -417,12 +417,19 @@ def test_cached_flow_field_equals_the_rebuilt_formula(family, seed):
 def test_cached_flow_field_raises_as_the_rebuilt_formula(family):
     g = chains.random_reversible(10, 2)
     rho = random_interior(np.random.default_rng(2), 10)
-    # A steep entropy puts potential differences above EXP_GUARD.
+    # A steep entropy puts potential differences above EXP_GUARD.  Only
+    # the exponentiating potentials are guarded; phi = z^2/2 gives a
+    # finite field there.
     steep = structure.build_structure(g, family, entropy_scale=1e4)
-    with pytest.raises(ExponentOverflow):
-        _rebuilt_flow_field(steep, rho)
-    with pytest.raises(ExponentOverflow):
-        structure.flow_field(steep, rho)
+    if family is Family.QUADRATIC_FAMILY:
+        want = _rebuilt_flow_field(steep, rho)
+        assert np.isfinite(want).all()
+        assert np.array_equal(structure.flow_field(steep, rho), want)
+    else:
+        with pytest.raises(ExponentOverflow):
+            _rebuilt_flow_field(steep, rho)
+        with pytest.raises(ExponentOverflow):
+            structure.flow_field(steep, rho)
     gs = structure.build_structure(g, family)
     for low in (0.0, 1e-301):
         edge = rho.copy()
