@@ -13,12 +13,21 @@ Outputs are byte-identical for a fixed config and seed; every report
 carries its seeds and tolerances.  A run manifest (command, config hash,
 outputs, wall clock) is written next to the outputs; the manifest is the
 one file allowed to differ between reruns.
+
+The one parallel step is in `cmd_evolve`: each structure tag after the
+first is integrated in a forked `_Worker` while this process integrates the
+first, and every output is still written here, in tag order.  Nothing below
+the CLI forks, and the other commands run in one process.  A tracer
+installed in this process sees only the first tag's integration.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
+import pickle
+import signal
 import sys
 import time
 
@@ -27,7 +36,7 @@ import numpy as np
 from . import __version__, diffusion, evolve, markov, particle, structure
 from .errors import (InvalidGenerator, InvalidInput, LdgradError,
                      NonFiniteOutput, NotGradientSystem, NotWeaklyReversible,
-                     ReducibleChain)
+                     ReducibleChain, WorkerLost)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -125,7 +134,8 @@ def _sha256_file(path):
 
 
 def _write_manifest(out, command, args_dict, seeds, tolerances, outputs,
-                    wall_clock, config_path=None):
+                    wall_clock, config_path=None, **extra):
+    """Write manifest.json; `extra` adds command-specific entries."""
     manifest = {
         "command": command,
         "args": args_dict,
@@ -135,6 +145,7 @@ def _write_manifest(out, command, args_dict, seeds, tolerances, outputs,
         "tolerances": tolerances,
         "outputs": sorted(outputs),
         "wall_clock_s": wall_clock,
+        **extra,
     }
     write_json(os.path.join(out, "manifest.json"), manifest)
 
@@ -180,7 +191,96 @@ def _parse_rho0(text, g):
     return markov.as_simplex(vals)
 
 
+def _integrate_tag(tag, g, rho0, args):
+    """(trajectory, seconds) of the flow of structure `tag` from rho0."""
+    t0 = time.perf_counter()
+    if tag == "linear":
+        traj = evolve.integrate_linear(rho0, g, args.T, args.dt)
+    else:
+        gs = structure.build_structure(g, structure.Family(tag),
+                                       seed=args.seed)
+        traj = evolve.integrate_gradient_flow(rho0, gs, args.T, args.dt)
+    return traj, time.perf_counter() - t0
+
+
+class _Worker:
+    """A forked process that runs `task()` and pickles its return value, or
+    the Exception it raised (its traceback added as a note), into a pipe to
+    this process.
+
+    Fork, not spawn: the worker starts with the parent's modules and
+    arguments, so it imports nothing and is sent nothing.  On Python 3.12
+    and later os.fork warns when the process has other threads, and numpy's
+    OpenBLAS pool gives this process a second one.  The worker leaves
+    through os._exit on every path, so it never returns into its caller's
+    frames, flushes none of their buffers and runs no exit handlers.
+    """
+
+    def __init__(self, task):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    result = task()
+                except Exception as exc:  # re-raised by the parent
+                    import traceback  # pickling drops the traceback
+                    exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                                     "in worker %d:\n%s" % (
+                                         os.getpid(), traceback.format_exc())]
+                    result = exc
+                with open(write_fd, "wb") as fh:
+                    pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pid = pid
+        self.pipe = open(read_fd, "rb")
+
+    def result(self):
+        """The task's return value, or its exception raised here; WorkerLost
+        when the worker ended without sending either.  The worker has been
+        reaped when this returns or raises."""
+        try:
+            data = self.pipe.read()
+        finally:
+            self.stop()
+        try:
+            result = pickle.loads(data)
+        except Exception as exc:
+            raise WorkerLost("a worker ended without a result (%d bytes "
+                             "received)" % len(data)) from exc
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def stop(self):
+        """Kill and reap the worker and close the pipe; later calls do
+        nothing."""
+        if self.pid is None:
+            return
+        self.pipe.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+
 def cmd_evolve(args):
+    """Integrate each structure tag's flow and write one trajectory CSV per
+    tag, in tag order, then the report.  The first tag is integrated in this
+    process and every other tag, at most three, in a `_Worker` forked
+    before it, so the flows run at the same time on separate cores.  This
+    process writes every file and raises the first failure in tag order, so
+    the files, exit code and message are those of integrating the tags one
+    after another; no worker outlives the call."""
     t0 = time.perf_counter()
     g = markov.load_generator(args.generator)
     tags = args.structure.split(",")
@@ -188,21 +288,31 @@ def cmd_evolve(args):
     for tag in tags:
         if tag not in valid:
             raise InvalidInput("unknown structure tag %r" % tag)
+    if len(set(tags)) < len(tags):
+        raise InvalidInput("repeated structure tag in %r" % args.structure)
     rho0 = _parse_rho0(args.rho0, g)
+    evolve.time_grid(args.T, args.dt)  # a bad grid fails before any fork
     out = _out_dir(args)
     outputs = []
     trajs = {}
-    for tag in tags:
-        if tag == "linear":
-            traj = evolve.integrate_linear(rho0, g, args.T, args.dt)
-        else:
-            gs = structure.build_structure(g, structure.Family(tag),
-                                           seed=args.seed)
-            traj = evolve.integrate_gradient_flow(rho0, gs, args.T, args.dt)
-        name = "trajectory_%s.csv" % tag
-        write_trajectory(os.path.join(out, name), traj)
-        outputs.append(name)
-        trajs[tag] = traj
+    seconds = {}
+    workers = {}
+    try:
+        for tag in tags[1:]:
+            workers[tag] = _Worker(functools.partial(_integrate_tag, tag, g,
+                                                     rho0, args))
+        for tag in tags:
+            if tag in workers:
+                traj, seconds[tag] = workers[tag].result()
+            else:
+                traj, seconds[tag] = _integrate_tag(tag, g, rho0, args)
+            name = "trajectory_%s.csv" % tag
+            write_trajectory(os.path.join(out, name), traj)
+            outputs.append(name)
+            trajs[tag] = traj
+    finally:
+        for worker in workers.values():
+            worker.stop()
     report = {"generator_file": args.generator, "rho0": rho0.tolist(),
               "T": args.T, "dt": args.dt, "tags": tags, "seed": args.seed}
     if len(tags) == 2:
@@ -219,7 +329,8 @@ def cmd_evolve(args):
                                     "dt": args.dt, "structure": args.structure},
                     {"seed": args.seed},
                     {"mass_drift_per_step": evolve.MASS_DRIFT_TOL},
-                    outputs, time.perf_counter() - t0)
+                    outputs, time.perf_counter() - t0,
+                    integration_s=seconds, processes=1 + len(workers))
     return EXIT_OK
 
 
@@ -228,8 +339,19 @@ def cmd_simulate(args):
     with open(args.config) as fh:
         cfg = json.load(fh)
     g = markov.load_generator(cfg["generator"])
-    T = float(cfg["T"])
-    dt = float(cfg.get("grid_dt", 0.01))
+    number = diffusion.config_number
+    T = float(number(cfg, "T", integer=False))
+    dt = float(number(cfg, "grid_dt", 0.01, integer=False))
+    radius = float(number(cfg, "tube_radius", integer=False))
+    if not radius > 0:
+        raise InvalidInput("config 'tube_radius' must be > 0, got %r" % radius)
+    if not isinstance(cfg.get("n_list"), list):
+        raise InvalidInput("config 'n_list' must be a list of integers, got %r"
+                           % (cfg.get("n_list"),))
+    entries = {"n_list[%d]" % i: n for i, n in enumerate(cfg["n_list"])}
+    n_list = [number(entries, key) for key in entries]
+    replicas = number(cfg, "replicas")
+    seed = number(cfg, "seed")
     times = evolve.time_grid(T, dt)
     target_cfg = cfg["target"]
     if target_cfg["type"] == "constant":
@@ -241,14 +363,12 @@ def cmd_simulate(args):
     else:
         raise InvalidInput("unknown target type %r" % target_cfg["type"])
     report, rows = particle.rate_vs_probability_experiment(
-        g, times, states, float(cfg["tube_radius"]),
-        [int(n) for n in cfg["n_list"]], int(cfg["replicas"]),
-        int(cfg["seed"]))
+        g, times, states, radius, n_list, replicas, seed)
     # Zero-tilt sanity: the identity tilt has zero log density by definition.
     zero = particle.TiltField.constant(np.zeros(g.size), T)
     p0 = particle.simulate(
         g, 10, T, particle.deterministic_assignment(states[0], 10),
-        int(cfg["seed"]), tilt=zero)
+        seed, tilt=zero)
     report["zero_tilt_girsanov"] = particle.girsanov_log_density(p0, zero, g)
     report["config_file"] = args.config
     out = _out_dir(args)
@@ -268,7 +388,7 @@ def cmd_simulate(args):
     print("girsanov consistency |gap| = %.3e"
           % report["girsanov_consistency_abs_gap"])
     _write_manifest(out, "simulate", {"config": args.config},
-                    {"seed": cfg["seed"]},
+                    {"seed": seed},
                     {"girsanov_exactness": 1e-10},
                     ["ldp_report.json", "replicas.csv"],
                     time.perf_counter() - t0, config_path=args.config)
@@ -394,8 +514,9 @@ def build_parser():
     pe.add_argument("--T", type=float, default=5.0)
     pe.add_argument("--dt", type=float, default=1e-3)
     pe.add_argument("--structure", default="linear",
-                    help="TAG or TAG,TAG from linear|ldp|cosh_family|"
-                         "quadratic_family")
+                    help="distinct comma-separated TAGs from linear|ldp|"
+                         "cosh_family|quadratic_family; two TAGs also give "
+                         "their sup-norm gap")
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", default="out")
     pe.set_defaults(func=cmd_evolve)

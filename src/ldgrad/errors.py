@@ -58,6 +58,10 @@ class GridMismatch(LdgradError):
     """Trajectories live on different time grids."""
 
 
+class GridTooLarge(LdgradError):
+    """The time grid has more points than can be allocated."""
+
+
 class StepSizeTooLarge(LdgradError):
     """Integrator state left the simplex by more than the allowed slack."""
 
@@ -88,3 +92,11 @@ class NoCrossCheck(LdgradError):
             % (direct, dual))
         self.direct = direct
         self.dual = dual
+
+    def __reduce__(self):
+        # args holds only the message; rebuild from the two values.
+        return type(self), (self.direct, self.dual), self.__dict__
+
+
+class WorkerLost(LdgradError):
+    """A forked worker ended without sending back its result."""

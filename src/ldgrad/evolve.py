@@ -33,8 +33,8 @@ import numpy as np
 
 from . import markov, structure
 from .errors import (BoundaryPoint, DegenerateInvariantMeasure, GridMismatch,
-                     InvalidInput, NotGradientSystem, ReducibleChain,
-                     StepSizeTooLarge)
+                     GridTooLarge, InvalidInput, NotGradientSystem,
+                     ReducibleChain, StepSizeTooLarge)
 
 MASS_DRIFT_TOL = 1e-12
 SIMPLEX_SLACK = 1e-6
@@ -53,14 +53,25 @@ class Trajectory:
 
 
 def time_grid(T, dt):
-    """The uniform grid 0, dt, ..., T; InvalidInput unless 0 < dt <= T and
-    T is an integer multiple of dt (to 1e-9 max(1, T))."""
+    """The uniform grid 0, dt, ..., T; InvalidInput unless T and dt are
+    finite, 0 < dt <= T and T is an integer multiple of dt (to
+    1e-9 max(1, T)), and GridTooLarge, a runtime failure, when numpy
+    cannot allocate that many points."""
+    if not (math.isfinite(T) and math.isfinite(dt)):
+        raise InvalidInput("need finite T and dt, got T = %r, dt = %r"
+                           % (T, dt))
     if T <= 0 or dt <= 0 or dt > T:
         raise InvalidInput("need 0 < dt <= T")
-    n = int(round(T / dt))
-    if abs(n * dt - T) > 1e-9 * max(1.0, T):
-        raise InvalidInput("T must be an integer multiple of dt")
-    return np.arange(n + 1) * dt
+    try:
+        # T / dt can overflow to inf, and numpy raises ValueError rather
+        # than MemoryError past 2^60 points.
+        n = int(round(T / dt))
+        if abs(n * dt - T) > 1e-9 * max(1.0, T):
+            raise InvalidInput("T must be an integer multiple of dt")
+        return np.arange(n + 1) * dt
+    except (OverflowError, MemoryError, ValueError) as exc:
+        raise GridTooLarge("time grid of T / dt = %.6g steps: %s"
+                           % (T / dt, exc)) from exc
 
 
 def _rk4(field, y, dt):

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import os
+import pickle
+import signal
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import chains
-from ldgrad import cli, markov, structure
+from ldgrad import cli, errors, evolve, markov, structure
 from ldgrad.errors import LdgradError, NonFiniteOutput
 
 
@@ -104,6 +106,23 @@ def test_simulate_rejects_a_bad_time_grid(tmp_path, capsys, T, grid_dt):
     assert cli.main(argv) == cli.EXIT_INPUT
     assert "input error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "ldp_report.json").exists()
+
+
+@pytest.mark.parametrize("override", [
+    {"replicas": 3.9}, {"replicas": True}, {"replicas": "3"}, {"seed": 1.7},
+    {"seed": None}, {"n_list": [10.6]}, {"n_list": [True]}, {"n_list": 10},
+    {"tube_radius": -0.1}, {"tube_radius": 0.0},
+    {"tube_radius": float("inf")}, {"T": float("nan")}, {"T": "1.0"},
+    {"grid_dt": float("inf")}, {"grid_dt": False}],
+    ids=lambda o: "%s=%r" % next(iter(o.items())))
+def test_simulate_rejects_a_bad_config(tmp_path, capsys, override):
+    argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]],
+                            {"type": "constant", "rho": [0.6, 0.4]},
+                            **override)
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "input error: config '%s" % next(iter(override)) in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("override", [
@@ -354,6 +373,172 @@ def test_evolve_ldp_on_a_cycle_is_a_structural_refusal(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_STRUCTURE
     assert "structural refusal" in capsys.readouterr().err
+
+
+def _evolve_argv(tmp_path, g, tags, *extra):
+    gen = tmp_path / "gen.json"
+    markov.save_generator(g, gen)
+    return ["evolve", "--generator", str(gen), "--structure", tags,
+            "--out", str(tmp_path / "out"), *extra]
+
+
+def test_evolve_refuses_a_repeated_tag(tmp_path, capsys):
+    argv = _evolve_argv(tmp_path, chains.random_reversible(4, 2),
+                        "linear,ldp,linear", "--T", "0.1", "--dt", "0.01")
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "repeated structure tag" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("T,dt,code,message", [
+    ("inf", "1e-3", cli.EXIT_INPUT, "need finite T and dt"),
+    ("nan", "1e-3", cli.EXIT_INPUT, "need finite T and dt"),
+    ("1", "nan", cli.EXIT_INPUT, "need finite T and dt"),
+    # 1e15 steps: numpy refuses the 7 PiB grid without allocating it.
+    ("1e12", "1e-3", cli.EXIT_RUNTIME, "runtime failure: time grid"),
+    ("1e300", "1e-300", cli.EXIT_RUNTIME, "runtime failure: time grid"),
+    ("1e19", "1", cli.EXIT_RUNTIME, "runtime failure: time grid")],
+    ids=["T=inf", "T=nan", "dt=nan", "T=1e12", "T/dt=inf", "T/dt=1e19"])
+def test_evolve_rejects_a_bad_time_grid(tmp_path, capsys, T, dt, code,
+                                        message):
+    argv = _evolve_argv(tmp_path, chains.random_reversible(4, 2),
+                        "linear,ldp", "--T", T, "--dt", dt)
+    assert cli.main(argv) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids that os.fork returns to this process."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("tags", [
+    "ldp,linear", "quadratic_family,linear,cosh_family,ldp"])
+def test_evolve_workers_write_the_in_process_trajectories(tmp_path, forked,
+                                                          tags):
+    argv = _evolve_argv(tmp_path, chains.random_reversible(4, 2), tags,
+                        "--rho0", "0.4,0.3,0.2,0.1", "--T", "0.2",
+                        "--dt", "0.01", "--seed", "3")
+    assert cli.main(argv) == cli.EXIT_OK
+    tags = tags.split(",")
+    assert len(forked) == len(tags) - 1
+    _assert_reaped(forked)
+    g = markov.load_generator(str(tmp_path / "gen.json"))
+    rho0 = markov.as_simplex([0.4, 0.3, 0.2, 0.1])
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    ref.mkdir()
+    trajs = []
+    for tag in tags:
+        if tag == "linear":
+            traj = evolve.integrate_linear(rho0, g, 0.2, 0.01)
+        else:
+            gs = structure.build_structure(g, structure.Family(tag), seed=3)
+            traj = evolve.integrate_gradient_flow(rho0, gs, 0.2, 0.01)
+        name = "trajectory_%s.csv" % tag
+        cli.write_trajectory(str(ref / name), traj)
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+        trajs.append(traj)
+    report = json.loads((out / "evolve_report.json").read_text())
+    if len(tags) == 2:
+        assert report["gap"] == evolve.compare_trajectories(*trajs)
+    else:
+        assert "gap" not in report
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["processes"] == len(tags)
+    assert sorted(manifest["integration_s"]) == sorted(tags)
+    assert all(s > 0 for s in manifest["integration_s"].values())
+
+
+@pytest.mark.parametrize("tags,left", [
+    ("linear,ldp", ["trajectory_linear.csv"]), ("ldp,linear", [])])
+def test_evolve_refusal_keeps_the_serial_outputs(tmp_path, capsys, forked,
+                                                 tags, left):
+    # The one-way 3-cycle has no detailed balance: ldp is refused.  Files
+    # of the tags before the refused one are written, as one tag after
+    # another would leave them.
+    argv = _evolve_argv(tmp_path, chains.three_state_cycle(), tags,
+                        "--T", "0.1", "--dt", "0.01")
+    assert cli.main(argv) == cli.EXIT_STRUCTURE
+    _assert_reaped(forked)
+    assert "structural refusal" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path / "out")) == left
+
+
+def test_evolve_worker_lost_without_result_is_a_runtime_failure(
+        tmp_path, capsys, monkeypatch, forked):
+    # The ldp worker exits as soon as it starts integrating.
+    test_pid = os.getpid()
+
+    def exit_in_worker(*args):
+        if os.getpid() == test_pid:
+            raise AssertionError("ldp was integrated in the test process")
+        os._exit(0)
+
+    monkeypatch.setattr(evolve, "integrate_gradient_flow", exit_in_worker)
+
+    def hung(signum, frame):
+        raise TimeoutError("evolve waited 60 s for a dead worker")
+
+    argv = _evolve_argv(tmp_path, chains.random_reversible(4, 2),
+                        "linear,ldp", "--T", "0.1", "--dt", "0.01")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == cli.EXIT_RUNTIME
+    assert len(forked) == 1
+    _assert_reaped(forked)
+    assert "without a result (0 bytes received)" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == ["trajectory_linear.csv"]
+
+
+def test_worker_exception_carries_its_traceback():
+    def fail():
+        raise structure.NoCrossCheck(1.0, 2.0)
+
+    with pytest.raises(structure.NoCrossCheck) as info:
+        cli._Worker(fail).result()
+    assert (info.value.direct, info.value.dual) == (1.0, 2.0)
+    note, = info.value.__notes__
+    assert note.startswith("in worker ")
+    assert "in fail\n" in note
+
+
+_ERROR_ARGS = {errors.NoCrossCheck: (1.0, 2.0),
+               errors.NoConvergence: ("no luck", [1.0, 2.0])}
+
+
+@pytest.mark.parametrize("cls", [
+    c for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, LdgradError)],
+    ids=lambda c: c.__name__)
+def test_every_error_survives_a_pickle_round_trip(cls):
+    # Worker exceptions reach the parent pickled.
+    err = cls(*_ERROR_ARGS.get(cls, ("message",)))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert (str(back), vars(back)) == (str(err), vars(err))
 
 
 def test_analyze_absorbing_chain_is_an_input_error(tmp_path, capsys):
