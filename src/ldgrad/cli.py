@@ -153,16 +153,16 @@ def _write_manifest(out, command, args_dict, seeds, tolerances, outputs,
 def cmd_analyze(args):
     t0 = time.perf_counter()
     g = markov.load_generator(args.generator)
-    diag = structure.diagnostics(g, sample_count=args.samples, seed=args.seed)
-    report = diag.to_dict()
+    report = structure.diagnostics(g, sample_count=args.samples,
+                                   seed=args.seed)
     report["generator_file"] = args.generator
-    if diag.detailed_balance:
+    if report["detailed_balance"]:
         verdict = "gradient system (detailed balance)"
         report["driving_functional"] = "S = 0.5 * E_pi"
     else:
         verdict = "covector system only"
     report["verdict"] = verdict
-    if g.weakly_reversible and diag.detailed_balance:
+    if g.weakly_reversible and report["detailed_balance"]:
         for fam in (structure.Family.QUADRATIC_FAMILY,
                     structure.Family.COSH_FAMILY):
             _, srep = structure.determine_entropy_scale(g, fam, seed=args.seed)
@@ -334,10 +334,23 @@ def cmd_evolve(args):
     return EXIT_OK
 
 
+def _read_config(path):
+    """The JSON object in the file `path`; InvalidInput for any other JSON
+    value."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise InvalidInput("config file %s must hold a JSON object, got %s"
+                           % (path, type(cfg).__name__))
+    return cfg
+
+
 def cmd_simulate(args):
     t0 = time.perf_counter()
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _read_config(args.config)
+    if not isinstance(cfg.get("generator"), str):
+        raise InvalidInput("config 'generator' must be a file name, got %r"
+                           % (cfg.get("generator"),))
     g = markov.load_generator(cfg["generator"])
     number = diffusion.config_number
     T = float(number(cfg, "T", integer=False))
@@ -345,37 +358,31 @@ def cmd_simulate(args):
     radius = float(number(cfg, "tube_radius", integer=False))
     if not radius > 0:
         raise InvalidInput("config 'tube_radius' must be > 0, got %r" % radius)
-    if not isinstance(cfg.get("n_list"), list):
-        raise InvalidInput("config 'n_list' must be a list of integers, got %r"
-                           % (cfg.get("n_list"),))
-    entries = {"n_list[%d]" % i: n for i, n in enumerate(cfg["n_list"])}
-    n_list = [number(entries, key) for key in entries]
+    n_list = diffusion.config_numbers(cfg, "n_list")
     replicas = number(cfg, "replicas")
     seed = number(cfg, "seed")
     times = evolve.time_grid(T, dt)
-    target_cfg = cfg["target"]
-    if target_cfg["type"] == "constant":
-        rho = markov.as_simplex(target_cfg["rho"])
+    target = cfg.get("target")
+    kind = target.get("type") if isinstance(target, dict) else None
+    keys = {"constant": "rho", "linear_solution": "rho0"}
+    if not (isinstance(kind, str) and kind in keys):
+        raise InvalidInput("config 'target' has an unknown target type: need "
+                           "an object with type 'constant' or "
+                           "'linear_solution', got %r" % (target,))
+    key = "target." + keys[kind]
+    rho = markov.as_simplex(diffusion.config_numbers(
+        {key: target.get(keys[kind])}, key, g.size, integer=False))
+    if kind == "constant":
         states = np.tile(rho, (times.size, 1))
-    elif target_cfg["type"] == "linear_solution":
-        rho0 = markov.as_simplex(target_cfg["rho0"])
-        states = evolve.exact_linear_solution(rho0, g, times).states
     else:
-        raise InvalidInput("unknown target type %r" % target_cfg["type"])
-    report, rows = particle.rate_vs_probability_experiment(
+        states = evolve.exact_linear_solution(rho, g, times).states
+    report, table = particle.rate_vs_probability_experiment(
         g, times, states, radius, n_list, replicas, seed)
-    # Zero-tilt sanity: the identity tilt has zero log density by definition.
-    zero = particle.TiltField.constant(np.zeros(g.size), T)
-    p0 = particle.simulate(
-        g, 10, T, particle.deterministic_assignment(states[0], 10),
-        seed, tilt=zero)
-    report["zero_tilt_girsanov"] = particle.girsanov_log_density(p0, zero, g)
     report["config_file"] = args.config
     out = _out_dir(args)
     write_json(os.path.join(out, "ldp_report.json"), report)
-    keys = ["n", "replica", "hit", "G", "log_weight", "distance"]
-    write_csv(os.path.join(out, "replicas.csv"), keys,
-              [np.array([r[key] for r in rows]) for key in keys])
+    write_csv(os.path.join(out, "replicas.csv"), list(table),
+              list(table.values()))
     print("I_T(target) = %.6e" % report["rate_functional"])
     for n, entry in report["estimates"].items():
         estimate = ("inf (no tube hits)" if entry["inf_estimate"] else
@@ -435,8 +442,7 @@ def cmd_diffusion(args):
     kept: no (steps + 1, N) stack is built, and what grows with the step
     count is the times and entropy columns alone."""
     t0 = time.perf_counter()
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _read_config(args.config)
     g = diffusion.grid_from_config(cfg)
     seed = diffusion.config_number(cfg, "seed", args.seed, 0)
     samples = diffusion.config_number(cfg, "decomposition_samples", 20, 1)

@@ -109,12 +109,27 @@ def config_number(cfg, key, default=None, low=-math.inf, integer=True):
     return v
 
 
+def config_numbers(cfg, key, size=None, integer=True):
+    """cfg[key] as a list of `config_number` entries, named key[i] in
+    messages, with `size` entries when given; InvalidInput otherwise."""
+    v = cfg.get(key)
+    if not isinstance(v, list) or size not in (None, len(v)):
+        raise InvalidInput("config %r must be a list of %s%s, got %r" % (
+            key, "" if size is None else "%d " % size,
+            "integers" if integer else "numbers", v))
+    entries = {"%s[%d]" % (key, i): x for i, x in enumerate(v)}
+    return [config_number(entries, k, integer=integer) for k in entries]
+
+
 def grid_from_config(cfg):
-    """The grid of a diffusion config: N an int >= 3, a and b finite reals."""
+    """The grid of a diffusion config: N an int >= 3, a and b finite reals,
+    the potential a preset name or a list of one finite real per node."""
+    N = config_number(cfg, "N", low=3)
+    potential = cfg.get("potential", "zero")
+    if not isinstance(potential, str):
+        potential = config_numbers(cfg, "potential", N, integer=False)
     return make_grid(config_number(cfg, "a", integer=False),
-                     config_number(cfg, "b", integer=False),
-                     config_number(cfg, "N", low=3),
-                     cfg.get("potential", "zero"))
+                     config_number(cfg, "b", integer=False), N, potential)
 
 
 def initial_masses_from_config(cfg, g):

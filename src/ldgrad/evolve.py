@@ -131,17 +131,17 @@ def linear_blocks(rho0, g, times):
     return _march(lambda y: QT @ y, markov.as_simplex(rho0), times)
 
 
-def integrate_linear(rho0, g, T, dt, with_entropy=True):
-    """Integrate rho' = Q^T rho with fixed-step RK4."""
+def integrate_linear(rho0, g, T, dt):
+    """Integrate rho' = Q^T rho with fixed-step RK4; the entropy relative to
+    the invariant measure goes with the states when the chain has one."""
     times = time_grid(T, dt)
     blocks = linear_blocks(rho0, g, times)
     pi = None
     meta = {"method": "rk4-linear", "dt": dt}
-    if with_entropy:
-        try:
-            pi = markov.analyze_balance(g).invariant_measure
-        except (ReducibleChain, DegenerateInvariantMeasure) as exc:
-            meta["entropy_unavailable"] = str(exc)
+    try:
+        pi = markov.analyze_balance(g).invariant_measure
+    except (ReducibleChain, DegenerateInvariantMeasure) as exc:
+        meta["entropy_unavailable"] = str(exc)
     states = _stack(blocks, times.size, g.size)
     return Trajectory(times=times, states=states,
                       entropy_values=None if pi is None

@@ -23,7 +23,8 @@ routes that must agree to 1e-10:
 
 `path_rate_functional` integrates the cost L(rho_t, rho_t') along a measure
 path, and `rate_vs_probability_experiment` runs the tilt-then-reweight
-estimate of tube probabilities against that cost.
+estimate of tube probabilities against that cost, on replicas that are
+blocks of particles of one run, analysed together without a path each.
 """
 
 import functools
@@ -339,46 +340,36 @@ def simulate(g, n, T, initial_states, seed, tilt=None, stream_offset=0):
         jump_from=froms[order], jump_to=tos[order], meta=meta)
 
 
-def _split_replicas(path, replicas):
-    """The paths of replicas 0..replicas-1 of one run of replicas * m
-    particles: replica r is particles r m .. r m + m - 1, renumbered from 0.
-    Its jumps keep their order, so it equals the m-particle run whose
-    stream_offset is the run's plus r m."""
-    m = path.n // replicas
-    rep = path.jump_particles // m
-    order = np.argsort(rep, kind="stable")
-    ends = np.cumsum(np.bincount(rep, minlength=replicas))
-    for r, sel in enumerate(np.split(order, ends[:-1])):
-        yield ParticlePath(
-            n=m, horizon=path.horizon,
-            initial_states=path.initial_states[r * m:(r + 1) * m],
-            jump_times=path.jump_times[sel],
-            jump_particles=path.jump_particles[sel] - r * m,
-            jump_from=path.jump_from[sel], jump_to=path.jump_to[sel])
+def _replica_counts(owner, states, R, J):
+    """(R, J) counts of `states` by replica, `owner` giving the replica of
+    each entry."""
+    return np.bincount(owner * J + states, minlength=R * J).reshape(R, J)
 
 
-def empirical_measure_path(path, grid, J=None):
-    """Right-continuous empirical measure at the grid times (entries are
-    multiples of 1/n)."""
+def empirical_measure_path(path, grid, J, replicas=None):
+    """Right-continuous empirical measure at the grid times, shape
+    (grid.size, J), entries multiples of 1/n.  With `replicas` = R, one
+    measure per replica of m = n / R particles (replica r is particles r m
+    .. r m + m - 1), shape (R, grid.size, J), entries multiples of 1/m."""
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0) or np.any(grid > path.horizon + 1e-12):
         raise InvalidInput("grid must lie inside [0, T]")
-    if J is None:
-        J = int(max(path.initial_states.max(initial=0),
-                    path.jump_to.max(initial=0),
-                    path.jump_from.max(initial=0))) + 1
     if np.any(np.diff(grid) < 0):
         raise InvalidInput("grid times must be nondecreasing")
+    R = replicas or 1
+    m = path.n // R
     # A jump at tau counts from the first grid time >= tau on.
-    first = np.searchsorted(grid, path.jump_times, side="left")
+    cell = (path.jump_particles // m * (grid.size + 1)
+            + np.searchsorted(grid, path.jump_times, side="left"))
 
     def arrivals(states):
-        return np.bincount(first * J + states, minlength=(grid.size + 1) * J)
+        return _replica_counts(cell, states, R * (grid.size + 1), J)
 
-    moves = (arrivals(path.jump_to) - arrivals(path.jump_from)).reshape(-1, J)
-    counts = (np.bincount(path.initial_states, minlength=J)
-              + np.cumsum(moves[:-1], axis=0))
-    return counts / path.n
+    moves = (arrivals(path.jump_to)
+             - arrivals(path.jump_from)).reshape(R, grid.size + 1, J)
+    start = _replica_counts(np.arange(path.n) // m, path.initial_states, R, J)
+    emp = (start[:, None] + np.cumsum(moves[:, :-1], axis=1)) / m
+    return emp if replicas else emp[0]
 
 
 def _h_integral(tilt, Q, t, i):
@@ -416,7 +407,7 @@ def _h_integral(tilt, Q, t, i):
     return A[J:] - A[:J][i]
 
 
-def girsanov_log_density(path, tilt, g):
+def girsanov_log_density(path, tilt, g, replicas=None):
     """(1/n) log of the tilted path density against the original law.
 
     Per particle the log density is xi_T(x_T) - xi_0(x_0) - int [xi'_t(x_t)
@@ -429,8 +420,15 @@ def girsanov_log_density(path, tilt, g):
     with N_i(T) the number of particles in state i at T: array operations
     over the jump list, no per-particle loop.  `path_pairing_functional` is
     the independent reference route.
+
+    With `replicas` = R, an array of one G per replica of m = n / R
+    particles (as in `empirical_measure_path`), each with the bits of its
+    own m-particle path: a replica's jump terms are summed on their own, in
+    time order.
     """
     J = g.size
+    R = replicas or 1
+    m = path.n // R
     tau = path.jump_times
     M = tau.size
     F = _h_integral(tilt, g.q,
@@ -438,13 +436,19 @@ def girsanov_log_density(path, tilt, g):
                     np.concatenate([path.jump_to, path.jump_from,
                                     np.arange(J)]))
     xi = tilt.value_at(tau)
-    m = np.arange(M)
-    phi_to = xi[m, path.jump_to] + F[:M]
-    phi_from = xi[m, path.jump_from] + F[M:2 * M]
-    final = (np.bincount(path.initial_states, minlength=J)
-             + np.bincount(path.jump_to, minlength=J)
-             - np.bincount(path.jump_from, minlength=J))
-    return float((phi_to - phi_from).sum() - final @ F[2 * M:]) / path.n
+    k = np.arange(M)
+    phi_to = xi[k, path.jump_to] + F[:M]
+    phi_from = xi[k, path.jump_from] + F[M:2 * M]
+    rep = path.jump_particles // m
+    order = np.argsort(rep, kind="stable")
+    ends = np.cumsum(np.bincount(rep, minlength=R))[:-1]
+    jump_sums = [d.sum() for d in np.split((phi_to - phi_from)[order], ends)]
+    final = (_replica_counts(np.arange(path.n) // m, path.initial_states, R, J)
+             + _replica_counts(rep, path.jump_to, R, J)
+             - _replica_counts(rep, path.jump_from, R, J))
+    # vecdot takes one dot product per row, as `final @ F` does for one.
+    G = (np.array(jump_sums) - np.vecdot(final, F[2 * M:])) / m
+    return G if replicas else float(G[0])
 
 
 @functools.cache
@@ -565,12 +569,16 @@ def rate_vs_probability_experiment(g, target_times, target_states,
 
     Each n makes one tilted and at most one plain `simulate` call of n *
     replicas particles, on the stream blocks ni and len(n_list) + ni; replica
-    r of block b reads the streams (b * replicas + r) * n onwards.
+    r of block b reads the streams (b * replicas + r) * n onwards.  Returns
+    (report, table): the table has one array per column (n, replica, hit,
+    G, log_weight, distance) and a row per replica of each n.
     """
     if replicas < 2:
         raise InvalidInput("need replicas >= 2 for a standard error")
     if len(n_list) == 0 or min(n_list) < 1:
         raise InvalidInput("need a nonempty n_list with every n >= 1")
+    if len(set(n_list)) < len(n_list):
+        raise InvalidInput("n_list %r repeats an n" % (list(n_list),))
     target_times = np.asarray(target_times, dtype=float)
     target_states = np.asarray(target_states, dtype=float)
     T = float(target_times[-1])
@@ -578,34 +586,31 @@ def rate_vs_probability_experiment(g, target_times, target_states,
     I_T = rate["value"]
     tilt = _tilt_from_knots(target_times, rate["knots"])
 
-    def runs(n, init, block, tilt=None):
+    def run(n, init, block, tilt=None):
         # All replicas of n particles in one simulate call, on the streams
-        # from block * replicas * n on.
+        # from block * replicas * n on, and each replica's sup-norm distance
+        # to the target.
         p = simulate(g, n * replicas, T, np.tile(init, replicas), seed,
                      tilt=tilt, stream_offset=block * replicas * n)
-        return p, list(_split_replicas(p, replicas))
-
-    def distance(p):
-        emp = empirical_measure_path(p, target_times, J=g.size)
-        return float(np.abs(emp - target_states).max())
+        emp = empirical_measure_path(p, target_times, g.size, replicas)
+        return p, np.abs(emp - target_states).max(axis=(1, 2))
 
     results = {}
-    per_replica_rows = []
+    table = {key: [] for key in ("n", "replica", "hit", "G", "log_weight",
+                                 "distance")}
     thinning = {"proposals": 0, "accepted": 0}
     for ni, n in enumerate(n_list):
         init = deterministic_assignment(target_states[0], n)
-        run, paths = runs(n, init, ni, tilt)
+        p, dists = run(n, init, ni, tilt)
         for key in thinning:
-            thinning[key] += run.meta[key]
-        dists = np.array([distance(p) for p in paths])
-        Gs = np.array([girsanov_log_density(p, tilt, g) for p in paths])
+            thinning[key] += p.meta[key]
+        Gs = girsanov_log_density(p, tilt, g, replicas)
         hits = dists <= tube_radius
         log_w = -n * Gs
-        for r in range(replicas):
-            per_replica_rows.append({"n": n, "replica": r, "hit": int(hits[r]),
-                                     "G": float(Gs[r]),
-                                     "log_weight": float(log_w[r]),
-                                     "distance": float(dists[r])})
+        for key, column in zip(table, (np.full(replicas, n),
+                                       np.arange(replicas), hits.astype(int),
+                                       Gs, log_w, dists)):
+            table[key].append(column)
         if hits.any():
             log_sum = _logsumexp(log_w[hits])
             log_p = log_sum - math.log(replicas)
@@ -626,8 +631,8 @@ def rate_vs_probability_experiment(g, target_times, target_states,
             inf_estimate = True
         plain = None
         if n * I_T < 10.0:
-            _, paths = runs(n, init, len(n_list) + ni)
-            plain_hits = sum(distance(p) <= tube_radius for p in paths)
+            plain_hits = int(np.count_nonzero(
+                run(n, init, len(n_list) + ni)[1] <= tube_radius))
             plain = {"hits": plain_hits,
                      "estimate": (-math.log(plain_hits / replicas) / n
                                   if plain_hits else None)}
@@ -644,7 +649,8 @@ def rate_vs_probability_experiment(g, target_times, target_states,
             "log_weight_sd": float(np.std(log_w)),
             "plain_monte_carlo": plain,
         }
-    # Exactness spot check: both G routes on one fresh replica.
+    # Exactness spot check on one fresh replica: both G routes, and the zero
+    # tilt, whose log density is 0 on any path.
     p0 = simulate(g, n_list[0], T,
                   deterministic_assignment(target_states[0], n_list[0]), seed,
                   tilt=tilt, stream_offset=10 ** 9)
@@ -664,5 +670,7 @@ def rate_vs_probability_experiment(g, target_times, target_states,
         "girsanov_consistency_abs_gap": float(abs(g_a - g_b)),
         "tilt": {"kind": tilt.smoothness, "max_abs": tilt.max_abs},
         "thinning": thinning,
+        "zero_tilt_girsanov": girsanov_log_density(
+            p0, TiltField.constant(np.zeros(g.size), T), g),
     }
-    return report, per_replica_rows
+    return report, {key: np.concatenate(c) for key, c in table.items()}

@@ -47,9 +47,7 @@ max|M - M^T| / max|M| of M = P D_rho V_L P as the integrability defect.
 """
 
 import enum
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -79,7 +77,6 @@ class GradientStructure:
     family: Family
     entropy_scale: float
     balance: markov.BalanceReport
-    scale_report: dict = field(default_factory=dict)
 
     @property
     def pi(self):
@@ -111,18 +108,15 @@ def build_structure(g, family=Family.LDP_EXACT, entropy_scale=None, seed=0):
     if family is not Family.LDP_EXACT and not balance.weakly_reversible:
         raise NotWeaklyReversible(
             "family dissipation needs Q_ij > 0 iff Q_ji > 0")
-    scale_report = {}
     if entropy_scale is None:
-        if family is Family.LDP_EXACT:
+        if family is Family.LDP_EXACT or not balance.detailed_balance:
             entropy_scale = 0.5
-        elif balance.detailed_balance:
-            entropy_scale, scale_report = determine_entropy_scale(
-                g, family, seed=seed, balance=balance)
         else:
-            entropy_scale = 0.5
+            entropy_scale, _ = determine_entropy_scale(g, family, seed=seed,
+                                                       balance=balance)
     return GradientStructure(generator=g, family=family,
                              entropy_scale=float(entropy_scale),
-                             balance=balance, scale_report=scale_report)
+                             balance=balance)
 
 
 def critical_covector(rho, g, tol=convex.DEFAULT_TOL, x0=None):
@@ -355,40 +349,6 @@ def cosh_vs_ldp_report(g, samples=50, seed=0):
     }
 
 
-@dataclass
-class StructureDiagnostics:
-    decomposition_residual_max: float
-    psi_star_symmetry_defect: float
-    time_symmetry_defect_max: float
-    integrability_defect: float
-    critical_covector_is_half_entropy_gradient: bool
-    detailed_balance: bool
-    tol: float
-    seed: int
-    sample_count: int
-    worst_cases: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "decomposition_residual_max": self.decomposition_residual_max,
-            "psi_star_symmetry_defect": self.psi_star_symmetry_defect,
-            "time_symmetry_defect_max": self.time_symmetry_defect_max,
-            "integrability_defect": self.integrability_defect,
-            "critical_covector_is_half_entropy_gradient":
-                self.critical_covector_is_half_entropy_gradient,
-            "detailed_balance": self.detailed_balance,
-            "tol": self.tol,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "worst_cases": self.worst_cases,
-            "extras": self.extras,
-        }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, **kw)
-
-
 def covector_jacobian(rho, V, g):
     """D_rho V_L at rho, given V = V_L(rho), by the implicit function theorem.
 
@@ -413,7 +373,8 @@ def covector_jacobian(rho, V, g):
 
 
 def diagnostics(g, sample_count, seed, tol=DIAG_TOL):
-    """Numerical verdict on the structure of a chain.
+    """Numerical verdict on the structure of a chain, as the report dict
+    that `ldgrad analyze` writes to diagnostics.json.
 
     Over seeded random interior rho and zero-sum s, xi:
       * time_symmetry_defect_max = max |L(rho,s) - L(rho,-s) - 2 <V_L, s>|
@@ -424,11 +385,12 @@ def diagnostics(g, sample_count, seed, tol=DIAG_TOL):
         gradient structure exists, exactly when M is symmetric everywhere
       * critical_covector_is_half_entropy_gradient compares V_L against
         (1/2) the zero-sum entropy gradient.
-    Each sample solves for V_L once.  extras["conjugate_route"] says which
-    conjugate solver ran: "tree" (the closed form, no Newton solve) when the
-    generator graph read as undirected is a tree, else "newton".  All defects vanish together exactly
-    when detailed balance holds; they are always reported numerically, never
-    only as booleans.
+    Each sample solves for V_L once, and worst_cases names the sample of
+    each defect's largest positive value.  extras["conjugate_route"] says
+    which conjugate solver ran: "tree" (the closed form, no Newton solve)
+    when the generator graph read as undirected is a tree, else "newton".
+    All defects vanish together exactly when detailed balance holds; they
+    are always reported numerically, never only as booleans.
     """
     if sample_count < 1:
         raise markov.InvalidInput("sample_count must be >= 1")
@@ -439,7 +401,9 @@ def diagnostics(g, sample_count, seed, tol=DIAG_TOL):
                            entropy_scale=0.5, balance=balance)
     P = np.eye(J) - 1.0 / J
 
-    ts_max = sym_max = cc_max = dec_max = integ_max = 0.0
+    top = dict.fromkeys(("time_symmetry", "psi_star_symmetry",
+                         "critical_covector", "decomposition",
+                         "integrability"), 0.0)
     worst = {}
     for i in range(sample_count):
         rng = np.random.default_rng([seed, i])
@@ -448,48 +412,35 @@ def diagnostics(g, sample_count, seed, tol=DIAG_TOL):
         xi = convex.project_zero_sum(rng.standard_normal(J))
         split = decompose(gs, rho, s)
         V = split["covector"]
-
-        Lf = split["lagrangian"]
         Lb = markov.lagrangian(rho, -s, g).value
-        ts = abs(Lf - Lb - 2.0 * float(V @ s))
-        if ts > ts_max:
-            ts_max = ts
-            worst["time_symmetry"] = {"sample": i, "defect": ts}
-
-        sym = abs(markov.hamiltonian(rho, V - xi, g)
-                  - markov.hamiltonian(rho, V + xi, g))
-        if sym > sym_max:
-            sym_max = sym
-            worst["psi_star_symmetry"] = {"sample": i, "defect": sym}
-
         _, half_grad = markov.relative_entropy_gradient(rho, pi)
-        cc = float(np.abs(V - 0.5 * half_grad).max())
-        if cc > cc_max:
-            cc_max = cc
-            worst["critical_covector"] = {"sample": i, "defect": cc}
-
-        dec = abs(split["residual"])
-        if dec > dec_max:
-            dec_max = dec
-            worst["decomposition"] = {"sample": i, "defect": dec}
-
         M = P @ covector_jacobian(rho, V, g) @ P
-        integ = float(np.abs(M - M.T).max() / np.abs(M).max())
-        if integ > integ_max:
-            integ_max = integ
-            worst["integrability"] = {"sample": i, "defect": integ}
+        defects = {
+            "time_symmetry": abs(split["lagrangian"] - Lb
+                                 - 2.0 * float(V @ s)),
+            "psi_star_symmetry": abs(markov.hamiltonian(rho, V - xi, g)
+                                     - markov.hamiltonian(rho, V + xi, g)),
+            "critical_covector": float(np.abs(V - 0.5 * half_grad).max()),
+            "decomposition": abs(split["residual"]),
+            "integrability": float(np.abs(M - M.T).max() / np.abs(M).max()),
+        }
+        for name, defect in defects.items():
+            if defect > top[name]:
+                top[name] = defect
+                worst[name] = {"sample": i, "defect": defect}
 
-    return StructureDiagnostics(
-        decomposition_residual_max=float(dec_max),
-        psi_star_symmetry_defect=float(sym_max),
-        time_symmetry_defect_max=float(ts_max),
-        integrability_defect=float(integ_max),
-        critical_covector_is_half_entropy_gradient=bool(cc_max <= tol),
-        detailed_balance=balance.detailed_balance,
-        tol=tol,
-        seed=seed,
-        sample_count=sample_count,
-        worst_cases=worst,
-        extras={"critical_covector_gap_max": float(cc_max),
-                "conjugate_route": "newton" if g.tree is None else "tree"},
-    )
+    return {
+        "decomposition_residual_max": float(top["decomposition"]),
+        "psi_star_symmetry_defect": float(top["psi_star_symmetry"]),
+        "time_symmetry_defect_max": float(top["time_symmetry"]),
+        "integrability_defect": float(top["integrability"]),
+        "critical_covector_is_half_entropy_gradient":
+            bool(top["critical_covector"] <= tol),
+        "detailed_balance": balance.detailed_balance,
+        "tol": tol,
+        "seed": seed,
+        "sample_count": sample_count,
+        "worst_cases": worst,
+        "extras": {"critical_covector_gap_max": float(top["critical_covector"]),
+                   "conjugate_route": "newton" if g.tree is None else "tree"},
+    }

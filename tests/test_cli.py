@@ -85,7 +85,8 @@ def test_simulate_unknown_target_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("replicas", 1), ("replicas", 0),
-                                       ("n_list", []), ("n_list", [10, 0])])
+                                       ("n_list", []), ("n_list", [10, 0]),
+                                       ("n_list", [20, 20])])
 def test_simulate_rejects_too_few_replicas_or_particles(tmp_path, capsys,
                                                         key, value):
     argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]],
@@ -113,12 +114,18 @@ def test_simulate_rejects_a_bad_time_grid(tmp_path, capsys, T, grid_dt):
     {"seed": None}, {"n_list": [10.6]}, {"n_list": [True]}, {"n_list": 10},
     {"tube_radius": -0.1}, {"tube_radius": 0.0},
     {"tube_radius": float("inf")}, {"T": float("nan")}, {"T": "1.0"},
-    {"grid_dt": float("inf")}, {"grid_dt": False}],
+    {"grid_dt": float("inf")}, {"grid_dt": False}, {"generator": 5},
+    {"target": "pi"}, {"target": {"type": ["constant"]}},
+    {"target": {"type": "constant", "rho": [1.0]}},
+    {"target": {"type": "constant", "rho": [0.5, 0.3, 0.2]}},
+    {"target": {"type": "constant", "rho": [[0.6], [0.4]]}},
+    {"target": {"type": "constant"}},
+    {"target": {"type": "linear_solution", "rho0": [1.0]}},
+    {"target": {"type": "linear_solution", "rho0": [0.5, 0.3, 0.2]}}],
     ids=lambda o: "%s=%r" % next(iter(o.items())))
 def test_simulate_rejects_a_bad_config(tmp_path, capsys, override):
-    argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]],
-                            {"type": "constant", "rho": [0.6, 0.4]},
-                            **override)
+    cfg = {"target": {"type": "constant", "rho": [0.6, 0.4]}, **override}
+    argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]], **cfg)
     assert cli.main(argv) == cli.EXIT_INPUT
     assert "input error: config '%s" % next(iter(override)) in (
         capsys.readouterr().err)
@@ -137,7 +144,8 @@ def test_simulate_rejects_a_bad_config(tmp_path, capsys, override):
     {"rho0": {"type": "gaussian", "mean": float("nan"), "var": 0.8}},
     {"rho0": {"type": "gaussian", "var": 0.8}},
     {"rho0": {"type": "uniform"}}, {"rho0": {"mean": 1.0, "var": 0.8}},
-    {"rho0": [1, 2]}, {"rho0": "pi"}],
+    {"rho0": [1, 2]}, {"rho0": "pi"}, {"potential": {}},
+    {"potential": [0.0] * 20}, {"potential": [0.0] * 20 + ["x"]}],
     ids=lambda o: "%s=%r" % next(iter(o.items())))
 def test_diffusion_rejects_a_bad_config(tmp_path, capsys, override):
     cfg = {"a": -2.0, "b": 2.0, "N": 21, "potential": "quadratic", "seed": 4,
@@ -149,6 +157,18 @@ def test_diffusion_rejects_a_bad_config(tmp_path, capsys, override):
                      "--dt", "0.01", "--out", str(out)]) == cli.EXIT_INPUT
     assert "input error" in capsys.readouterr().err
     assert not (out / "diffusion_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "diffusion"])
+def test_a_config_that_is_not_an_object_is_an_input_error(tmp_path, capsys,
+                                                         command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"N": 21}]))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path),
+                     "--out", str(out)]) == cli.EXIT_INPUT
+    assert "must hold a JSON object, got list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _diffusion_config(path, N, **cfg):
@@ -173,7 +193,7 @@ def test_diffusion_outputs_equal_the_full_stack_values(tmp_path):
     g = diffusion.make_grid(-4.0, 4.0, N, "quadratic")
     pi = g.invariant_masses()
     traj = evolve.integrate_linear(diffusion.gaussian_initial_masses(
-        g, 1.0, 0.8), g.chain, T, dt, with_entropy=False)
+        g, 1.0, 0.8), g.chain, T, dt)
     snap = np.linspace(0, traj.times.size - 1, 6).astype(int)
     profiles = np.vstack([diffusion.profiles_rows(g, traj.states[k])
                           for k in snap])
@@ -336,7 +356,7 @@ def test_non_finite_report_value_is_a_runtime_failure(tmp_path, monkeypatch,
 
     def nan_defect(*args, **kwargs):
         diag = original(*args, **kwargs)
-        diag.integrability_defect = float("nan")
+        diag["integrability_defect"] = float("nan")
         return diag
 
     monkeypatch.setattr(structure, "diagnostics", nan_defect)

@@ -165,7 +165,7 @@ def test_ou_relaxation():
     g = diffusion.make_grid(-5, 5, 201, "quadratic")
     gen = diffusion.discretize_generator(g)
     rho0 = diffusion.gaussian_initial_masses(g, 1.0, 0.64)
-    traj = evolve.integrate_linear(rho0, gen, 10.0, 1e-3, with_entropy=False)
+    traj = evolve.integrate_linear(rho0, gen, 10.0, 1e-3)
     pi = g.invariant_masses()
     assert np.abs(traj.states[-1] - pi).max() <= 1e-3
     # intermediate time against the exact OU marginal at grid scale
@@ -184,8 +184,7 @@ def test_entropy_curve_refinement():
         g = diffusion.make_grid(-5, 5, N, "quadratic")
         gen = diffusion.discretize_generator(g)
         rho0 = diffusion.gaussian_initial_masses(g, 1.0, 0.64)
-        traj = evolve.integrate_linear(rho0, gen, 5.0, 1e-3,
-                                       with_entropy=False)
+        traj = evolve.integrate_linear(rho0, gen, 5.0, 1e-3)
         pi = g.invariant_masses()
         curves[N] = np.array([markov.relative_entropy(traj.states[k], pi)
                               for k in range(0, traj.times.size, 10)])

@@ -479,8 +479,8 @@ def test_tree_solves_make_no_newton_call(monkeypatch):
     monkeypatch.setattr(convex, "conjugate", refuse)
     g = _ou_generator(21)
     d = structure.diagnostics(g, sample_count=3, seed=1)
-    assert d.extras["conjugate_route"] == "tree"
-    assert d.decomposition_residual_max <= 1e-12
+    assert d["extras"]["conjugate_route"] == "tree"
+    assert d["decomposition_residual_max"] <= 1e-12
     rng = np.random.default_rng(3)
     rho = markov.project_interior(rng.dirichlet(np.ones(21)), 1e-6)
     s = convex.project_zero_sum(rng.standard_normal(21))

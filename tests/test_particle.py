@@ -310,6 +310,15 @@ def _three_state_tilt(T):
         np.array([[0.6, -0.4, 0.1], [-0.5, 0.3, 0.8], [0.2, 0.7, -0.6]]))
 
 
+def _keep_jumps(path, keep):
+    """The path with only the jumps that `keep` (a mask or index list)
+    selects."""
+    return particle.ParticlePath(
+        n=path.n, horizon=path.horizon, initial_states=path.initial_states,
+        **{name: getattr(path, name)[keep] for name in (
+            "jump_times", "jump_particles", "jump_from", "jump_to")})
+
+
 def test_tilted_particle_streams(monkeypatch):
     # Particle k of an n-particle run is the one-particle run with
     # stream_offset = k, and no path depends on how the particles are
@@ -337,21 +346,30 @@ def test_tilted_particle_streams(monkeypatch):
         assert np.array_equal(getattr(q, name), getattr(p, name))
     assert q.meta == p.meta
     # Replica r of one run of R n particles on stream block b is the
-    # n-particle run with stream_offset = (b R + r) n, tilted and untilted.
+    # n-particle run with stream_offset = (b R + r) n, tilted and untilted:
+    # its grouped empirical measure and G are those of that run, bit for
+    # bit, also once the jumps of a middle and of the last replica are taken
+    # out.
     R, b = 4, 3
+    grid = np.linspace(0.0, T, 21)
     for field in (tilt, None):
         run = particle.simulate(g, R * n, T, np.tile(init, R), seed=8,
                                 tilt=field, stream_offset=b * R * n)
         assert run.meta["tilted"] == (field is not None)
-        reps = list(particle._split_replicas(run, R))
-        assert len(reps) == R
-        for r, rep in enumerate(reps):
-            one = particle.simulate(g, n, T, init, seed=8, tilt=field,
-                                    stream_offset=(b * R + r) * n)
-            assert rep.n == n and rep.horizon == T
-            for name in ("initial_states", "jump_times", "jump_particles",
-                         "jump_from", "jump_to"):
-                assert np.array_equal(getattr(rep, name), getattr(one, name))
+        ones = [particle.simulate(g, n, T, init, seed=8, tilt=field,
+                                  stream_offset=(b * R + r) * n)
+                for r in range(R)]
+        for empty in (None, 1, R - 1):
+            if empty is not None:
+                run = _keep_jumps(run, run.jump_particles // n != empty)
+                ones[empty] = _keep_jumps(ones[empty], [])
+            emp = particle.empirical_measure_path(run, grid, 3, R)
+            G = particle.girsanov_log_density(run, tilt, g, R)
+            assert emp.shape == (R, grid.size, 3) and G.shape == (R,)
+            for r, one in enumerate(ones):
+                assert np.array_equal(
+                    emp[r], particle.empirical_measure_path(one, grid, 3))
+                assert G[r] == particle.girsanov_log_density(one, tilt, g)
     # The keyed streams are particle_rng's, also from a block boundary on.
     streams = particle.ParticleStreams(8)
     for stream in (0, 5, 2 ** 40):
@@ -409,10 +427,13 @@ def test_experiment_report_determinism_on_rerun(two_state):
     states = np.tile(np.array([0.7, 0.3]), (times.size, 1))
     reports = []
     for _ in range(2):
-        rep, rows = particle.rate_vs_probability_experiment(
-            two_state, times, states, 0.05, [100], 20, seed=55)
-        reports.append(json.dumps(rep, sort_keys=True)
-                       + json.dumps(rows, sort_keys=True))
+        rep, table = particle.rate_vs_probability_experiment(
+            two_state, times, states, 0.05, [100, 50], 20, seed=55)
+        assert list(table) == ["n", "replica", "hit", "G", "log_weight",
+                               "distance"]
+        assert all(c.shape == (40,) for c in table.values())
+        reports.append(json.dumps(rep, sort_keys=True) + json.dumps(
+            {key: c.tolist() for key, c in table.items()}))
     assert reports[0] == reports[1]
 
 
