@@ -185,10 +185,18 @@ def cmd_analyze(args):
 
 
 def _parse_rho0(text, g):
+    """--rho0: "pi", or one number per state, comma-separated, that form a
+    probability vector (`markov.as_simplex`); InvalidInput otherwise."""
     if text == "pi":
         return markov.analyze_balance(g).invariant_measure
-    vals = np.array([float(x) for x in text.split(",")])
-    return markov.as_simplex(vals)
+    entries = text.split(",")
+    try:
+        if len(entries) == g.size:
+            return markov.as_simplex([float(x) for x in entries])
+    except ValueError:
+        pass
+    raise InvalidInput("--rho0 must be 'pi' or %d comma-separated numbers, "
+                       "got %r" % (g.size, text))
 
 
 def _integrate_tag(tag, g, rho0, args):

@@ -239,15 +239,6 @@ def decomposition_residual(rho, s, g):
     return abs(cost - (ws["psi"] - 0.5 * float(DS @ flux) + float(DS @ s)))
 
 
-def ou_exact_marginal(g, mu0, var0, t):
-    """Exact marginal of the unit Ornstein-Uhlenbeck process (quadratic
-    potential), mapped to grid masses for comparison with the chain."""
-    mu = mu0 * math.exp(-t)
-    var = 1.0 + (var0 - 1.0) * math.exp(-2.0 * t)
-    dens = np.exp(-0.5 * (g.nodes - mu) ** 2 / var)
-    return g.masses_from_density(dens)
-
-
 def gaussian_initial_masses(g, mu0, var0):
     dens = np.exp(-0.5 * (g.nodes - mu0) ** 2 / var0)
     return g.masses_from_density(dens)

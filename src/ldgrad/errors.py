@@ -83,20 +83,5 @@ class NonFiniteOutput(LdgradError):
     """A report value is NaN or infinite, which strict JSON cannot hold."""
 
 
-class NoCrossCheck(LdgradError):
-    """Two independent routes to the same potential disagree."""
-
-    def __init__(self, direct, dual):
-        super().__init__(
-            "psi routes disagree: direct %.12e vs conjugate %.12e"
-            % (direct, dual))
-        self.direct = direct
-        self.dual = dual
-
-    def __reduce__(self):
-        # args holds only the message; rebuild from the two values.
-        return type(self), (self.direct, self.dual), self.__dict__
-
-
 class WorkerLost(LdgradError):
     """A forked worker ended without sending back its result."""

@@ -24,7 +24,7 @@ conjugate of any edge sum is a sum of explicit per-edge transforms
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,6 @@ ENTROPY_CHUNK = 8192
 @dataclass
 class GeneratorMatrix:
     q: np.ndarray
-    state_labels: list = field(default_factory=list)
 
     @property
     def size(self):
@@ -76,7 +75,7 @@ class GeneratorMatrix:
         return EdgeTree.build(src, dst, self.size)
 
 
-def validate_generator(raw, state_labels=None):
+def validate_generator(raw):
     """Check intensity-matrix structure and force exact zero row sums.
 
     Off-diagonal entries must be >= 0 and each row sum must vanish within
@@ -100,25 +99,27 @@ def validate_generator(raw, state_labels=None):
             "row sums deviate from zero by up to %.3e" % row_dev.max())
     q = off
     np.fill_diagonal(q, -off.sum(axis=1))
-    if state_labels is None:
-        state_labels = [str(i + 1) for i in range(J)]
-    if len(state_labels) != J:
-        raise InvalidGenerator("label count does not match matrix size")
-    return GeneratorMatrix(q=q, state_labels=list(state_labels))
+    return GeneratorMatrix(q=q)
 
 
 def load_generator(path):
-    """Read {"labels": [...], "Q": [[...]]} and validate."""
+    """Read {"Q": [[...]], "labels": [...]} and validate: a JSON object
+    with a "Q" entry and, optionally, one label string per state (checked,
+    not kept); InvalidGenerator otherwise."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidGenerator("generator file must hold a JSON object, got %s"
+                               % type(data).__name__)
     if "Q" not in data:
         raise InvalidGenerator("generator file lacks a 'Q' entry")
-    return validate_generator(data["Q"], data.get("labels"))
-
-
-def save_generator(g, path):
-    with open(path, "w") as fh:
-        json.dump({"labels": g.state_labels, "Q": g.q.tolist()}, fh, indent=2)
+    g = validate_generator(data["Q"])
+    labels = data.get("labels", [""] * g.size)
+    if not (isinstance(labels, list) and len(labels) == g.size
+            and all(isinstance(x, str) for x in labels)):
+        raise InvalidGenerator("generator 'labels' must be a list of %d "
+                               "strings, got %r" % (g.size, labels))
+    return g
 
 
 def as_simplex(v, tol=1e-9):
@@ -458,24 +459,15 @@ def hamiltonian(rho, xi, g):
     return hamiltonian_functional(rho, g)(np.asarray(xi, dtype=float))
 
 
-def hamiltonian_gradient(rho, xi, g):
-    """d/dxi_k H = sum_i rho_i Q_ik e^{xi_k-xi_i} - rho_k sum_j Q_kj e^{xi_j-xi_k}."""
-    return hamiltonian_functional(rho, g).gradient(np.asarray(xi, dtype=float))
-
-
-def hamiltonian_hessian(rho, xi, g):
-    return hamiltonian_functional(rho, g).hessian(np.asarray(xi, dtype=float))
-
-
-def lagrangian(rho, s, g, tol=convex.DEFAULT_TOL, x0=None):
+def lagrangian(rho, s, g, x0=None):
     """L(rho, s) = sup_xi <xi,s> - H(rho,xi), by `EdgeFunctional.conjugate`:
-    closed form on a tree, Newton with exact Hessian otherwise.
+    closed form on a tree, Newton from x0 with exact Hessian otherwise.
 
-    The value is clamped to zero only when it is within tol of zero; genuine
-    negatives (which cannot occur for valid inputs) are left visible.
+    The value is clamped to zero only when it is within convex.DEFAULT_TOL
+    of zero; genuine negatives (impossible for valid inputs) stay visible.
     """
-    res = hamiltonian_functional(rho, g).conjugate(s, x0=x0, tol=tol)
-    if abs(res.value) <= tol:
+    res = hamiltonian_functional(rho, g).conjugate(s, x0=x0)
+    if abs(res.value) <= convex.DEFAULT_TOL:
         res.value = max(res.value, 0.0)
     return res
 

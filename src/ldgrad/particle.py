@@ -47,12 +47,7 @@ BOUND_SLACK = 1e-10
 # Uniforms (or bound-table entries) per particle chunk held at once by the
 # tilted thinning, 8 MB of doubles.
 THINNING_BLOCK = 1 << 20
-
-
-def particle_rng(seed, stream):
-    """Counter-based generator for one particle stream; key = (seed, stream)."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+ESS_THRESHOLD = 0.1
 
 
 def deterministic_assignment(rho0, n):
@@ -142,21 +137,6 @@ class ParticlePath:
         for name in ("initial_states", "jump_particles", "jump_from",
                      "jump_to"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=int))
-
-    def validate(self):
-        if np.any(self.jump_times <= 0) or np.any(self.jump_times > self.horizon):
-            raise InvalidInput("jump times must lie in (0, T]")
-        if np.any(self.jump_from == self.jump_to):
-            raise InvalidInput("self-jumps recorded")
-        if np.any(np.diff(self.jump_times) < 0):
-            raise InvalidInput("jumps not time-sorted")
-        state = self.initial_states.copy()
-        for t, k, i, j in zip(self.jump_times, self.jump_particles,
-                              self.jump_from, self.jump_to):
-            if state[k] != i:
-                raise InvalidInput("inconsistent per-particle state sequence")
-            state[k] = j
-        return True
 
 
 def _tilted_rates(off, xi, states):
@@ -271,9 +251,9 @@ def _simulate_tilted(streams, stream_offset, initial_states, T, off, tilt):
 
 
 class ParticleStreams:
-    """The streams of `particle_rng(seed, stream)`, read through one reused
-    Philox bit generator: setting its state costs a fraction of constructing
-    one."""
+    """The particle streams of one seed, stream k the Philox generator keyed
+    by (seed, k), read through one reused bit generator: setting its state
+    costs a fraction of constructing one."""
 
     def __init__(self, seed):
         self._key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
@@ -489,7 +469,7 @@ def path_pairing_functional(path, tilt, g):
     return pairing - h_int
 
 
-def path_rate_functional(times, states, g, tol=convex.DEFAULT_TOL):
+def path_rate_functional(times, states, g):
     """I_T = int L(rho_t, rho'_t) dt on a uniform grid.
 
     rho' by central differences (one-sided at the ends), L by
@@ -516,7 +496,7 @@ def path_rate_functional(times, states, g, tol=convex.DEFAULT_TOL):
     for m in range(M):
         try:
             res = markov.lagrangian(states[m], convex.project_zero_sum(sdot[m]),
-                                    g, tol=tol, x0=x0)
+                                    g, x0=x0)
         except UnboundedConjugate as exc:
             raise UnboundedConjugate(
                 "cost unbounded at t = %.6g: %s" % (times[m], exc)) from exc
@@ -548,8 +528,7 @@ def _logsumexp(a):
 
 
 def rate_vs_probability_experiment(g, target_times, target_states,
-                                   tube_radius, n_list, replicas, seed,
-                                   ess_threshold=0.1):
+                                   tube_radius, n_list, replicas, seed):
     """Tilt-then-reweight estimate of tube probabilities against I_T.
 
     For each n: simulate `replicas` copies of n particles under the
@@ -563,9 +542,9 @@ def rate_vs_probability_experiment(g, target_times, target_states,
     topology of the underlying theory; estimates are labelled accordingly.
     Zero hits give an infinite estimate, reported as `inf_estimate` with a
     None (JSON null) `estimate` and `standard_error`, and not fatal; a plain
-    Monte Carlo run without hits has a None `estimate`.  A small effective
-    sample size sets `variance_flagged`.  `thinning` sums the
-    proposals and acceptances of the tilted replicas.
+    Monte Carlo run without hits has a None `estimate`.  An effective sample
+    size below ESS_THRESHOLD * replicas sets `variance_flagged`.  `thinning`
+    sums the proposals and acceptances of the tilted replicas.
 
     Each n makes one tilted and at most one plain `simulate` call of n *
     replicas particles, on the stream blocks ni and len(n_list) + ni; replica
@@ -641,7 +620,7 @@ def rate_vs_probability_experiment(g, target_times, target_states,
             "standard_error": se_estimate,
             "hit_fraction": float(hits.mean()),
             "effective_sample_size": ess,
-            "variance_flagged": bool(ess < ess_threshold * replicas),
+            "variance_flagged": bool(ess < ESS_THRESHOLD * replicas),
             "inf_estimate": inf_estimate,
             "relative_deviation_from_rate": (
                 float(estimate / I_T - 1.0) if estimate is not None and I_T > 0

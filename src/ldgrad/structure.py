@@ -27,15 +27,15 @@ Every potential above is a sum over the edges of the generator graph and is
 evaluated by `markov.EdgeFunctional`; the shift by V tilts the edge weights
 of H by e^{V_j - V_i}.  The edge constants of Psi* that do not depend on rho
 are built once per structure (`DualWeights`), and `flow_field`, `psi_star`
-and `psi` all take their weights from them.
+and the family `psi` all take their weights from them.
 
-Every conjugate here (V_L, L, the dual of the shifted Psi* and the
-cross-check in `psi`) goes through `EdgeFunctional.conjugate`.  On a
-generator whose graph, read as undirected, is a tree, s fixes the flux on
-each edge and every potential, expm1 and the family members alike, has an
-exact per-edge closed form in O(J): V_L, L(rho, s), Psi, the split and the
-detailed-balance identities then hold to rounding, with no Newton solve and
-no search box.  Only graphs that are not trees use Newton.
+Every conjugate here (V_L, L and Psi, the conjugate of Psi*) goes through
+`EdgeFunctional.conjugate`.  On a generator whose graph, read as
+undirected, is a tree, s fixes the flux on each edge and every potential,
+expm1 and the family members alike, has an exact per-edge closed form in
+O(J): V_L, L(rho, s), Psi, the split and the detailed-balance identities
+then hold to rounding, with no Newton solve and no search box.  Only graphs
+that are not trees use Newton.
 
 A gradient structure exists exactly when V_L is a derivative.  The simplex
 interior is simply connected, so this holds exactly when the projected
@@ -53,8 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from . import convex, markov
-from .errors import (BoundaryPoint, NoCrossCheck, NotGradientSystem,
-                     NotWeaklyReversible)
+from .errors import BoundaryPoint, NotGradientSystem, NotWeaklyReversible
 
 DIAG_TOL = 1e-6
 LOG_RATIO_GUARD = 1e-8
@@ -90,10 +89,6 @@ class GradientStructure:
         """S(rho); on an (n, J) stack, one value per row."""
         return self.entropy_scale * markov.relative_entropy(rho, self.pi)
 
-    def entropy_gradient(self, rho):
-        raw, zs = markov.relative_entropy_gradient(rho, self.pi)
-        return self.entropy_scale * raw, self.entropy_scale * zs
-
 
 def build_structure(g, family=Family.LDP_EXACT, entropy_scale=None, seed=0):
     """Assemble (pi, S, dissipation family) for a generator.
@@ -119,21 +114,20 @@ def build_structure(g, family=Family.LDP_EXACT, entropy_scale=None, seed=0):
                              balance=balance)
 
 
-def critical_covector(rho, g, tol=convex.DEFAULT_TOL, x0=None):
+def critical_covector(rho, g):
     """V_L(rho) = argmin_xi H(rho, .), zero-sum representative.
 
-    This is also D_s L(rho, 0): exact on a tree generator, by Newton on
-    the convex H otherwise (`EdgeFunctional.conjugate`).
+    This is also D_s L(rho, 0): exact on a tree generator, otherwise by
+    Newton on the convex H (`EdgeFunctional.conjugate`), started from half
+    the log-ratio of rho to the uniform measure.
     """
     rho = np.asarray(rho, dtype=float)
     if not markov.is_interior(rho):
         raise BoundaryPoint("critical covector needs interior rho")
-    if x0 is None:
-        # Half log-ratio is exact under detailed balance; a good start always.
-        balance_guess = 0.5 * np.log(rho / np.abs(rho).sum() * rho.size)
-        x0 = convex.project_zero_sum(balance_guess)
+    x0 = convex.project_zero_sum(0.5 * np.log(rho / np.abs(rho).sum()
+                                              * rho.size))
     H = markov.hamiltonian_functional(rho, g)
-    return H.conjugate(np.zeros(rho.size), x0=x0, tol=tol).argmax
+    return H.conjugate(np.zeros(rho.size), x0=x0).argmax
 
 
 def _shifted_hamiltonian(rho, V, g):
@@ -144,11 +138,6 @@ def _shifted_hamiltonian(rho, V, g):
     return markov.EdgeFunctional(H.src, H.dst,
                                  H.weights * np.exp(V[H.dst] - V[H.src]), H.J,
                                  tree=H.tree)
-
-
-def shifted_dual(rho, V, xi, g):
-    """Psi*_{L,V}(rho, xi) = H(rho, V + xi) - H(rho, V) for any covector V."""
-    return _shifted_hamiltonian(rho, V, g)(np.asarray(xi, dtype=float))
 
 
 class DualWeights:
@@ -210,30 +199,16 @@ def psi_star(gs, rho, xi):
     return _dual_functional(gs, rho)(np.asarray(xi, dtype=float))
 
 
-def psi(gs, rho, s, check=True, tol=convex.DEFAULT_TOL):
-    """Primal dissipation potential at (rho, s).
+def psi(gs, rho, s):
+    """Primal dissipation potential Psi(rho, s), the conjugate of Psi*(rho, .).
 
-    The exact structure uses Psi = L(rho,s) - L(rho,0) - <V_L, s>; for family
-    tags Psi is the conjugate of Psi* (`EdgeFunctional.conjugate`: closed
-    form on a tree generator, Newton otherwise).  With `check` (exact
-    structure under detailed balance only) both routes are computed and must
-    agree within 1e-7.
+    For the exact structure, with or without detailed balance, Psi* is the
+    V_L-shifted Hamiltonian and Psi is the "psi" of `decompose`; for the
+    family members Psi* is the `DualWeights` functional.
     """
-    rho = np.asarray(rho, dtype=float)
-    s = np.asarray(s, dtype=float)
-    g = gs.generator
-    F = _dual_functional(gs, rho)
-    if gs.family is not Family.LDP_EXACT:
-        return float(F.conjugate(s, tol=tol).value)
-    V = critical_covector(rho, g)
-    HV = markov.hamiltonian(rho, V, g)
-    lag = markov.lagrangian(rho, s, g)
-    value = lag.value + HV - float(V @ s)
-    if check and gs.balance.detailed_balance:
-        dual = F.conjugate(s, tol=tol)
-        if abs(dual.value - value) > 1e-7:
-            raise NoCrossCheck(value, dual.value)
-    return float(value)
+    if gs.family is Family.LDP_EXACT:
+        return decompose(gs, rho, s)["psi"]
+    return float(_dual_functional(gs, rho).conjugate(s).value)
 
 
 def decompose(gs, rho, s):
@@ -372,7 +347,7 @@ def covector_jacobian(rho, V, g):
     return -np.linalg.solve(hess + 1.0, B)
 
 
-def diagnostics(g, sample_count, seed, tol=DIAG_TOL):
+def diagnostics(g, sample_count, seed):
     """Numerical verdict on the structure of a chain, as the report dict
     that `ldgrad analyze` writes to diagnostics.json.
 
@@ -384,7 +359,7 @@ def diagnostics(g, sample_count, seed, tol=DIAG_TOL):
         D_rho V_L from `covector_jacobian`; V_L is a derivative, so that a
         gradient structure exists, exactly when M is symmetric everywhere
       * critical_covector_is_half_entropy_gradient compares V_L against
-        (1/2) the zero-sum entropy gradient.
+        (1/2) the zero-sum entropy gradient, within DIAG_TOL.
     Each sample solves for V_L once, and worst_cases names the sample of
     each defect's largest positive value.  extras["conjugate_route"] says
     which conjugate solver ran: "tree" (the closed form, no Newton solve)
@@ -435,9 +410,9 @@ def diagnostics(g, sample_count, seed, tol=DIAG_TOL):
         "time_symmetry_defect_max": float(top["time_symmetry"]),
         "integrability_defect": float(top["integrability"]),
         "critical_covector_is_half_entropy_gradient":
-            bool(top["critical_covector"] <= tol),
+            bool(top["critical_covector"] <= DIAG_TOL),
         "detailed_balance": balance.detailed_balance,
-        "tol": tol,
+        "tol": DIAG_TOL,
         "seed": seed,
         "sample_count": sample_count,
         "worst_cases": worst,

@@ -1,8 +1,30 @@
-"""Seeded generator factories for the tests."""
+"""Seeded generator factories, the generator-file writer and the exact OU
+marginal for the tests."""
+
+import json
+import math
 
 import numpy as np
 
 from ldgrad.markov import validate_generator
+
+
+def save_generator(g, path):
+    """Write g as the generator file that `markov.load_generator` reads,
+    labels "1" .. "J" included."""
+    labels = [str(i + 1) for i in range(g.size)]
+    with open(path, "w") as fh:
+        json.dump({"labels": labels, "Q": g.q.tolist()}, fh, indent=2)
+
+
+def ou_exact_marginal(grid, mu0, var0, t):
+    """Exact marginal of the unit Ornstein-Uhlenbeck process (quadratic
+    potential) started from N(mu0, var0), mapped to masses on `grid` for
+    comparison with the chain."""
+    mu = mu0 * math.exp(-t)
+    var = 1.0 + (var0 - 1.0) * math.exp(-2.0 * t)
+    dens = np.exp(-0.5 * (grid.nodes - mu) ** 2 / var)
+    return grid.masses_from_density(dens)
 
 
 def two_state_symmetric(rate=1.0):

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's Newton machinery: dense
 grid search for conjugates, closed-form root formulas for the two-state
 cost, logarithmic means written from scratch, central differences for
-gradients and Hessians, and a birth-death filtering computation of tube
-probabilities.
+gradients and Hessians, a birth-death filtering computation of tube
+probabilities, the particle streams built from scratch and a replay of a
+particle path's per-particle state sequence.
 """
 
 import numpy as np
@@ -123,3 +124,24 @@ def random_interior(rng, J, floor=1e-6):
 def random_zero_sum(rng, J, scale=1.0):
     v = scale * rng.standard_normal(J)
     return v - v.mean()
+
+
+def particle_rng(seed, stream):
+    """Counter-based generator for one particle stream, key (seed, stream):
+    the reference for `particle.ParticleStreams`."""
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def assert_path_consistent(path):
+    """Jump times time-sorted in (0, T], no self-jumps, and every jump
+    leaving the state its particle is in."""
+    times = path.jump_times
+    assert np.all(times > 0) and np.all(times <= path.horizon)
+    assert np.all(np.diff(times) >= 0)
+    assert np.all(path.jump_from != path.jump_to)
+    state = path.initial_states.copy()
+    for k, i, j in zip(path.jump_particles, path.jump_from, path.jump_to):
+        assert state[k] == i
+        state[k] = j

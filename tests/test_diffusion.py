@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import chains
 from ldgrad import diffusion, evolve, markov
 from ldgrad.errors import DegenerateWeight, InvalidInput
 
@@ -170,7 +171,7 @@ def test_ou_relaxation():
     assert np.abs(traj.states[-1] - pi).max() <= 1e-3
     # intermediate time against the exact OU marginal at grid scale
     mid = traj.states[1000]
-    oracle = diffusion.ou_exact_marginal(g, 1.0, 0.64, 1.0)
+    oracle = chains.ou_exact_marginal(g, 1.0, 0.64, 1.0)
     assert np.abs(mid - oracle).max() <= 5e-3
     # entropy decreases along the way
     ent = [markov.relative_entropy(traj.states[k], pi)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import chains
-from conftest import birth_death_tube_logp
+from conftest import (assert_path_consistent, birth_death_tube_logp,
+                      particle_rng)
 from ldgrad import evolve, markov, particle, structure
 from ldgrad.errors import (InvalidInput, ThinningBoundExceeded, TiltTooStrong,
                           UnboundedConjugate)
@@ -25,7 +26,7 @@ def _clock_reference(g, T, init, seed):
     off = g.q - np.diag(np.diag(g.q))
     jumps = []
     for k, state in enumerate(init):
-        rng, t, lam = particle.particle_rng(seed, k), 0.0, off[state].sum()
+        rng, t, lam = particle_rng(seed, k), 0.0, off[state].sum()
         while lam > 0.0:
             u1, u2 = rng.random(2)
             t += -math.log1p(-u1) / lam
@@ -45,7 +46,7 @@ def test_simulate_golden_record(two_state):
     assert p.jump_from.tolist() == GOLDEN_FROM
     assert p.jump_to.tolist() == GOLDEN_TO
     assert p.meta["proposals"] == p.meta["accepted"] == 3
-    assert p.validate()
+    assert_path_consistent(p)
     # The thinning loop at zero tilt against the per-particle clocks, also on
     # a chain with unequal exit rates and a zero rate.
     g = markov.validate_generator([[-1.5, 1.5, 0.0], [0.4, -1.1, 0.7],
@@ -253,7 +254,7 @@ def test_rate_functional_constant_path(two_state):
     assert abs(out["value"] - expected) <= 1e-9
     # under detailed balance this also equals T * Psi*(rho, -DS)
     gs = structure.build_structure(two_state)
-    _, DS = gs.entropy_gradient(rho)
+    DS = gs.entropy_scale * markov.relative_entropy_gradient(rho, gs.pi)[1]
     assert abs(out["value"] - 2.0 * structure.psi_star(gs, rho, -DS)) <= 1e-9
     assert out["value"] > 0.0
 
@@ -329,7 +330,7 @@ def test_tilted_particle_streams(monkeypatch):
     n = 60
     init = particle.deterministic_assignment(np.full(3, 1.0 / 3.0), n)
     p = particle.simulate(g, n, T, init, seed=8, tilt=tilt)
-    assert p.validate()
+    assert_path_consistent(p)
     assert p.meta["accepted"] == p.jump_times.size > 0
     assert p.meta["proposals"] > p.meta["accepted"]
     for k in range(n):
@@ -373,7 +374,7 @@ def test_tilted_particle_streams(monkeypatch):
     # The keyed streams are particle_rng's, also from a block boundary on.
     streams = particle.ParticleStreams(8)
     for stream in (0, 5, 2 ** 40):
-        ref = particle.particle_rng(8, stream).random(12)
+        ref = particle_rng(8, stream).random(12)
         assert np.array_equal(streams.at(stream).random(12), ref)
         assert np.array_equal(streams.at(stream, 8).random(4), ref[8:])
 
@@ -449,8 +450,8 @@ def test_rate_functional_knots_are_the_optimal_tilt(two_state):
     # finite-difference velocity (central inside, one-sided at the ends).
     sdot = np.gradient(states, times[1] - times[0], axis=0)
     for m in (0, 25, 50):
-        grad = markov.hamiltonian_gradient(states[m], rate["knots"][m],
-                                           two_state)
+        grad = markov.hamiltonian_functional(states[m], two_state).gradient(
+            rate["knots"][m])
         assert np.abs(grad - sdot[m]).max() <= 1e-9
 
 

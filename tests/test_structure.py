@@ -21,7 +21,8 @@ def test_critical_covector_two_state(two_state):
     assert np.abs(V - expected).max() <= 1e-10
     assert np.abs(V - [-0.27465, 0.27465]).max() <= 1e-5
     # the covector zeroes the Hamiltonian gradient
-    assert np.abs(markov.hamiltonian_gradient(rho, V, two_state)).max() <= 1e-10
+    grad = markov.hamiltonian_functional(rho, two_state).gradient(V)
+    assert np.abs(grad).max() <= 1e-10
 
 
 def test_critical_covector_cyclic_closed_form(cyclic):
@@ -56,7 +57,7 @@ def test_psi_star_two_state_closed_form(two_state):
     val = structure.psi_star(gs, rho, xi)
     # Shifted-Hamiltonian oracle: H(rho, V + xi) - H(rho, V)
     V = structure.critical_covector(rho, two_state)
-    oracle = structure.shifted_dual(rho, V, xi, two_state)
+    oracle = structure._shifted_hamiltonian(rho, V, two_state)(xi)
     assert abs(val - oracle) <= 1e-12
     # 2-state closed form 2 sqrt(rho1 rho2 Q12 Q21) (cosh(2 xi_1) - 1)
     assert abs(val - 2.0 * 0.5 * (np.cosh(2.0) - 1.0)) <= 1e-12
@@ -106,16 +107,22 @@ def test_psi_nonnegative_on_reversible():
     for _ in range(100):
         rho = random_interior(rng, 4)
         s = random_zero_sum(rng, 4)
-        assert structure.psi(gs, rho, s, check=False) >= -1e-9
+        assert structure.psi(gs, rho, s) >= -1e-9
 
 
-def test_psi_cross_check_runs(two_state):
-    gs = structure.build_structure(two_state, Family.LDP_EXACT)
+def test_psi_cross_check_runs(two_state, cyclic):
+    # Psi, the conjugate of the shifted Hamiltonian, against the L-route
+    # L(rho, s) + H(rho, V_L) - <V_L, s>, also without detailed balance.
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        rho = random_interior(rng, 2)
-        s = random_zero_sum(rng, 2)
-        structure.psi(gs, rho, s, check=True)  # raises on route mismatch
+    for g in (two_state, cyclic, chains.random_reversible(6, 1)):
+        gs = structure.build_structure(g, Family.LDP_EXACT)
+        for _ in range(5):
+            rho = random_interior(rng, g.size)
+            s = random_zero_sum(rng, g.size)
+            V = structure.critical_covector(rho, g)
+            via_l = (markov.lagrangian(rho, s, g).value
+                     + markov.hamiltonian(rho, V, g) - float(V @ s))
+            assert abs(structure.psi(gs, rho, s) - via_l) <= 1e-12
 
 
 def test_decompose_zero_cost_on_flow():
@@ -171,18 +178,20 @@ def test_nonnegativity_dichotomy():
     rng = np.random.default_rng(17)
     rho = random_interior(rng, 4)
     V = structure.critical_covector(rho, g)
+    # Psi*_{L,V}(rho, xi) = H(rho, V + xi) - H(rho, V)
+    shifted = structure._shifted_hamiltonian(rho, V, g)
     vals = []
     for _ in range(1000):
         xi = random_zero_sum(rng, 4)
-        vals.append(structure.shifted_dual(rho, V, xi, g))
+        vals.append(shifted(xi))
     assert min(vals) >= -1e-9
-    assert structure.shifted_dual(rho, V, np.zeros(4), g) == 0.0
+    assert shifted(np.zeros(4)) == 0.0
     # a perturbed covector breaks non-negativity somewhere
     delta = random_zero_sum(rng, 4)
     delta *= 0.1 / np.linalg.norm(delta)
     Vp = V + delta
-    perturbed_min = min(structure.shifted_dual(rho, Vp, random_zero_sum(rng, 4), g)
-                        for _ in range(1000))
+    shifted = structure._shifted_hamiltonian(rho, Vp, g)
+    perturbed_min = min(shifted(random_zero_sum(rng, 4)) for _ in range(1000))
     assert perturbed_min < -1e-4
 
 
@@ -251,11 +260,8 @@ def _loop_integral_midpoint(vertices, field, segments):
         a = vertices[e]
         b = vertices[(e + 1) % n]
         d = (b - a) / segments
-        x0 = None
         for k in range(segments):
-            v = field(a + (k + 0.5) * d, x0)
-            x0 = v
-            total += float(v @ d)
+            total += float(field(a + (k + 0.5) * d) @ d)
     return total
 
 
@@ -273,8 +279,8 @@ def _largest_loop_integral(g, segments=16):
         triangles = [np.stack([0.7 * rng.dirichlet(np.ones(J)) + 0.3 / J
                                for _ in range(3)]) for _ in range(2)]
 
-    def field(rho, x0):
-        return structure.critical_covector(rho, g, x0=x0)
+    def field(rho):
+        return structure.critical_covector(rho, g)
 
     worst = 0.0
     for verts in triangles:
@@ -314,10 +320,13 @@ def test_covector_jacobian_matches_finite_difference(name):
         rho, structure.critical_covector(rho, g), g)
     assert np.abs(D.sum(axis=0)).max() <= 1e-12
     h = 1e-6
-    fd = np.stack([
-        (structure.critical_covector(rho + h * e, g, tol=1e-13)
-         - structure.critical_covector(rho - h * e, g, tol=1e-13)) / (2 * h)
-        for e in np.eye(J)], axis=1)
+
+    def covector(rho):
+        H = markov.hamiltonian_functional(rho, g)
+        return H.conjugate(np.zeros(J), tol=1e-13).argmax
+
+    fd = np.stack([(covector(rho + h * e) - covector(rho - h * e)) / (2 * h)
+                   for e in np.eye(J)], axis=1)
     assert np.abs(D - fd).max() <= 1e-6
 
 
@@ -364,7 +373,7 @@ def test_flow_field_matches_finite_difference_of_psi_star():
     gs = structure.build_structure(g, Family.LDP_EXACT)
     rng = np.random.default_rng(33)
     rho = random_interior(rng, 4)
-    _, DS = gs.entropy_gradient(rho)
+    DS = gs.entropy_scale * markov.relative_entropy_gradient(rho, gs.pi)[1]
     fd = finite_diff_gradient(
         lambda xi: structure.psi_star(gs, rho, xi), -DS, 1e-6)
     assert np.abs(structure.flow_field(gs, rho) - fd).max() <= 1e-6
@@ -452,9 +461,10 @@ def test_fenchel_equality_on_flow():
     rng = np.random.default_rng(41)
     for _ in range(5):
         rho = random_interior(rng, 5)
-        _, DS = gs.entropy_gradient(rho)
+        DS = gs.entropy_scale * markov.relative_entropy_gradient(rho,
+                                                                gs.pi)[1]
         sdot = markov.drift(rho, g)
-        total = (structure.psi(gs, rho, sdot, check=False)
+        total = (structure.psi(gs, rho, sdot)
                  + structure.psi_star(gs, rho, -DS) + float(DS @ sdot))
         assert abs(total) <= 1e-8
 
