@@ -163,10 +163,10 @@ def cmd_analyze(args):
         verdict = "covector system only"
     report["verdict"] = verdict
     if g.weakly_reversible and report["detailed_balance"]:
-        for fam in (structure.Family.QUADRATIC_FAMILY,
-                    structure.Family.COSH_FAMILY):
-            _, srep = structure.determine_entropy_scale(g, fam, seed=args.seed)
-            report.setdefault("family_entropy_scales", {})[fam.value] = srep
+        report["family_entropy_scales"] = {
+            fam.value: structure.determine_entropy_scale(g, fam, args.seed)
+            for fam in (structure.Family.QUADRATIC_FAMILY,
+                        structure.Family.COSH_FAMILY)}
         report["cosh_vs_ldp"] = structure.cosh_vs_ldp_report(g, seed=args.seed)
     out = _out_dir(args)
     path = os.path.join(out, "diagnostics.json")
@@ -205,8 +205,7 @@ def _integrate_tag(tag, g, rho0, args):
     if tag == "linear":
         traj = evolve.integrate_linear(rho0, g, args.T, args.dt)
     else:
-        gs = structure.build_structure(g, structure.Family(tag),
-                                       seed=args.seed)
+        gs = structure.build_structure(g, structure.Family(tag))
         traj = evolve.integrate_gradient_flow(rho0, gs, args.T, args.dt)
     return traj, time.perf_counter() - t0
 
@@ -531,7 +530,8 @@ def build_parser():
                     help="distinct comma-separated TAGs from linear|ldp|"
                          "cosh_family|quadratic_family; two TAGs also give "
                          "their sup-norm gap")
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--seed", type=int, default=0,
+                    help="recorded in the report only: no flow is random")
     pe.add_argument("--out", default="out")
     pe.set_defaults(func=cmd_evolve)
 

@@ -35,6 +35,8 @@ from .errors import (BoundaryPoint, DegenerateInvariantMeasure,
                      InvalidInput, ReducibleChain, UnboundedConjugate)
 
 ROW_SUM_TOL = 1e-9
+SIMPLEX_TOL = 1e-9
+BALANCE_TOL = 1e-9
 INTERIOR_FLOOR = 1e-12
 EXP_GUARD = 700.0
 ENTROPY_CHUNK = 8192
@@ -104,8 +106,9 @@ def validate_generator(raw):
 
 def load_generator(path):
     """Read {"Q": [[...]], "labels": [...]} and validate: a JSON object
-    with a "Q" entry and, optionally, one label string per state (checked,
-    not kept); InvalidGenerator otherwise."""
+    whose "Q" is a square list of lists of numbers (no bools or strings),
+    and, optionally, one distinct label string per state (checked, not
+    kept); InvalidGenerator otherwise."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -113,20 +116,27 @@ def load_generator(path):
                                % type(data).__name__)
     if "Q" not in data:
         raise InvalidGenerator("generator file lacks a 'Q' entry")
-    g = validate_generator(data["Q"])
-    labels = data.get("labels", [""] * g.size)
+    Q = data["Q"]
+    if not (isinstance(Q, list) and all(
+            isinstance(row, list) and len(row) == len(Q)
+            and all(type(x) in (int, float) for x in row) for row in Q)):
+        raise InvalidGenerator("generator 'Q' must be a square list of lists "
+                               "of numbers, with no bools or strings")
+    g = validate_generator(Q)
+    labels = data.get("labels", [str(i) for i in range(g.size)])
     if not (isinstance(labels, list) and len(labels) == g.size
-            and all(isinstance(x, str) for x in labels)):
+            and all(isinstance(x, str) for x in labels)
+            and len(set(labels)) == g.size):
         raise InvalidGenerator("generator 'labels' must be a list of %d "
-                               "strings, got %r" % (g.size, labels))
+                               "distinct strings, got %r" % (g.size, labels))
     return g
 
 
-def as_simplex(v, tol=1e-9):
+def as_simplex(v):
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)) or np.any(v < -tol):
+    if not np.all(np.isfinite(v)) or np.any(v < -SIMPLEX_TOL):
         raise InvalidInput("not a probability vector")
-    if abs(v.sum() - 1.0) > tol:
+    if abs(v.sum() - 1.0) > SIMPLEX_TOL:
         raise InvalidInput("entries must sum to one")
     return np.clip(v, 0.0, None) / np.clip(v, 0.0, None).sum()
 
@@ -148,7 +158,6 @@ class BalanceReport:
     detailed_balance: bool
     max_violation: float
     weakly_reversible: bool
-    tol: float
 
 
 def _strongly_connected(adj):
@@ -167,7 +176,7 @@ def _strongly_connected(adj):
     return True
 
 
-def analyze_balance(g, tol=1e-9):
+def analyze_balance(g):
     """Invariant measure and detailed-balance diagnosis of an irreducible chain.
 
     A chain whose graph (i -> j where Q_ij > 0) is not strongly connected
@@ -175,8 +184,8 @@ def analyze_balance(g, tol=1e-9):
     in the graph and in its transpose.  pi then solves Q^T pi = 0 (dense
     solve with a normalization row), and a coordinate pi_i <= 1e-14, which
     only rounding can produce, raises DegenerateInvariantMeasure.  Detailed
-    balance holds when max_ij |pi_i Q_ij - pi_j Q_ji| <= tol relative to the
-    largest flux pi_i Q_ij.
+    balance holds when max_ij |pi_i Q_ij - pi_j Q_ji| <= BALANCE_TOL relative
+    to the largest flux pi_i Q_ij.
     """
     Q = g.q
     J = g.size
@@ -196,10 +205,10 @@ def analyze_balance(g, tol=1e-9):
     flux = pi[:, None] * off
     max_violation = float(np.abs(flux - flux.T).max())
     scale = float(flux.max())
-    db = max_violation <= tol * max(scale, 1e-300)
+    db = max_violation <= BALANCE_TOL * max(scale, 1e-300)
     return BalanceReport(invariant_measure=pi,
                          detailed_balance=bool(db), max_violation=max_violation,
-                         weakly_reversible=g.weakly_reversible, tol=tol)
+                         weakly_reversible=g.weakly_reversible)
 
 
 def _check_entropy_support(rho, pi):

@@ -179,7 +179,8 @@ def test_a_config_that_is_not_an_object_is_an_input_error(tmp_path, capsys,
 
 
 _TWO_STATE_Q = [[-1.0, 1.0], [1.0, -1.0]]
-_BAD_LABELS = "generator 'labels' must be a list of 2 strings"
+_BAD_LABELS = "generator 'labels' must be a list of 2 distinct strings"
+_BAD_Q = "generator 'Q' must be a square list of lists of numbers"
 _BAD_RHO0 = "--rho0 must be 'pi' or 2 comma-separated numbers"
 
 
@@ -189,7 +190,13 @@ _BAD_RHO0 = "--rho0 must be 'pi' or 2 comma-separated numbers"
     ({"Q": _TWO_STATE_Q, "labels": None}, "pi", _BAD_LABELS),
     ({"Q": _TWO_STATE_Q, "labels": ["a"]}, "pi", _BAD_LABELS),
     ({"Q": _TWO_STATE_Q, "labels": [1, 2]}, "pi", _BAD_LABELS),
+    ({"Q": _TWO_STATE_Q, "labels": ["a", "a"]}, "pi", _BAD_LABELS),
     ({"labels": ["a", "b"]}, "pi", "generator file lacks a 'Q' entry"),
+    ({"Q": {}}, "pi", _BAD_Q),
+    ({"Q": "ab"}, "pi", _BAD_Q),
+    ({"Q": [[-1.0, 1.0], [1.0]]}, "pi", _BAD_Q),
+    ({"Q": [[-1.0, True], [1.0, -1.0]]}, "pi", _BAD_Q),
+    ({"Q": [[-1.0, "1.0"], [1.0, -1.0]]}, "pi", _BAD_Q),
     ({"Q": _TWO_STATE_Q}, "a,b", _BAD_RHO0),
     ({"Q": _TWO_STATE_Q}, "", _BAD_RHO0),
     ({"Q": _TWO_STATE_Q}, "0.5,0.5,", _BAD_RHO0),
@@ -197,8 +204,9 @@ _BAD_RHO0 = "--rho0 must be 'pi' or 2 comma-separated numbers"
     ({"Q": _TWO_STATE_Q}, "1", _BAD_RHO0),
     ({"Q": _TWO_STATE_Q}, "nan,1", "not a probability vector")],
     ids=["labels=5", "labels='ab'", "labels=null", "labels=['a']",
-         "labels=[1,2]", "no-Q", "rho0='a,b'", "rho0=''", "rho0='0.5,0.5,'",
-         "rho0=3-entries", "rho0=1-entry", "rho0=nan"])
+         "labels=[1,2]", "labels=['a','a']", "no-Q", "Q={}", "Q='ab'",
+         "Q=ragged", "rate=true", "rate='1.0'", "rho0='a,b'", "rho0=''",
+         "rho0='0.5,0.5,'", "rho0=3-entries", "rho0=1-entry", "rho0=nan"])
 def test_evolve_rejects_a_bad_generator_file_or_rho0(tmp_path, capsys, forked,
                                                      generator, rho0,
                                                      message):
@@ -511,7 +519,7 @@ def test_evolve_workers_write_the_in_process_trajectories(tmp_path, forked,
         if tag == "linear":
             traj = evolve.integrate_linear(rho0, g, 0.2, 0.01)
         else:
-            gs = structure.build_structure(g, structure.Family(tag), seed=3)
+            gs = structure.build_structure(g, structure.Family(tag))
             traj = evolve.integrate_gradient_flow(rho0, gs, 0.2, 0.01)
         name = "trajectory_%s.csv" % tag
         cli.write_trajectory(str(ref / name), traj)
@@ -628,6 +636,12 @@ def test_analyze_stiff_ou_chain_is_a_gradient_system(tmp_path, N):
     # hold exactly on the chain, not only in a limit.
     assert report["time_symmetry_defect_max"] <= 1e-9
     assert report["extras"]["critical_covector_gap_max"] <= 1e-9
+    # Both family members drive the chain's own flow, and the cosh member
+    # is the exact structure.  Psi* reaches about 2e3 at N = 201, so the two
+    # agree to rounding relative to it, not to 1e-12 absolute.
+    assert all(rep["reproduces_drift"]
+               for rep in report["family_entropy_scales"].values())
+    assert report["cosh_vs_ldp"]["coincide_to_rounding"]
 
 
 def _rerun_outputs(tmp_path, argv):
@@ -800,15 +814,21 @@ _KEPT_UNREACHED = {
 }
 
 
-def test_every_public_name_is_reached_from_package_code():
-    # A public top-level function or class, or a public method, that no
-    # Name or Attribute in the package refers to is reached only by tests.
+def _package_trees():
+    """{module name: parsed source} of every module of the package."""
     src = os.path.dirname(os.path.abspath(cli.__file__))
     trees = {}
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
                 trees[name[:-3]] = ast.parse(fh.read(), filename=name)
+    return trees
+
+
+def test_every_public_name_is_reached_from_package_code():
+    # A public top-level function or class, or a public method, that no
+    # Name or Attribute in the package refers to is reached only by tests.
+    trees = _package_trees()
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
@@ -825,6 +845,65 @@ def test_every_public_name_is_reached_from_package_code():
             unreached |= {"%s.%s" % (module, full) for full, d in named
                           if not d.name.startswith("_") and d.name not in used}
     assert unreached == _KEPT_UNREACHED
+
+
+# Defaulted parameters that no package call sets, kept on purpose.
+_KEPT_UNSET = {
+    # The console script calls main() with no arguments; the tests pass argv.
+    "cli.main(argv)",
+    # The tests lower it to make Newton raise NoConvergence.
+    "convex.conjugate(max_iter)",
+}
+
+
+def _functions(body, prefix, in_class):
+    """(qualified name, def, whether a bound first argument precedes the
+    call's arguments) of every function and method under `body`."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            yield prefix + node.name, node, in_class and not static
+            yield from _functions(node.body, prefix + node.name + ".", False)
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, prefix + node.name + ".", True)
+
+
+def test_every_defaulted_parameter_is_set_by_package_code():
+    # A defaulted parameter that no call in the package sets, by keyword or
+    # by position, is a knob only tests turn.  A call is matched by the name
+    # it calls (a constructor call by its class's name, for __init__), so
+    # functions of one name share their callers.
+    trees = _package_trees()
+    functions = []  # (key, called name, positional, keyword-only, defaulted)
+    for module, tree in trees.items():
+        for qual, node, bound in _functions(tree.body, "", False):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args]
+            kwonly = [p.arg for p in a.kwonlyargs]
+            defaulted = params[len(params) - len(a.defaults):] + [
+                p for p, d in zip(kwonly, a.kw_defaults) if d is not None]
+            parts = qual.split(".")
+            name = parts[-2] if parts[-1] == "__init__" else parts[-1]
+            functions.append(("%s.%s" % (module, qual), name, params[bound:],
+                              kwonly, defaulted))
+    calls = [node for tree in trees.values()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = set()
+    for key, name, positional, kwonly, defaulted in functions:
+        got = set()
+        for call in calls:
+            f = call.func
+            if name not in (getattr(f, "id", None), getattr(f, "attr", None)):
+                continue
+            starred = any(isinstance(x, ast.Starred) for x in call.args)
+            got.update(positional if starred
+                       else positional[:len(call.args)])
+            for kw in call.keywords:
+                got.update(positional + kwonly if kw.arg is None
+                           else [kw.arg])
+        unset |= {"%s(%s)" % (key, p) for p in defaulted if p not in got}
+    assert unset == _KEPT_UNSET
 
 
 _POLYNOMIAL_GUARD = r"""

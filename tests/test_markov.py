@@ -83,7 +83,7 @@ def test_balance_flag_matches_double_loop():
                     worst = max(worst, abs(pi[i] * g.q[i, j] - pi[j] * g.q[j, i]))
         assert abs(worst - rep.max_violation) <= 1e-15
         scale = max(pi[i] * g.q[i, j] for i in range(5) for j in range(5) if i != j)
-        assert rep.detailed_balance == (worst <= rep.tol * scale)
+        assert rep.detailed_balance == (worst <= markov.BALANCE_TOL * scale)
 
 
 def test_balance_rejects_reducible():
@@ -485,5 +485,5 @@ def test_tree_solves_make_no_newton_call(monkeypatch):
     rho = markov.project_interior(rng.dirichlet(np.ones(21)), 1e-6)
     s = convex.project_zero_sum(rng.standard_normal(21))
     for family in ("quadratic_family", "cosh_family"):
-        gs = structure.build_structure(g, family)
+        gs = structure.build_structure(g, structure.Family(family))
         assert structure.psi(gs, rho, s) > 0.0

@@ -349,17 +349,21 @@ def test_flow_field_matches_drift_ldp():
             assert abs(structure.flow_field(gs, rho).sum()) <= 1e-12
 
 
-def test_flow_field_quadratic_family_matches_drift():
-    g = chains.random_reversible(4, 22)
-    gs = structure.build_structure(g, Family.QUADRATIC_FAMILY)
-    scale, rep = structure.determine_entropy_scale(g, Family.QUADRATIC_FAMILY)
-    assert gs.entropy_scale == scale == 0.5  # determined numerically
-    assert rep["reproduces_drift"]
+@pytest.mark.parametrize("family", [Family.QUADRATIC_FAMILY,
+                                    Family.COSH_FAMILY], ids=lambda f: f.value)
+def test_flow_field_family_matches_drift(family):
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        rho = random_interior(rng, 4)
-        gap = np.abs(structure.flow_field(gs, rho) - markov.drift(rho, g)).max()
-        assert gap <= 1e-8
+    for seed in (0, 1, 2):
+        g = chains.random_reversible(8, seed)
+        gs = structure.build_structure(g, family)
+        rep = structure.determine_entropy_scale(g, family)
+        assert gs.entropy_scale == rep["selected_scale"] == 0.5
+        assert rep["reproduces_drift"]
+        for _ in range(20):
+            rho = random_interior(rng, 8)
+            gap = np.abs(structure.flow_field(gs, rho)
+                         - markov.drift(rho, g)).max()
+            assert gap <= 1e-12
 
 
 def test_flow_field_refuses_non_reversible(cyclic):
@@ -385,22 +389,20 @@ def _rebuilt_flow_field(gs, rho):
     g = gs.generator
     src, dst, rate = g.edges
     pi = gs.pi
-    phi = markov.EXPM1
-    if gs.family is Family.LDP_EXACT:
-        w = np.sqrt(rho[src] * rho[dst] * (pi[src] * (1.0 / pi[dst]))) * rate
+    r = rho / pi
+    ri, rj = r[src], r[dst]
+    base = pi[src] * rate
+    if gs.family is Family.QUADRATIC_FAMILY:
+        d = np.log(rj) - np.log(ri)
+        near = np.abs(d) < structure.LOG_RATIO_GUARD
+        w = base * np.where(near, 0.5 * (ri + rj),
+                            (rj - ri) / np.where(near, 1.0, d))
+        phi = (None, lambda z: z, None, None, np.inf)
     else:
-        r = rho / pi
-        ri, rj = r[src], r[dst]
-        base = pi[src] * rate
-        if gs.family is Family.QUADRATIC_FAMILY:
-            d = np.log(rj) - np.log(ri)
-            near = np.abs(d) < structure.LOG_RATIO_GUARD
-            w = base * np.where(near, 0.5 * (ri + rj),
-                                (rj - ri) / np.where(near, 1.0, d))
-            phi = (None, lambda z: z, None, None, np.inf)
-        else:
-            w = base * 2.0 * ri * rj / (ri + rj)
-            phi = (None, np.sinh, None, None, markov.EXP_GUARD)
+        # pi_i Q_ij sqrt(r_i r_j) = sqrt(rho_i rho_j pi_i / pi_j) Q_ij
+        w = base * np.sqrt(ri * rj)
+        phi = (markov.EXPM1 if gs.family is Family.LDP_EXACT
+               else (None, np.sinh, None, None, markov.EXP_GUARD))
     xi = -gs.entropy_scale * (np.log(rho / pi) + 1.0)
     return markov.EdgeFunctional(src, dst, w, g.size, phi).gradient(xi)
 
@@ -430,7 +432,9 @@ def test_cached_flow_field_raises_as_the_rebuilt_formula(family):
     # A steep entropy puts potential differences above EXP_GUARD.  Only
     # the exponentiating potentials are guarded; phi = z^2/2 gives a
     # finite field there.
-    steep = structure.build_structure(g, family, entropy_scale=1e4)
+    steep = structure.GradientStructure(
+        generator=g, family=family, entropy_scale=1e4,
+        balance=markov.analyze_balance(g))
     if family is Family.QUADRATIC_FAMILY:
         want = _rebuilt_flow_field(steep, rho)
         assert np.isfinite(want).all()
@@ -484,22 +488,24 @@ def test_psi_star_symmetry_iff_detailed_balance(cyclic):
     assert d["psi_star_symmetry_defect"] >= 1e-2
 
 
-def test_entropy_scale_determination_reports_cosh_finding():
+def test_entropy_scale_report_shows_both_members_reproduce_the_drift():
     g = chains.random_reversible(5, 77)
-    scale, rep = structure.determine_entropy_scale(g, Family.COSH_FAMILY,
-                                                   seed=0)
-    assert not rep["reproduces_drift"]
-    assert set(rep["candidates"]) == {"0.5", "1.0"}
-    qscale, qrep = structure.determine_entropy_scale(g, Family.QUADRATIC_FAMILY,
-                                                     seed=0)
-    assert qscale == 0.5 and qrep["reproduces_drift"]
+    for family in (Family.COSH_FAMILY, Family.QUADRATIC_FAMILY):
+        rep = structure.determine_entropy_scale(g, family, seed=0)
+        assert rep["family"] == family.value and "candidates" not in rep
+        assert rep["selected_scale"] == 0.5 and rep["reproduces_drift"]
+        assert rep["selected_residual"] <= 1e-12
 
 
-def test_cosh_vs_ldp_discrepancy_reported():
-    g = chains.random_reversible(4, 55)
-    rep = structure.cosh_vs_ldp_report(g, samples=30, seed=5)
-    assert rep["max_abs_discrepancy"] > 1e-7
-    assert not rep["coincide_within_1e-7"]
+def test_cosh_member_equals_the_exact_structure(two_state):
+    # Under detailed balance the cosh member is the exact structure:
+    # sum_ij sqrt(rho_i Q_ij rho_j Q_ji) (cosh(xi_j - xi_i) - 1).
+    for g in (two_state, chains.random_reversible(4, 55),
+              chains.random_reversible(6, 0),
+              *(chains.random_reversible(8, seed) for seed in range(3))):
+        rep = structure.cosh_vs_ldp_report(g, seed=5)
+        assert rep["max_abs_discrepancy"] <= 1e-12
+        assert rep["coincide_to_rounding"]
 
 
 def _dense_diff(xi):
@@ -530,8 +536,7 @@ def _edge_instances(g, rho, V):
             rho)
 
     ldp_w = np.sqrt(np.outer(rho, rho) * np.outer(pi, 1.0 / pi)) * _off_diagonal(Q)
-    cosh_w = (pi[:, None] * _off_diagonal(Q) * 2.0 * np.outer(r, r)
-              / (r[:, None] + r[None, :]))
+    cosh_w = pi[:, None] * _off_diagonal(Q) * np.sqrt(np.outer(r, r))
     quad_w = pi[:, None] * _off_diagonal(Q) * np.array(
         [[log_mean(a, b) for b in r] for a in r])
     return {
