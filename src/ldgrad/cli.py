@@ -46,18 +46,6 @@ EXIT_RUNTIME = 4
 CSV_BLOCK_ROWS = 512
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, np.bool_):
-        return bool(o)
-    raise TypeError("not JSON serializable: %r" % type(o))
-
-
 def _atomic_write(path, chunks):
     """Write the str `chunks` to `path + ".tmp"` and rename it over `path`;
     a failed write removes the temp file and leaves any earlier file
@@ -77,8 +65,7 @@ def write_json(path, obj):
     """Strict JSON: a NaN or infinity raises NonFiniteOutput, a runtime
     failure, instead of being written as a non-standard token."""
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                          default=_json_default)
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteOutput("%s: %s" % (os.path.basename(path), exc)) from exc
     _atomic_write(path, [text + "\n"])
@@ -188,7 +175,7 @@ def _parse_rho0(text, g):
     """--rho0: "pi", or one number per state, comma-separated, that form a
     probability vector (`markov.as_simplex`); InvalidInput otherwise."""
     if text == "pi":
-        return markov.analyze_balance(g).invariant_measure
+        return g.balance.invariant_measure
     entries = text.split(",")
     try:
         if len(entries) == g.size:
@@ -344,8 +331,7 @@ def cmd_evolve(args):
 def _read_config(path):
     """The JSON object in the file `path`; InvalidInput for any other JSON
     value."""
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = markov.read_json(path)
     if not isinstance(cfg, dict):
         raise InvalidInput("config file %s must hold a JSON object, got %s"
                            % (path, type(cfg).__name__))
@@ -558,9 +544,8 @@ def main(argv=None):
     except (NotGradientSystem, NotWeaklyReversible) as exc:
         print("structural refusal: %s" % exc, file=sys.stderr)
         return EXIT_STRUCTURE
-    except (InvalidGenerator, ReducibleChain, InvalidInput,
-            FileNotFoundError, KeyError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (InvalidGenerator, ReducibleChain, InvalidInput, OSError,
+            json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except LdgradError as exc:

@@ -72,7 +72,13 @@ def _parse_potential(spec, nodes):
         if spec == "quadratic":
             return 0.5 * nodes ** 2
         if spec.startswith("linear:"):
-            c = float(spec.split(":", 1)[1])
+            try:
+                c = float(spec[len("linear:"):])
+            except ValueError:
+                c = math.nan
+            if not math.isfinite(c):
+                raise InvalidInput("potential %r needs a finite real slope "
+                                   "after 'linear:'" % spec)
             return c * nodes
         raise InvalidInput("unknown potential preset %r" % spec)
     vals = np.asarray(spec, dtype=float)
@@ -159,16 +165,23 @@ def gaussian_tail_mass(g):
 
 
 def discretize_generator(g):
-    """Nearest-neighbour reversible chain converging to phi'' - P' phi'."""
+    """Nearest-neighbour reversible chain converging to phi'' - P' phi'.
+    A rate e^{(P_i - P_j)/2} / h^2 that overflows raises InvalidInput."""
     N = g.N
     P = g.potential
     Q = np.zeros((N, N))
     inv_h2 = 1.0 / (g.h * g.h)
     for i in range(N):
-        if i + 1 < N:
-            Q[i, i + 1] = inv_h2 * math.exp(0.5 * (P[i] - P[i + 1]))
-        if i - 1 >= 0:
-            Q[i, i - 1] = inv_h2 * math.exp(0.5 * (P[i] - P[i - 1]))
+        for j in (i + 1, i - 1):
+            if 0 <= j < N:
+                try:
+                    Q[i, j] = inv_h2 * math.exp(0.5 * (P[i] - P[j]))
+                except OverflowError:
+                    Q[i, j] = math.inf
+                if Q[i, j] == math.inf:
+                    raise InvalidInput(
+                        "potential step from node %d to node %d is too "
+                        "steep: its rate e^(dP/2) / h^2 overflows" % (i, j))
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return markov.validate_generator(Q)
 
@@ -176,15 +189,15 @@ def discretize_generator(g):
 def stiffness_functional(rho, g):
     """F(xi) = (1/2) xi . A(rho) xi as a `markov.EdgeFunctional` on the
     edges of the grid chain (both directions of each neighbour pair), with
-    weights (rho_i + rho_j) / (4 h^2), phi = z^2/2 and the chain's tree.
+    weights (rho_i + rho_j) / (4 h^2) and phi = z^2/2.
     A vanishing m_{i+1/2} raises DegenerateWeight."""
     rho = np.asarray(rho, dtype=float)
     src, dst, _ = g.chain.edges
     m = rho[src] + rho[dst]
     if np.any(m <= 0.0):
         raise DegenerateWeight("stiffness weights vanish (interior zeros)")
-    return markov.EdgeFunctional(src, dst, m / (4.0 * g.h * g.h), g.N,
-                                 markov.QUADRATIC, g.chain.tree)
+    return markov.EdgeFunctional(g.chain, m / (4.0 * g.h * g.h),
+                                 markov.QUADRATIC)
 
 
 def apply_stiffness(rho, xi, g):

@@ -18,7 +18,8 @@ of the states, such as `cli.cmd_diffusion`, reads the blocks of
 `linear_blocks` instead and never builds that stack.
 
 The per-step work is array code built once per run: a gradient flow's
-stages call the structure's cached field (`GradientStructure.dual`), and
+stages call the structure's field (`GradientStructure.flow`, whose edge
+constants are built once per structure), and
 the entropy of a trajectory is one `relative_entropy` pass over the stack
 of states.  Both give the same bits as the one-call-per-state route, and
 so does `relative_entropy` on each block.
@@ -27,11 +28,11 @@ This module writes no files; `cli.write_trajectory` exports a trajectory.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import markov, structure
+from . import markov
 from .errors import (BoundaryPoint, DegenerateInvariantMeasure, GridMismatch,
                      GridTooLarge, InvalidInput, NotGradientSystem,
                      ReducibleChain, StepSizeTooLarge)
@@ -49,7 +50,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), J)
     entropy_values: np.ndarray = None
-    meta: dict = field(default_factory=dict)
 
 
 def time_grid(T, dt):
@@ -136,16 +136,14 @@ def integrate_linear(rho0, g, T, dt):
     the invariant measure goes with the states when the chain has one."""
     times = time_grid(T, dt)
     blocks = linear_blocks(rho0, g, times)
-    pi = None
-    meta = {"method": "rk4-linear", "dt": dt}
     try:
-        pi = markov.analyze_balance(g).invariant_measure
-    except (ReducibleChain, DegenerateInvariantMeasure) as exc:
-        meta["entropy_unavailable"] = str(exc)
+        pi = g.balance.invariant_measure
+    except (ReducibleChain, DegenerateInvariantMeasure):
+        pi = None
     states = _stack(blocks, times.size, g.size)
     return Trajectory(times=times, states=states,
                       entropy_values=None if pi is None
-                      else markov.relative_entropy(states, pi), meta=meta)
+                      else markov.relative_entropy(states, pi))
 
 
 def exact_linear_solution(rho0, g, times):
@@ -178,8 +176,7 @@ def exact_linear_solution(rho0, g, times):
         for _ in range(s):
             E = E @ E
         states[k] = E @ rho0
-    return Trajectory(times=times, states=states,
-                      meta={"method": "uniformization", "dt": None})
+    return Trajectory(times=times, states=states)
 
 
 def integrate_gradient_flow(rho0, gs, T, dt):
@@ -190,7 +187,7 @@ def integrate_gradient_flow(rho0, gs, T, dt):
     approaches the simplex boundary, where the entropy gradient blows up.
     """
     rho0 = markov.as_simplex(rho0)
-    if not gs.balance.detailed_balance:
+    if not gs.generator.balance.detailed_balance:
         raise NotGradientSystem(
             "chain fails detailed balance; only the covector reading exists")
     if not markov.is_interior(rho0, BOUNDARY_FLOOR):
@@ -198,21 +195,18 @@ def integrate_gradient_flow(rho0, gs, T, dt):
     times = time_grid(T, dt)
     # The stage floor implies flow_field's interior guard, and detailed
     # balance is checked above, so the stages call the field directly.
-    dual, scale = gs.dual, gs.entropy_scale
+    flow = gs.flow
 
     def fld(y):
         if y.min() < BOUNDARY_FLOOR:
             raise BoundaryPoint(
                 "flow stage reached the boundary (min rho = %.3e)" % y.min())
-        return dual.flow(y, scale)
+        return flow(y)
 
     states = _stack(_march(fld, rho0, times, floor=BOUNDARY_FLOOR),
                     times.size, rho0.size)
     return Trajectory(times=times, states=states,
-                      entropy_values=gs.entropy(states),
-                      meta={"method": "rk4-gradient-flow", "dt": dt,
-                            "family": gs.family.value,
-                            "entropy_scale": gs.entropy_scale})
+                      entropy_values=gs.entropy(states))
 
 
 def compare_trajectories(a, b):

@@ -76,6 +76,12 @@ class GeneratorMatrix:
         src, dst, _ = self.edges
         return EdgeTree.build(src, dst, self.size)
 
+    @cached_property
+    def balance(self):
+        """`analyze_balance` of this generator, solved once.  Cached like
+        `edges`; a chain without one raises on every access."""
+        return analyze_balance(self)
+
 
 def validate_generator(raw):
     """Check intensity-matrix structure and force exact zero row sums.
@@ -104,13 +110,23 @@ def validate_generator(raw):
     return GeneratorMatrix(q=q)
 
 
+def read_json(path):
+    """The JSON value in the file `path`.  A file that is not UTF-8 text
+    raises InvalidInput; a missing file raises OSError and malformed JSON
+    json.JSONDecodeError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InvalidInput("%s is not UTF-8 text: %s" % (path, exc)) from exc
+
+
 def load_generator(path):
     """Read {"Q": [[...]], "labels": [...]} and validate: a JSON object
     whose "Q" is a square list of lists of numbers (no bools or strings),
     and, optionally, one distinct label string per state (checked, not
     kept); InvalidGenerator otherwise."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise InvalidGenerator("generator file must hold a JSON object, got %s"
                                % type(data).__name__)
@@ -157,7 +173,6 @@ class BalanceReport:
     invariant_measure: np.ndarray
     detailed_balance: bool
     max_violation: float
-    weakly_reversible: bool
 
 
 def _strongly_connected(adj):
@@ -207,8 +222,7 @@ def analyze_balance(g):
     scale = float(flux.max())
     db = max_violation <= BALANCE_TOL * max(scale, 1e-300)
     return BalanceReport(invariant_measure=pi,
-                         detailed_balance=bool(db), max_violation=max_violation,
-                         weakly_reversible=g.weakly_reversible)
+                         detailed_balance=bool(db), max_violation=max_violation)
 
 
 def _check_entropy_support(rho, pi):
@@ -391,7 +405,8 @@ class EdgeTree:
 
 
 class EdgeFunctional:
-    """f(xi) = sum_e w_e phi(xi[dst_e] - xi[src_e]) over the edges of a graph.
+    """f(xi) = sum_e w_e phi(xi[dst_e] - xi[src_e]) over the edges of a
+    generator `g` (`g.edges`), one weight per edge.
 
     `phi` is one of the tuples `EXPM1`, `QUADRATIC`, `COSH`.  The gradient
     gathers phi' at the edge heads minus the tails; the Hessian is the graph
@@ -400,16 +415,15 @@ class EdgeFunctional:
     ExponentOverflow; non-edges exponentiate nothing.
 
     `conjugate` takes one of two routes, decided by the graph alone.  When
-    the edges come from a generator whose graph is a tree (`tree`, the
-    generator's cached `EdgeTree`), the conjugate is the exact closed form
-    of `EdgeTree.conjugate` for every phi, O(J) and with no iteration.  Any
-    other graph takes damped Newton (`convex.conjugate`) with the
-    closed-form gradient and Hessian.
+    the generator's graph is a tree (`g.tree`), the conjugate is the exact
+    closed form of `EdgeTree.conjugate` for every phi, O(J) and with no
+    iteration.  Any other graph takes damped Newton (`convex.conjugate`)
+    with the closed-form gradient and Hessian.
     """
 
-    def __init__(self, src, dst, weights, J, phi=EXPM1, tree=None):
-        self.src, self.dst, self.weights, self.J = src, dst, weights, J
-        self.phi, self.tree = phi, tree
+    def __init__(self, g, weights, phi=EXPM1):
+        self.g, self.weights, self.phi, self.J = g, weights, phi, g.size
+        self.src, self.dst, _ = g.edges
 
     def _diff(self, xi):
         d = xi[self.dst] - xi[self.src]
@@ -446,11 +460,11 @@ class EdgeFunctional:
         ignores x0 and tol; it reports zero iterations and the measured
         residual |P(D f(xi) - s)|.  Without one, Newton.
         """
-        if self.tree is None:
+        if self.g.tree is None:
             return convex.conjugate(self, s, x0=x0, tol=tol,
                                     grad=self.gradient, hess=self.hessian)
         s = convex.project_zero_sum(convex.check_slope(s, tol))
-        value, xi = self.tree.conjugate(self.weights, s, self.phi)
+        value, xi = self.g.tree.conjugate(self.weights, s, self.phi)
         resid = np.linalg.norm(convex.project_zero_sum(self.gradient(xi) - s))
         return convex.ConjugateResult(value=value, argmax=xi, converged=True,
                                       iterations=0, residual_norm=float(resid))
@@ -458,9 +472,8 @@ class EdgeFunctional:
 
 def hamiltonian_functional(rho, g):
     """H(rho, .) as an edge functional: weights rho_i Q_ij, phi = expm1."""
-    src, dst, rate = g.edges
-    return EdgeFunctional(src, dst, np.asarray(rho, dtype=float)[src] * rate,
-                          g.size, tree=g.tree)
+    src, _, rate = g.edges
+    return EdgeFunctional(g, np.asarray(rho, dtype=float)[src] * rate)
 
 
 def hamiltonian(rho, xi, g):

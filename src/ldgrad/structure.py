@@ -35,11 +35,14 @@ The entropy scale is therefore 1/2 for every structure by construction;
 `determine_entropy_scale` checks the drift residual there and
 `cosh_vs_ldp_report` the identity of the two potentials.
 
-Every potential above is a sum over the edges of the generator graph and is
-evaluated by `markov.EdgeFunctional`; the shift by V tilts the edge weights
-of H by e^{V_j - V_i}.  The edge constants of Psi* that do not depend on rho
-are built once per structure (`DualWeights`), and `flow_field`, `psi_star`
-and the family `psi` all take their weights from them.
+A structure is thus fixed by the generator and the family alone
+(`GradientStructure`); pi and the balance verdict are the generator's own,
+solved once (`GeneratorMatrix.balance`).  Every potential above is a sum over
+the edges of the generator graph and is evaluated by `markov.EdgeFunctional`;
+the shift by V tilts the edge weights of H by e^{V_j - V_i}.  The edge
+constants pi_i Q_ij of Psi*, which do not depend on rho, are built once per
+structure, and `flow_field`, `psi_star` and the family `psi` all take their
+weights from them.
 
 Every conjugate here (V_L, L and Psi, the conjugate of Psi*) goes through
 `EdgeFunctional.conjugate`.  On a generator whose graph, read as
@@ -73,6 +76,9 @@ DRIFT_TOL = 1e-8
 DRIFT_SAMPLES = 20
 COSH_SAMPLES = 50
 IDENTITY_TOL = 1e-12
+# S = ENTROPY_SCALE * E_pi for every structure: the edge-weight rule of the
+# module docstring fixes it.
+ENTROPY_SCALE = 0.5
 
 
 class Family(enum.Enum):
@@ -81,40 +87,79 @@ class Family(enum.Enum):
     QUADRATIC_FAMILY = "quadratic_family"
 
 
+def _geometric_mean(ri, rj):
+    return np.sqrt(ri * rj)
+
+
+def _log_mean(ri, rj):
+    """(r_j - r_i) / (log r_j - log r_i), and its continuity value
+    (r_i + r_j) / 2 where |log r_j - log r_i| < LOG_RATIO_GUARD."""
+    d = np.log(rj) - np.log(ri)
+    near = np.abs(d) < LOG_RATIO_GUARD
+    return np.where(near, 0.5 * (ri + rj), (rj - ri) / np.where(near, 1.0, d))
+
+
+# (phi, mean m) of each structure's Psi*.
+_POTENTIALS = {Family.LDP_EXACT: (markov.EXPM1, _geometric_mean),
+               Family.COSH_FAMILY: (markov.COSH, _geometric_mean),
+               Family.QUADRATIC_FAMILY: (markov.QUADRATIC, _log_mean)}
+
+
 @dataclass(frozen=True)
 class GradientStructure:
-    """(pi, S = entropy_scale * E_pi, dissipation family) of a generator.
+    """(generator, dissipation family); pi, S = ENTROPY_SCALE * E_pi and the
+    edge weights of Psi* all follow from these two.
 
-    Frozen, so that `dual`, the edge constants of Psi* built on first use,
-    cannot go stale.
+    Frozen, so that the edge constants of Psi*, built on first use, cannot
+    go stale.
     """
     generator: markov.GeneratorMatrix
     family: Family
-    entropy_scale: float
-    balance: markov.BalanceReport
 
     @property
     def pi(self):
-        return self.balance.invariant_measure
+        return self.generator.balance.invariant_measure
 
     @cached_property
-    def dual(self):
-        return DualWeights(self.generator, self.family, self.pi)
+    def _dual(self):
+        # (phi, mean m, edge constants pi_i Q_ij) of Psi*.
+        phi, mean = _POTENTIALS[self.family]
+        src, _, rate = self.generator.edges
+        return phi, mean, self.pi[src] * rate
+
+    def _functional(self, r):
+        phi, mean, const = self._dual
+        src, dst, _ = self.generator.edges
+        return markov.EdgeFunctional(self.generator,
+                                     const * mean(r[src], r[dst]), phi)
+
+    def functional(self, rho):
+        """Psi*(rho, .) as an edge functional: weights L_ij = pi_i Q_ij
+        m(r_i, r_j), r = rho / pi, with m the geometric mean for the exact
+        structure and the cosh member and the guarded logarithmic mean for
+        the quadratic member."""
+        return self._functional(np.asarray(rho, dtype=float) / self.pi)
+
+    def flow(self, rho):
+        """D_xi Psi*(rho, -DS(rho)) for an interior float array rho;
+        `flow_field` checks the guards."""
+        r = rho / self.pi
+        xi = -ENTROPY_SCALE * (np.log(r) + 1.0)
+        return self._functional(r).gradient(xi)
 
     def entropy(self, rho):
         """S(rho); on an (n, J) stack, one value per row."""
-        return self.entropy_scale * markov.relative_entropy(rho, self.pi)
+        return ENTROPY_SCALE * markov.relative_entropy(rho, self.pi)
 
 
 def build_structure(g, family=Family.LDP_EXACT):
-    """Assemble (pi, S = (1/2) E_pi, dissipation family) for a generator;
-    the edge-weight rule of the module docstring fixes the scale at 1/2."""
-    balance = markov.analyze_balance(g)
-    if family is not Family.LDP_EXACT and not balance.weakly_reversible:
+    """The structure (g, family), checked: a reducible chain raises
+    ReducibleChain, and a family member needs Q_ij > 0 iff Q_ji > 0."""
+    g.balance  # solved here, so that a reducible chain raises first
+    if family is not Family.LDP_EXACT and not g.weakly_reversible:
         raise NotWeaklyReversible(
             "family dissipation needs Q_ij > 0 iff Q_ji > 0")
-    return GradientStructure(generator=g, family=family, entropy_scale=0.5,
-                             balance=balance)
+    return GradientStructure(generator=g, family=family)
 
 
 def critical_covector(rho, g):
@@ -138,67 +183,12 @@ def _shifted_hamiltonian(rho, V, g):
     by e^{V_j - V_i}."""
     V = np.asarray(V, dtype=float)
     H = markov.hamiltonian_functional(rho, g)
-    return markov.EdgeFunctional(H.src, H.dst,
-                                 H.weights * np.exp(V[H.dst] - V[H.src]), H.J,
-                                 tree=H.tree)
-
-
-def _geometric_mean(ri, rj):
-    return np.sqrt(ri * rj)
-
-
-def _log_mean(ri, rj):
-    """(r_j - r_i) / (log r_j - log r_i), and its continuity value
-    (r_i + r_j) / 2 where |log r_j - log r_i| < LOG_RATIO_GUARD."""
-    d = np.log(rj) - np.log(ri)
-    near = np.abs(d) < LOG_RATIO_GUARD
-    return np.where(near, 0.5 * (ri + rj), (rj - ri) / np.where(near, 1.0, d))
-
-
-# (phi, mean m) of each structure's Psi*.
-_POTENTIALS = {Family.LDP_EXACT: (markov.EXPM1, _geometric_mean),
-               Family.COSH_FAMILY: (markov.COSH, _geometric_mean),
-               Family.QUADRATIC_FAMILY: (markov.QUADRATIC, _log_mean)}
-
-
-class DualWeights:
-    """The edge functional Psi*(rho, .) of one structure, with weights
-    L_ij = pi_i Q_ij m(r_i, r_j), r = rho/pi, and the constants pi_i Q_ij,
-    which do not depend on rho, built once.  The mean m is the geometric
-    mean for the exact structure and the cosh member, and the guarded
-    logarithmic mean for the quadratic member.
-    """
-
-    def __init__(self, g, family, pi):
-        self.phi, self.mean = _POTENTIALS[family]
-        self.src, self.dst, rate = g.edges
-        self.J, self.pi, self.tree = g.size, pi, g.tree
-        self.const = pi[self.src] * rate
-
-    def functional(self, r):
-        """Psi*(rho, .) as an edge functional, given r = rho / pi."""
-        return markov.EdgeFunctional(
-            self.src, self.dst, self.const * self.mean(r[self.src],
-                                                       r[self.dst]),
-            self.J, self.phi, self.tree)
-
-    def flow(self, rho, scale):
-        """D_xi Psi*(rho, -DS(rho)) with S = scale * E_pi, for an interior
-        float array rho; the callers check the guards."""
-        r = rho / self.pi
-        xi = -scale * (np.log(r) + 1.0)
-        return self.functional(r).gradient(xi)
-
-
-def _dual_functional(gs, rho):
-    """Psi*(rho, .) of the structure as an edge functional."""
-    rho = np.asarray(rho, dtype=float)
-    return gs.dual.functional(rho / gs.pi)
+    return markov.EdgeFunctional(g, H.weights * np.exp(V[H.dst] - V[H.src]))
 
 
 def psi_star(gs, rho, xi):
     """Dual dissipation potential of the structure at (rho, xi)."""
-    return _dual_functional(gs, rho)(np.asarray(xi, dtype=float))
+    return gs.functional(rho)(np.asarray(xi, dtype=float))
 
 
 def psi(gs, rho, s):
@@ -206,14 +196,14 @@ def psi(gs, rho, s):
 
     For the exact structure, with or without detailed balance, Psi* is the
     V_L-shifted Hamiltonian and Psi is the "psi" of `decompose`; for the
-    family members Psi* is the `DualWeights` functional.
+    family members Psi* is the structure's own edge functional.
     """
     if gs.family is Family.LDP_EXACT:
-        return decompose(gs, rho, s)["psi"]
-    return float(_dual_functional(gs, rho).conjugate(s).value)
+        return decompose(gs.generator, rho, s)["psi"]
+    return float(gs.functional(rho).conjugate(s).value)
 
 
-def decompose(gs, rho, s):
+def decompose(g, rho, s):
     """Split L(rho,s) into Psi + Psi*(-V) + <V,s> with V the critical covector.
 
     Each component is computed by an independent optimization so the residual
@@ -225,7 +215,6 @@ def decompose(gs, rho, s):
     """
     rho = np.asarray(rho, dtype=float)
     s = np.asarray(s, dtype=float)
-    g = gs.generator
     V = critical_covector(rho, g)
     HV = markov.hamiltonian(rho, V, g)
     lag = markov.lagrangian(rho, s, g)
@@ -240,7 +229,7 @@ def decompose(gs, rho, s):
         "pairing": pairing,
         "residual": float(residual),
         "covector": V,
-        "system_label": ("gradient system" if gs.balance.detailed_balance
+        "system_label": ("gradient system" if g.balance.detailed_balance
                          else "covector system"),
     }
 
@@ -252,11 +241,11 @@ def flow_field(gs, rho):
     output sums to zero.
     """
     rho = np.asarray(rho, dtype=float)
-    if not gs.balance.detailed_balance:
+    if not gs.generator.balance.detailed_balance:
         raise NotGradientSystem("flow field needs detailed balance")
     if np.any(rho < 1e-300):
         raise BoundaryPoint("flow field needs interior rho")
-    return gs.dual.flow(rho, gs.entropy_scale)
+    return gs.flow(rho)
 
 
 def determine_entropy_scale(g, family, seed=0):
@@ -270,7 +259,7 @@ def determine_entropy_scale(g, family, seed=0):
         rho = markov.project_interior(rng.dirichlet(np.ones(g.size)), 1e-6)
         gap = np.abs(flow_field(gs, rho) - markov.drift(rho, g)).max()
         worst = max(worst, float(gap))
-    return {"family": family.value, "selected_scale": gs.entropy_scale,
+    return {"family": family.value, "selected_scale": ENTROPY_SCALE,
             "selected_residual": worst, "reproduces_drift": worst <= DRIFT_TOL,
             "samples": DRIFT_SAMPLES, "seed": seed}
 
@@ -281,11 +270,8 @@ def cosh_vs_ldp_report(g, seed=0):
     detailed balance the two are one potential (module docstring), so they
     differ by rounding: by at most IDENTITY_TOL relative to max(1, Psi*).
     The sample of the largest absolute discrepancy is named."""
-    balance = markov.analyze_balance(g)
-    gs_c = GradientStructure(generator=g, family=Family.COSH_FAMILY,
-                             entropy_scale=0.5, balance=balance)
-    gs_l = GradientStructure(generator=g, family=Family.LDP_EXACT,
-                             entropy_scale=0.5, balance=balance)
+    gs_c = build_structure(g, Family.COSH_FAMILY)
+    gs_l = build_structure(g, Family.LDP_EXACT)
     rng = np.random.default_rng(seed)
     J = g.size
     worst = worst_rel = 0.0
@@ -353,11 +339,8 @@ def diagnostics(g, sample_count, seed):
     """
     if sample_count < 1:
         raise markov.InvalidInput("sample_count must be >= 1")
-    balance = markov.analyze_balance(g)
     J = g.size
-    pi = balance.invariant_measure
-    gs = GradientStructure(generator=g, family=Family.LDP_EXACT,
-                           entropy_scale=0.5, balance=balance)
+    pi = g.balance.invariant_measure
     P = np.eye(J) - 1.0 / J
 
     top = dict.fromkeys(("time_symmetry", "psi_star_symmetry",
@@ -369,7 +352,7 @@ def diagnostics(g, sample_count, seed):
         rho = markov.project_interior(rng.dirichlet(np.ones(J)), 1e-6)
         s = convex.project_zero_sum(rng.standard_normal(J))
         xi = convex.project_zero_sum(rng.standard_normal(J))
-        split = decompose(gs, rho, s)
+        split = decompose(g, rho, s)
         V = split["covector"]
         Lb = markov.lagrangian(rho, -s, g).value
         _, half_grad = markov.relative_entropy_gradient(rho, pi)
@@ -395,7 +378,7 @@ def diagnostics(g, sample_count, seed):
         "integrability_defect": float(top["integrability"]),
         "critical_covector_is_half_entropy_gradient":
             bool(top["critical_covector"] <= DIAG_TOL),
-        "detailed_balance": balance.detailed_balance,
+        "detailed_balance": g.balance.detailed_balance,
         "tol": DIAG_TOL,
         "seed": seed,
         "sample_count": sample_count,

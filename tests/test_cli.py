@@ -220,6 +220,146 @@ def test_evolve_rejects_a_bad_generator_file_or_rho0(tmp_path, capsys, forked,
     assert forked == [] and not out.exists()
 
 
+# The bad values of the leaf-mutation fuzz, for JSON leaves and for flags.
+_BAD_VALUES = [None, True, "x", -1, 0, 1.5, float("nan"), float("inf"), [],
+               {}, [1], "1.0"]
+
+
+def _json_paths(node, prefix=()):
+    """The path of every node of a JSON document, the root included."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    """A copy of doc with the node at path replaced by value."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def test_mutated_inputs_exit_cleanly_and_refusals_write_nothing(
+        tmp_path, monkeypatch):
+    # Each node of a two-state generator file (through analyze and evolve),
+    # a simulate config and a diffusion config is replaced by each bad
+    # value, and each bad value is given as --rho0, --structure, --T and
+    # --dt.  cli.main must return (0, or the exit code of an LdgradError,
+    # OSError or JSONDecodeError) or stop in argparse's usage error; any
+    # other exception escapes it and fails the test.  A refused input
+    # leaves no file under --out.
+    monkeypatch.delenv("OUT_DIR", raising=False)
+    gen = {"Q": [[-1.0, 1.0], [1.0, -1.0]], "labels": ["a", "b"]}
+    base = tmp_path / "base_gen.json"
+    base.write_text(json.dumps(gen))
+    sim = {"generator": str(base), "T": 1.0, "grid_dt": 0.1,
+           "target": {"type": "constant", "rho": [0.6, 0.4]},
+           "tube_radius": 0.1, "n_list": [10, 20], "replicas": 2, "seed": 0}
+    dif = {"a": -2.0, "b": 2.0, "N": 11, "potential": "quadratic", "seed": 4,
+           "decomposition_samples": 2,
+           "rho0": {"type": "gaussian", "mean": 1.0, "var": 0.8}}
+    short = ["--T", "0.01", "--dt", "0.001"]
+    analyze = ["analyze", "--samples", "2", "--generator"]
+    evolve_ = ["evolve", *short, "--structure", "ldp", "--generator"]
+    cases = []  # (argv up to the input file, JSON document)
+    for doc, heads in ((gen, [analyze, evolve_]),
+                       (sim, [["simulate", "--config"]]),
+                       (dif, [["diffusion", *short, "--config"]])):
+        cases += [(head, _replaced(doc, path, value))
+                  for path in _json_paths(doc) for value in _BAD_VALUES
+                  for head in heads]
+    flags = [["evolve", *short, "--structure", "ldp", "--rho0"],
+             ["evolve", *short, "--structure"],
+             ["evolve", "--dt", "0.001", "--structure", "ldp", "--T"],
+             ["evolve", "--T", "0.01", "--structure", "ldp", "--dt"]]
+    cases += [(head + [json.dumps(value).strip('"'), "--generator"], gen)
+              for head in flags for value in _BAD_VALUES]
+    assert len(cases) == 624
+    inp = tmp_path / "in.json"
+    codes = []
+    for k, (head, doc) in enumerate(cases):
+        inp.write_text(json.dumps(doc))
+        out = tmp_path / ("out%d" % k)
+        try:
+            code = cli.main(head + [str(inp), "--out", str(out)])
+        except SystemExit as exc:  # argparse refuses a non-number
+            assert exc.code == cli.EXIT_INPUT, (head, doc)
+            code = exc.code
+        codes.append(code)
+        if code != cli.EXIT_OK:
+            assert not out.exists() or not os.listdir(out), (head, doc)
+    assert set(codes) <= {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_STRUCTURE,
+                          cli.EXIT_RUNTIME}
+    assert codes.count(cli.EXIT_OK) > 0 and codes.count(cli.EXIT_INPUT) > 0
+
+
+_GEN = {"Q": [[-1.0, 1.0], [1.0, -1.0]]}
+_DIF = {"a": -2.0, "b": 2.0, "N": 11, "decomposition_samples": 2}
+
+
+@pytest.mark.parametrize("command,content,extra,code,message", [
+    ("evolve", _GEN, ["--structure", "linear,bogus"], cli.EXIT_INPUT,
+     "unknown structure tag 'bogus'"),
+    ("analyze", _GEN, ["--samples", "0"], cli.EXIT_INPUT,
+     "sample_count must be >= 1"),
+    ("analyze", {"Q": [[float("nan"), 1.0], [1.0, -1.0]]}, [],
+     cli.EXIT_INPUT, "non-finite entries"),
+    ("diffusion", {**_DIF, "rho0": {"type": "pi"}}, [], cli.EXIT_OK, ""),
+    *[("diffusion", {**_DIF, "potential": p}, [], cli.EXIT_INPUT,
+       "potential %r needs a finite real slope" % p)
+      for p in ("linear:x", "linear:", "linear:1e400", "linear:nan")],
+    *[("diffusion", {**_DIF, "potential": p}, [], cli.EXIT_INPUT,
+       "potential step from node 1 to node 0 is too steep")
+      for p in ("linear:1e300", "linear:3545")],
+    ("analyze", b"\x80{}", [], cli.EXIT_INPUT, "is not UTF-8 text"),
+    ("diffusion", b"\x80{}", [], cli.EXIT_INPUT, "is not UTF-8 text")],
+    ids=["unknown-tag", "samples=0", "nan-rate", "rho0=pi", "linear:x",
+         "linear:", "linear:1e400", "linear:nan", "linear:1e300",
+         "linear:3545", "generator-not-utf8", "config-not-utf8"])
+def test_rare_input_branches(tmp_path, capsys, command, content, extra, code,
+                             message):
+    path = tmp_path / "in.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    option = "--config" if command == "diffusion" else "--generator"
+    grid = [] if command == "analyze" else ["--T", "0.01", "--dt", "0.001"]
+    assert cli.main([command, option, str(path), "--out", str(out), *grid,
+                     *extra]) == code
+    assert message in capsys.readouterr().err
+    assert code == cli.EXIT_OK or not out.exists()
+
+
+def test_analyze_solves_for_pi_once(tmp_path, monkeypatch):
+    # A reversible, weakly reversible chain takes every analyze step: the
+    # diagnostics, both family drift reports and the cosh comparison.
+    calls = []
+    solve = markov.analyze_balance
+
+    def counting(g):
+        calls.append(g)
+        return solve(g)
+
+    monkeypatch.setattr(markov, "analyze_balance", counting)
+    gen = tmp_path / "gen.json"
+    chains.save_generator(chains.random_reversible(4, 2), gen)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--generator", str(gen), "--samples", "2",
+                     "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "diagnostics.json").read_text())
+    assert "cosh_vs_ldp" in report and len(report["family_entropy_scales"]) == 2
+    assert len(calls) == 1
+
+
 def _diffusion_config(path, N, **cfg):
     path.write_text(json.dumps({"a": -4.0, "b": 4.0, "N": N,
                                 "potential": "quadratic", "seed": 2,

@@ -374,9 +374,8 @@ def test_tree_conjugate_matches_newton_on_random_trees(name, seed):
         g = _random_tree_generator(rng, J, one_way_prob=0.3 * (seed % 2))
         assert g.tree is not None
         rho = random_interior(rng, J)
-        src, dst, rate = g.edges
-        H = markov.EdgeFunctional(src, dst, rho[src] * rate, J, _PHIS[name],
-                                  g.tree)
+        src, _, rate = g.edges
+        H = markov.EdgeFunctional(g, rho[src] * rate, _PHIS[name])
         # s is the slope at a known maximiser, so every one-way edge
         # carries a flux of its own sign.
         xi = random_zero_sum(rng, J)
@@ -464,8 +463,7 @@ def test_tree_conjugate_refuses_infinite_costs(two_state):
 
 
 def test_tree_conjugate_guards_the_exponent(two_state):
-    H = markov.EdgeFunctional(*two_state.edges[:2], np.array([1e-310, 1.0]),
-                              2, tree=two_state.tree)
+    H = markov.EdgeFunctional(two_state, np.array([1e-310, 1.0]))
     with pytest.raises(markov.ExponentOverflow):
         H.conjugate(np.array([-1.0, 1.0]))
 

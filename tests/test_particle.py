@@ -254,7 +254,8 @@ def test_rate_functional_constant_path(two_state):
     assert abs(out["value"] - expected) <= 1e-9
     # under detailed balance this also equals T * Psi*(rho, -DS)
     gs = structure.build_structure(two_state)
-    DS = gs.entropy_scale * markov.relative_entropy_gradient(rho, gs.pi)[1]
+    DS = structure.ENTROPY_SCALE * markov.relative_entropy_gradient(
+        rho, gs.pi)[1]
     assert abs(out["value"] - 2.0 * structure.psi_star(gs, rho, -DS)) <= 1e-9
     assert out["value"] > 0.0
 

@@ -127,10 +127,9 @@ def test_psi_cross_check_runs(two_state, cyclic):
 
 def test_decompose_zero_cost_on_flow():
     g = chains.random_reversible(5, 9)
-    gs = structure.build_structure(g)
     rng = np.random.default_rng(4)
     rho = random_interior(rng, 5)
-    out = structure.decompose(gs, rho, markov.drift(rho, g))
+    out = structure.decompose(g, rho, markov.drift(rho, g))
     assert abs(out["lagrangian"]) <= 1e-10
     assert abs(out["psi"] + out["psi_star"] + out["pairing"]) <= 1e-7
     assert out["system_label"] == "gradient system"
@@ -138,28 +137,25 @@ def test_decompose_zero_cost_on_flow():
 
 def test_decompose_unconditional_residual(cyclic):
     rng = np.random.default_rng(14)
-    gs = structure.build_structure(cyclic, Family.LDP_EXACT)
     for _ in range(25):
         rho = random_interior(rng, 3)
         s = random_zero_sum(rng, 3)
-        out = structure.decompose(gs, rho, s)
+        out = structure.decompose(cyclic, rho, s)
         assert abs(out["residual"]) <= 1e-7
         assert out["system_label"] == "covector system"
     for seed in range(4):
         g = (chains.random_reversible(6, seed) if seed % 2 == 0
              else chains.random_irreducible(6, seed))
-        gsr = structure.build_structure(g, Family.LDP_EXACT)
         for _ in range(10):
             rho = random_interior(rng, 6)
             s = random_zero_sum(rng, 6)
-            assert abs(structure.decompose(gsr, rho, s)["residual"]) <= 1e-7
+            assert abs(structure.decompose(g, rho, s)["residual"]) <= 1e-7
 
 
 def test_decompose_two_state_grid_oracle(two_state):
-    gs = structure.build_structure(two_state)
     rho = np.array([0.25, 0.75])
     s = np.array([0.1, -0.1])
-    out = structure.decompose(gs, rho, s)
+    out = structure.decompose(two_state, rho, s)
     assert abs(out["residual"]) <= 1e-7
     lag_oracle, _ = grid_search_conjugate_2state(
         -s[0], lambda u: rho[0] * np.expm1(u) + rho[1] * np.expm1(-u))
@@ -357,7 +353,7 @@ def test_flow_field_family_matches_drift(family):
         g = chains.random_reversible(8, seed)
         gs = structure.build_structure(g, family)
         rep = structure.determine_entropy_scale(g, family)
-        assert gs.entropy_scale == rep["selected_scale"] == 0.5
+        assert structure.ENTROPY_SCALE == rep["selected_scale"] == 0.5
         assert rep["reproduces_drift"]
         for _ in range(20):
             rho = random_interior(rng, 8)
@@ -377,15 +373,16 @@ def test_flow_field_matches_finite_difference_of_psi_star():
     gs = structure.build_structure(g, Family.LDP_EXACT)
     rng = np.random.default_rng(33)
     rho = random_interior(rng, 4)
-    DS = gs.entropy_scale * markov.relative_entropy_gradient(rho, gs.pi)[1]
+    DS = structure.ENTROPY_SCALE * markov.relative_entropy_gradient(
+        rho, gs.pi)[1]
     fd = finite_diff_gradient(
         lambda xi: structure.psi_star(gs, rho, xi), -DS, 1e-6)
     assert np.abs(structure.flow_field(gs, rho) - fd).max() <= 1e-6
 
 
-def _rebuilt_flow_field(gs, rho):
-    """The flow field as D_xi Psi*(rho, -DS(rho)) with every edge weight,
-    its pi factors included, rebuilt from gs at each call."""
+def _rebuilt_dual_gradient(gs, rho, xi):
+    """D_xi Psi*(rho, xi) with every edge weight, its pi factors included,
+    rebuilt from gs at each call."""
     g = gs.generator
     src, dst, rate = g.edges
     pi = gs.pi
@@ -403,8 +400,13 @@ def _rebuilt_flow_field(gs, rho):
         w = base * np.sqrt(ri * rj)
         phi = (markov.EXPM1 if gs.family is Family.LDP_EXACT
                else (None, np.sinh, None, None, markov.EXP_GUARD))
-    xi = -gs.entropy_scale * (np.log(rho / pi) + 1.0)
-    return markov.EdgeFunctional(src, dst, w, g.size, phi).gradient(xi)
+    return markov.EdgeFunctional(g, w, phi).gradient(xi)
+
+
+def _rebuilt_flow_field(gs, rho):
+    """The flow field as D_xi Psi*(rho, -DS(rho)), rebuilt."""
+    xi = -structure.ENTROPY_SCALE * (np.log(rho / gs.pi) + 1.0)
+    return _rebuilt_dual_gradient(gs, rho, xi)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -419,32 +421,33 @@ def test_cached_flow_field_equals_the_rebuilt_formula(family, seed):
     for rho in rhos:
         want = _rebuilt_flow_field(gs, rho)
         assert np.array_equal(structure.flow_field(gs, rho), want)
-        assert np.array_equal(gs.dual.flow(rho, gs.entropy_scale), want)
+        assert np.array_equal(gs.flow(rho), want)
     # Frozen, so that the cached edge constants cannot go stale.
     with pytest.raises(dataclasses.FrozenInstanceError):
-        gs.entropy_scale = 1.0
+        gs.family = Family.LDP_EXACT
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_cached_flow_field_raises_as_the_rebuilt_formula(family):
     g = chains.random_reversible(10, 2)
     rho = random_interior(np.random.default_rng(2), 10)
-    # A steep entropy puts potential differences above EXP_GUARD.  Only
-    # the exponentiating potentials are guarded; phi = z^2/2 gives a
-    # finite field there.
-    steep = structure.GradientStructure(
-        generator=g, family=family, entropy_scale=1e4,
-        balance=markov.analyze_balance(g))
+    gs = structure.build_structure(g, family)
+    # At the scale 1/2 no double-precision rho takes the flow's potential
+    # differences near EXP_GUARD (at most about 361), so a steep xi goes to
+    # Psi* directly.  Only the exponentiating potentials are guarded;
+    # phi = z^2/2 gives a finite gradient there.
+    xi = -1e4 * (np.log(rho / gs.pi) + 1.0)
+    src, dst, _ = g.edges
+    assert np.abs(xi[dst] - xi[src]).max() > markov.EXP_GUARD
     if family is Family.QUADRATIC_FAMILY:
-        want = _rebuilt_flow_field(steep, rho)
+        want = _rebuilt_dual_gradient(gs, rho, xi)
         assert np.isfinite(want).all()
-        assert np.array_equal(structure.flow_field(steep, rho), want)
+        assert np.array_equal(gs.functional(rho).gradient(xi), want)
     else:
         with pytest.raises(ExponentOverflow):
-            _rebuilt_flow_field(steep, rho)
+            _rebuilt_dual_gradient(gs, rho, xi)
         with pytest.raises(ExponentOverflow):
-            structure.flow_field(steep, rho)
-    gs = structure.build_structure(g, family)
+            gs.functional(rho).gradient(xi)
     for low in (0.0, 1e-301):
         edge = rho.copy()
         edge[3] = low
@@ -465,8 +468,8 @@ def test_fenchel_equality_on_flow():
     rng = np.random.default_rng(41)
     for _ in range(5):
         rho = random_interior(rng, 5)
-        DS = gs.entropy_scale * markov.relative_entropy_gradient(rho,
-                                                                gs.pi)[1]
+        DS = structure.ENTROPY_SCALE * markov.relative_entropy_gradient(
+            rho, gs.pi)[1]
         sdot = markov.drift(rho, g)
         total = (structure.psi(gs, rho, sdot)
                  + structure.psi_star(gs, rho, -DS) + float(DS @ sdot))
@@ -530,10 +533,8 @@ def _edge_instances(g, rho, V):
         return float(np.sum(rho[:, None] * Q * np.expm1(_dense_diff(xi))))
 
     def family(fam):
-        return structure._dual_functional(
-            structure.GradientStructure(generator=g, family=fam,
-                                        entropy_scale=0.5, balance=balance),
-            rho)
+        return structure.GradientStructure(generator=g,
+                                           family=fam).functional(rho)
 
     ldp_w = np.sqrt(np.outer(rho, rho) * np.outer(pi, 1.0 / pi)) * _off_diagonal(Q)
     cosh_w = pi[:, None] * _off_diagonal(Q) * np.sqrt(np.outer(r, r))
