@@ -6,9 +6,10 @@ comparison gaps), simulate (particle experiment report), diffusion
 
 Exit codes: 0 ok, 2 input error, 3 structural refusal (no gradient system),
 4 runtime/statistical failure, which includes an output value that is NaN or
-infinite.  This module writes every output file, through one path: reports
-go through `write_json`, tables (trajectories included) through
-`write_csv`, and both through `_atomic_write` (temp file + rename).
+infinite.  This module reads every input, each quantity checked by one
+rule before any numerics run, and writes every output file, through one
+path: reports go through `write_json`, tables (trajectories included)
+through `write_csv`, and both through `_atomic_write` (temp file + rename).
 Outputs are byte-identical for a fixed config and seed; every report
 carries its seeds and tolerances.  A run manifest (command, config hash,
 outputs, wall clock) is written next to the outputs; the manifest is the
@@ -44,6 +45,112 @@ EXIT_STRUCTURE = 3
 EXIT_RUNTIME = 4
 
 CSV_BLOCK_ROWS = 512
+
+EVOLVE_TAGS = ("linear",) + tuple(fam.value for fam in structure.Family)
+
+# The JSON-number test `type(x) in _NUMBER` leaves out bools.
+_NUMBER = (int, float)
+
+
+def read_json_object(path, what):
+    """The JSON object in the file `path` (the `what`): InvalidInput for a
+    file that is not UTF-8 text or holds another JSON value, OSError for a
+    missing file and json.JSONDecodeError for malformed JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InvalidInput("%s is not UTF-8 text: %s" % (path, exc)) from exc
+    if not isinstance(data, dict):
+        raise InvalidInput("%s %s must hold a JSON object, got %s"
+                           % (what, path, type(data).__name__))
+    return data
+
+
+def config_number(cfg, key, default=None, low=-np.inf, integer=True):
+    """cfg[key] (default when absent) if it is a finite JSON number, an int
+    when `integer`, and >= low; InvalidInput otherwise."""
+    v = cfg.get(key, default)
+    if not ((type(v) is int if integer else type(v) in _NUMBER)
+            and low <= v and abs(v) < np.inf):
+        raise InvalidInput("config %r must be a finite %s >= %g, got %r" % (
+            key, "integer" if integer else "number", low, v))
+    return v
+
+
+def config_numbers(cfg, key, size=None, low=-np.inf, integer=True):
+    """cfg[key] as a list of `config_number` entries, named key[i] in
+    messages, with `size` entries when given; InvalidInput otherwise."""
+    v = cfg.get(key)
+    if not isinstance(v, list) or size not in (None, len(v)):
+        raise InvalidInput("config %r must be a list of %s%s, got %r" % (
+            key, "" if size is None else "%d " % size,
+            "integers" if integer else "numbers", v))
+    entries = {"%s[%d]" % (key, i): x for i, x in enumerate(v)}
+    return [config_number(entries, k, low=low, integer=integer)
+            for k in entries]
+
+
+def check_seed(v, name):
+    """v if it is an integer in [0, 2^64); InvalidInput naming it otherwise."""
+    if not (type(v) is int and 0 <= v < 2 ** 64):
+        raise InvalidInput("%s must be an integer in [0, 2^64), got %r"
+                           % (name, v))
+    return v
+
+
+def load_generator(path):
+    """Read {"Q": [[...]], "labels": [...]} and validate: a JSON object
+    whose "Q" is a square list of lists of numbers (no bools or strings),
+    and, optionally, one distinct label string per state (checked, not
+    kept); InvalidGenerator otherwise."""
+    data = read_json_object(path, "generator file")
+    if "Q" not in data:
+        raise InvalidGenerator("generator file lacks a 'Q' entry")
+    Q = data["Q"]
+    if not (isinstance(Q, list) and all(
+            isinstance(row, list) and len(row) == len(Q)
+            and all(type(x) in _NUMBER for x in row) for row in Q)):
+        raise InvalidGenerator("generator 'Q' must be a square list of lists "
+                               "of numbers, with no bools or strings")
+    g = markov.validate_generator(Q)
+    labels = data.get("labels", [str(i) for i in range(g.size)])
+    if not (isinstance(labels, list) and len(labels) == g.size
+            and all(isinstance(x, str) for x in labels)
+            and len(set(labels)) == g.size):
+        raise InvalidGenerator("generator 'labels' must be a list of %d "
+                               "distinct strings, got %r" % (g.size, labels))
+    return g
+
+
+def grid_from_config(cfg):
+    """The grid of a diffusion config: N an int >= 3, a and b finite reals,
+    the potential a preset name or a list of one finite real per node."""
+    N = config_number(cfg, "N", low=3)
+    potential = cfg.get("potential", "zero")
+    if not isinstance(potential, str):
+        potential = config_numbers(cfg, "potential", N, integer=False)
+    return diffusion.make_grid(config_number(cfg, "a", integer=False),
+                               config_number(cfg, "b", integer=False), N,
+                               potential)
+
+
+def initial_masses_from_config(cfg, g):
+    """rho0 of a diffusion config as grid masses: {"type": "pi"}, or
+    {"type": "gaussian", "mean": m, "var": v} with m a finite real and v a
+    finite real > 0 (default mean 1.0, var 0.8); InvalidInput otherwise."""
+    spec = cfg.get("rho0", {"type": "gaussian", "mean": 1.0, "var": 0.8})
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind == "pi":
+        return g.invariant_masses()
+    if kind != "gaussian":
+        raise InvalidInput("config 'rho0' must be an object with type "
+                           "'gaussian' or 'pi', got %r" % (spec,))
+    mean = config_number(spec, "mean", integer=False)
+    var = config_number(spec, "var", integer=False)
+    if not var > 0:
+        raise InvalidInput("config 'var' must be > 0, got %r" % var)
+    return diffusion.gaussian_initial_masses(g, mean, var)
 
 
 def _atomic_write(path, chunks):
@@ -114,10 +221,8 @@ def _out_dir(args):
 
 
 def _sha256_file(path):
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _write_manifest(out, command, args_dict, seeds, tolerances, outputs,
@@ -139,7 +244,10 @@ def _write_manifest(out, command, args_dict, seeds, tolerances, outputs,
 
 def cmd_analyze(args):
     t0 = time.perf_counter()
-    g = markov.load_generator(args.generator)
+    if args.samples < 1:
+        raise InvalidInput("--samples must be >= 1, got %d" % args.samples)
+    check_seed(args.seed, "--seed")
+    g = load_generator(args.generator)
     report = structure.diagnostics(g, sample_count=args.samples,
                                    seed=args.seed)
     report["generator_file"] = args.generator
@@ -276,14 +384,14 @@ def cmd_evolve(args):
     the files, exit code and message are those of integrating the tags one
     after another; no worker outlives the call."""
     t0 = time.perf_counter()
-    g = markov.load_generator(args.generator)
+    g = load_generator(args.generator)
     tags = args.structure.split(",")
-    valid = {"linear", "ldp", "cosh_family", "quadratic_family"}
     for tag in tags:
-        if tag not in valid:
+        if tag not in EVOLVE_TAGS:
             raise InvalidInput("unknown structure tag %r" % tag)
     if len(set(tags)) < len(tags):
         raise InvalidInput("repeated structure tag in %r" % args.structure)
+    check_seed(args.seed, "--seed")
     rho0 = _parse_rho0(args.rho0, g)
     evolve.time_grid(args.T, args.dt)  # a bad grid fails before any fork
     out = _out_dir(args)
@@ -328,32 +436,24 @@ def cmd_evolve(args):
     return EXIT_OK
 
 
-def _read_config(path):
-    """The JSON object in the file `path`; InvalidInput for any other JSON
-    value."""
-    cfg = markov.read_json(path)
-    if not isinstance(cfg, dict):
-        raise InvalidInput("config file %s must hold a JSON object, got %s"
-                           % (path, type(cfg).__name__))
-    return cfg
-
-
 def cmd_simulate(args):
     t0 = time.perf_counter()
-    cfg = _read_config(args.config)
+    cfg = read_json_object(args.config, "config file")
     if not isinstance(cfg.get("generator"), str):
         raise InvalidInput("config 'generator' must be a file name, got %r"
                            % (cfg.get("generator"),))
-    g = markov.load_generator(cfg["generator"])
-    number = diffusion.config_number
-    T = float(number(cfg, "T", integer=False))
-    dt = float(number(cfg, "grid_dt", 0.01, integer=False))
-    radius = float(number(cfg, "tube_radius", integer=False))
+    g = load_generator(cfg["generator"])
+    T = float(config_number(cfg, "T", integer=False))
+    dt = float(config_number(cfg, "grid_dt", 0.01, integer=False))
+    radius = float(config_number(cfg, "tube_radius", integer=False))
     if not radius > 0:
         raise InvalidInput("config 'tube_radius' must be > 0, got %r" % radius)
-    n_list = diffusion.config_numbers(cfg, "n_list")
-    replicas = number(cfg, "replicas")
-    seed = number(cfg, "seed")
+    n_list = config_numbers(cfg, "n_list", low=1)
+    if not n_list or len(set(n_list)) < len(n_list):
+        raise InvalidInput("config 'n_list' must be a nonempty list of "
+                           "distinct integers, got %r" % (n_list,))
+    replicas = config_number(cfg, "replicas", low=2)
+    seed = check_seed(cfg.get("seed"), "config 'seed'")
     times = evolve.time_grid(T, dt)
     target = cfg.get("target")
     kind = target.get("type") if isinstance(target, dict) else None
@@ -363,7 +463,7 @@ def cmd_simulate(args):
                            "an object with type 'constant' or "
                            "'linear_solution', got %r" % (target,))
     key = "target." + keys[kind]
-    rho = markov.as_simplex(diffusion.config_numbers(
+    rho = markov.as_simplex(config_numbers(
         {key: target.get(keys[kind])}, key, g.size, integer=False))
     if kind == "constant":
         states = np.tile(rho, (times.size, 1))
@@ -435,11 +535,12 @@ def cmd_diffusion(args):
     kept: no (steps + 1, N) stack is built, and what grows with the step
     count is the times and entropy columns alone."""
     t0 = time.perf_counter()
-    cfg = _read_config(args.config)
-    g = diffusion.grid_from_config(cfg)
-    seed = diffusion.config_number(cfg, "seed", args.seed, 0)
-    samples = diffusion.config_number(cfg, "decomposition_samples", 20, 1)
-    rho0 = diffusion.initial_masses_from_config(cfg, g)
+    cfg = read_json_object(args.config, "config file")
+    g = grid_from_config(cfg)
+    check_seed(args.seed, "--seed")  # a config seed takes precedence
+    seed = check_seed(cfg.get("seed", args.seed), "config 'seed'")
+    samples = config_number(cfg, "decomposition_samples", 20, 1)
+    rho0 = initial_masses_from_config(cfg, g)
     times = evolve.time_grid(args.T, args.dt)
     pi = g.invariant_masses()
     snap = np.linspace(0, times.size - 1, 6).astype(int)
@@ -476,7 +577,7 @@ def cmd_diffusion(args):
         "final_gap_to_pi": float(np.abs(snapshots[-1] - pi).max()),
         "detailed_balance": True,
     }
-    if isinstance(cfg.get("potential"), str) and cfg["potential"] == "quadratic":
+    if cfg.get("potential") == "quadratic":
         report["truncation_tail_mass"] = diffusion.gaussian_tail_mass(g)
         report["truncation_tail_target"] = diffusion.TAIL_MASS_TARGET
     write_json(os.path.join(out, "diffusion_report.json"), report)
@@ -513,9 +614,9 @@ def build_parser():
     pe.add_argument("--T", type=float, default=5.0)
     pe.add_argument("--dt", type=float, default=1e-3)
     pe.add_argument("--structure", default="linear",
-                    help="distinct comma-separated TAGs from linear|ldp|"
-                         "cosh_family|quadratic_family; two TAGs also give "
-                         "their sup-norm gap")
+                    help="distinct comma-separated TAGs from %s; two "
+                         "TAGs also give their sup-norm gap"
+                         % "|".join(EVOLVE_TAGS))
     pe.add_argument("--seed", type=int, default=0,
                     help="recorded in the report only: no flow is random")
     pe.add_argument("--out", default="out")
@@ -530,7 +631,9 @@ def build_parser():
     pd.add_argument("--config", required=True)
     pd.add_argument("--T", type=float, default=5.0)
     pd.add_argument("--dt", type=float, default=1e-3)
-    pd.add_argument("--seed", type=int, default=0)
+    pd.add_argument("--seed", type=int, default=0,
+                    help="seed of the decomposition check's samples; a "
+                         "config 'seed' takes precedence over this flag")
     pd.add_argument("--out", default="out")
     pd.set_defaults(func=cmd_diffusion)
     return ap

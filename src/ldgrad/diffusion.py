@@ -44,7 +44,6 @@ class Grid1D:
     nodes: np.ndarray
     h: float
     potential: np.ndarray
-    force: np.ndarray
     weights: np.ndarray  # trapezoid nodal masses, for density conversions
 
     @cached_property
@@ -88,72 +87,18 @@ def _parse_potential(spec, nodes):
 
 
 def make_grid(a, b, N, potential="zero"):
+    """The grid and its chain; InvalidInput for bad N, [a, b] or potential."""
     if N < 3 or not b > a:
         raise InvalidInput("need N >= 3 and b > a")
     nodes = np.linspace(a, b, N)
     h = (b - a) / (N - 1)
     P = _parse_potential(potential, nodes)
-    F = np.empty_like(P)
-    F[1:-1] = (P[2:] - P[:-2]) / (2.0 * h)
-    F[0] = (P[1] - P[0]) / h
-    F[-1] = (P[-1] - P[-2]) / h
     w = np.full(N, h)
     w[0] = w[-1] = 0.5 * h
-    return Grid1D(a=float(a), b=float(b), N=int(N), nodes=nodes, h=float(h),
-                  potential=P, force=F, weights=w)
-
-
-def config_number(cfg, key, default=None, low=-math.inf, integer=True):
-    """cfg[key] (default when absent) if it is a finite int, or float unless
-    `integer`, and >= low; InvalidInput otherwise (bools included)."""
-    v = cfg.get(key, default)
-    kind = int if integer else (int, float)
-    if isinstance(v, bool) or not (isinstance(v, kind) and low <= v
-                                   and abs(v) < math.inf):
-        raise InvalidInput("config %r must be a finite %s >= %g, got %r" % (
-            key, "integer" if integer else "number", low, v))
-    return v
-
-
-def config_numbers(cfg, key, size=None, integer=True):
-    """cfg[key] as a list of `config_number` entries, named key[i] in
-    messages, with `size` entries when given; InvalidInput otherwise."""
-    v = cfg.get(key)
-    if not isinstance(v, list) or size not in (None, len(v)):
-        raise InvalidInput("config %r must be a list of %s%s, got %r" % (
-            key, "" if size is None else "%d " % size,
-            "integers" if integer else "numbers", v))
-    entries = {"%s[%d]" % (key, i): x for i, x in enumerate(v)}
-    return [config_number(entries, k, integer=integer) for k in entries]
-
-
-def grid_from_config(cfg):
-    """The grid of a diffusion config: N an int >= 3, a and b finite reals,
-    the potential a preset name or a list of one finite real per node."""
-    N = config_number(cfg, "N", low=3)
-    potential = cfg.get("potential", "zero")
-    if not isinstance(potential, str):
-        potential = config_numbers(cfg, "potential", N, integer=False)
-    return make_grid(config_number(cfg, "a", integer=False),
-                     config_number(cfg, "b", integer=False), N, potential)
-
-
-def initial_masses_from_config(cfg, g):
-    """rho0 of a diffusion config as grid masses: {"type": "pi"}, or
-    {"type": "gaussian", "mean": m, "var": v} with m a finite real and v a
-    finite real > 0 (default mean 1.0, var 0.8); InvalidInput otherwise."""
-    spec = cfg.get("rho0", {"type": "gaussian", "mean": 1.0, "var": 0.8})
-    kind = spec.get("type") if isinstance(spec, dict) else None
-    if kind == "pi":
-        return g.invariant_masses()
-    if kind != "gaussian":
-        raise InvalidInput("config 'rho0' must be an object with type "
-                           "'gaussian' or 'pi', got %r" % (spec,))
-    mean = config_number(spec, "mean", integer=False)
-    var = config_number(spec, "var", integer=False)
-    if not var > 0:
-        raise InvalidInput("config 'var' must be > 0, got %r" % var)
-    return gaussian_initial_masses(g, mean, var)
+    grid = Grid1D(a=float(a), b=float(b), N=int(N), nodes=nodes, h=float(h),
+                  potential=P, weights=w)
+    grid.chain  # built now, so that make_grid refuses a rate that overflows
+    return grid
 
 
 def gaussian_tail_mass(g):

@@ -23,7 +23,6 @@ conjugate of any edge sum is a sum of explicit per-edge transforms
 (`EdgeTree`); only graphs that are not trees take Newton.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,44 +107,6 @@ def validate_generator(raw):
     q = off
     np.fill_diagonal(q, -off.sum(axis=1))
     return GeneratorMatrix(q=q)
-
-
-def read_json(path):
-    """The JSON value in the file `path`.  A file that is not UTF-8 text
-    raises InvalidInput; a missing file raises OSError and malformed JSON
-    json.JSONDecodeError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise InvalidInput("%s is not UTF-8 text: %s" % (path, exc)) from exc
-
-
-def load_generator(path):
-    """Read {"Q": [[...]], "labels": [...]} and validate: a JSON object
-    whose "Q" is a square list of lists of numbers (no bools or strings),
-    and, optionally, one distinct label string per state (checked, not
-    kept); InvalidGenerator otherwise."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise InvalidGenerator("generator file must hold a JSON object, got %s"
-                               % type(data).__name__)
-    if "Q" not in data:
-        raise InvalidGenerator("generator file lacks a 'Q' entry")
-    Q = data["Q"]
-    if not (isinstance(Q, list) and all(
-            isinstance(row, list) and len(row) == len(Q)
-            and all(type(x) in (int, float) for x in row) for row in Q)):
-        raise InvalidGenerator("generator 'Q' must be a square list of lists "
-                               "of numbers, with no bools or strings")
-    g = validate_generator(Q)
-    labels = data.get("labels", [str(i) for i in range(g.size)])
-    if not (isinstance(labels, list) and len(labels) == g.size
-            and all(isinstance(x, str) for x in labels)
-            and len(set(labels)) == g.size):
-        raise InvalidGenerator("generator 'labels' must be a list of %d "
-                               "distinct strings, got %r" % (g.size, labels))
-    return g
 
 
 def as_simplex(v):

@@ -37,7 +37,6 @@ from . import convex, markov
 from .errors import (InvalidInput, ThinningBoundExceeded, TiltTooStrong,
                      UnboundedConjugate)
 
-_MASK64 = (1 << 64) - 1
 TILT_EXPONENT_CAP = 60.0
 PROPOSAL_BUDGET = 5e7
 # Relative slack for a tilted rate against its bound: far above the rounding
@@ -108,17 +107,6 @@ class TiltField:
                         where=span > 0)[..., None]
         kv = self.knot_values
         return (1.0 - lam) * kv[lo] + lam * kv[hi]
-
-    def segments_between(self, a, b):
-        """Yield (t0, t1) subintervals of [a, b] on which the field is linear."""
-        cuts = [a]
-        for t in self.knot_times:
-            if a < t < b:
-                cuts.append(float(t))
-        cuts.append(b)
-        for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            if t1 > t0:
-                yield t0, t1
 
 
 @dataclass
@@ -253,10 +241,10 @@ def _simulate_tilted(streams, stream_offset, initial_states, T, off, tilt):
 class ParticleStreams:
     """The particle streams of one seed, stream k the Philox generator keyed
     by (seed, k), read through one reused bit generator: setting its state
-    costs a fraction of constructing one."""
+    costs a fraction of constructing one.  Keys lie in [0, 2^64)."""
 
     def __init__(self, seed):
-        self._key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
+        self._key = np.array([int(seed), 0], dtype=np.uint64)
         self._counter = np.zeros(4, dtype=np.uint64)
         self._state = {"bit_generator": "Philox",
                        "state": {"counter": self._counter, "key": self._key},
@@ -268,7 +256,7 @@ class ParticleStreams:
     def at(self, stream, position=0):
         """The generator positioned `position` uniforms into `stream`;
         `position` is a multiple of 4."""
-        self._key[1] = int(stream) & _MASK64
+        self._key[1] = int(stream)
         self._counter[0] = position // 4
         self._bitgen.state = self._state
         return self._rng
@@ -460,8 +448,11 @@ def path_pairing_functional(path, tilt, g):
     rhos = empirical_measure_path(path, cuts[:-1], J=Q.shape[0])
     x, w = _gauss16()
     h_int = 0.0
+    knots = tilt.knot_times
     for a, b, rho in zip(cuts[:-1], cuts[1:], rhos):
-        for t0, t1 in tilt.segments_between(float(a), float(b)):
+        # The tilt is linear between a, the knots inside (a, b), and b.
+        ends = [float(a), *knots[(knots > a) & (knots < b)].tolist(), float(b)]
+        for t0, t1 in zip(ends[:-1], ends[1:]):
             h0 = 0.5 * (t1 - t0)
             xi = tilt.value_at(0.5 * (t0 + t1) + h0 * x)
             dense = np.expm1(xi[:, None, :] - xi[:, :, None])
@@ -551,13 +542,8 @@ def rate_vs_probability_experiment(g, target_times, target_states,
     r of block b reads the streams (b * replicas + r) * n onwards.  Returns
     (report, table): the table has one array per column (n, replica, hit,
     G, log_weight, distance) and a row per replica of each n.
+    Needs replicas >= 2 and distinct n >= 1 (`cli.cmd_simulate` checks).
     """
-    if replicas < 2:
-        raise InvalidInput("need replicas >= 2 for a standard error")
-    if len(n_list) == 0 or min(n_list) < 1:
-        raise InvalidInput("need a nonempty n_list with every n >= 1")
-    if len(set(n_list)) < len(n_list):
-        raise InvalidInput("n_list %r repeats an n" % (list(n_list),))
     target_times = np.asarray(target_times, dtype=float)
     target_states = np.asarray(target_states, dtype=float)
     T = float(target_times[-1])

@@ -87,19 +87,22 @@ class Family(enum.Enum):
     QUADRATIC_FAMILY = "quadratic_family"
 
 
-def _geometric_mean(ri, rj):
-    return np.sqrt(ri * rj)
+def _geometric_mean(r, src, dst, log_r):
+    return np.sqrt(r[src] * r[dst])
 
 
-def _log_mean(ri, rj):
+def _log_mean(r, src, dst, log_r):
     """(r_j - r_i) / (log r_j - log r_i), and its continuity value
     (r_i + r_j) / 2 where |log r_j - log r_i| < LOG_RATIO_GUARD."""
-    d = np.log(rj) - np.log(ri)
+    if log_r is None:
+        log_r = np.log(r)
+    ri, rj = r[src], r[dst]
+    d = log_r[dst] - log_r[src]
     near = np.abs(d) < LOG_RATIO_GUARD
     return np.where(near, 0.5 * (ri + rj), (rj - ri) / np.where(near, 1.0, d))
 
 
-# (phi, mean m) of each structure's Psi*.
+# (phi, edge mean m(r, src, dst, log r or None)) of each structure's Psi*.
 _POTENTIALS = {Family.LDP_EXACT: (markov.EXPM1, _geometric_mean),
                Family.COSH_FAMILY: (markov.COSH, _geometric_mean),
                Family.QUADRATIC_FAMILY: (markov.QUADRATIC, _log_mean)}
@@ -127,11 +130,11 @@ class GradientStructure:
         src, _, rate = self.generator.edges
         return phi, mean, self.pi[src] * rate
 
-    def _functional(self, r):
+    def _functional(self, r, log_r=None):
         phi, mean, const = self._dual
         src, dst, _ = self.generator.edges
         return markov.EdgeFunctional(self.generator,
-                                     const * mean(r[src], r[dst]), phi)
+                                     const * mean(r, src, dst, log_r), phi)
 
     def functional(self, rho):
         """Psi*(rho, .) as an edge functional: weights L_ij = pi_i Q_ij
@@ -144,8 +147,9 @@ class GradientStructure:
         """D_xi Psi*(rho, -DS(rho)) for an interior float array rho;
         `flow_field` checks the guards."""
         r = rho / self.pi
-        xi = -ENTROPY_SCALE * (np.log(r) + 1.0)
-        return self._functional(r).gradient(xi)
+        log_r = np.log(r)  # also the log mean's logs
+        return self._functional(r, log_r).gradient(
+            -ENTROPY_SCALE * (log_r + 1.0))
 
     def entropy(self, rho):
         """S(rho); on an (n, J) stack, one value per row."""
@@ -319,7 +323,8 @@ def covector_jacobian(rho, V, g):
 
 def diagnostics(g, sample_count, seed):
     """Numerical verdict on the structure of a chain, as the report dict
-    that `ldgrad analyze` writes to diagnostics.json.
+    that `ldgrad analyze` writes to diagnostics.json; sample_count >= 1
+    (`cli.cmd_analyze` checks --samples).
 
     Over seeded random interior rho and zero-sum s, xi:
       * time_symmetry_defect_max = max |L(rho,s) - L(rho,-s) - 2 <V_L, s>|
@@ -337,8 +342,6 @@ def diagnostics(g, sample_count, seed):
     All defects vanish together exactly when detailed balance holds; they
     are always reported numerically, never only as booleans.
     """
-    if sample_count < 1:
-        raise markov.InvalidInput("sample_count must be >= 1")
     J = g.size
     pi = g.balance.invariant_measure
     P = np.eye(J) - 1.0 / J

@@ -10,7 +10,7 @@ from ldgrad.markov import validate_generator
 
 
 def save_generator(g, path):
-    """Write g as the generator file that `markov.load_generator` reads,
+    """Write g as the generator file that `cli.load_generator` reads,
     labels "1" .. "J" included."""
     labels = [str(i + 1) for i in range(g.size)]
     with open(path, "w") as fh:

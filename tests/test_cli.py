@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import chains
-from ldgrad import cli, errors, evolve, markov, structure
+from ldgrad import cli, errors, evolve, markov, particle, structure
 from ldgrad.errors import LdgradError, NonFiniteOutput
 
 
@@ -112,7 +112,8 @@ def test_simulate_rejects_a_bad_time_grid(tmp_path, capsys, T, grid_dt):
 
 @pytest.mark.parametrize("override", [
     {"replicas": 3.9}, {"replicas": True}, {"replicas": "3"}, {"seed": 1.7},
-    {"seed": None}, {"n_list": [10.6]}, {"n_list": [True]}, {"n_list": 10},
+    {"seed": None}, {"seed": -1}, {"seed": 2 ** 64}, {"n_list": [10.6]},
+    {"n_list": [True]}, {"n_list": 10},
     {"tube_radius": -0.1}, {"tube_radius": 0.0},
     {"tube_radius": float("inf")}, {"T": float("nan")}, {"T": "1.0"},
     {"grid_dt": float("inf")}, {"grid_dt": False}, {"generator": 5},
@@ -246,16 +247,38 @@ def _replaced(doc, path, value):
     return doc
 
 
+# The numerics entry points that the commands call once their inputs are
+# checked.
+_NUMERICS = [(structure, "diagnostics"),
+             (particle, "rate_vs_probability_experiment"),
+             (evolve, "integrate_linear"), (evolve, "integrate_gradient_flow"),
+             (evolve, "linear_blocks")]
+
+
+def _recording(fn, ran):
+    """fn, which first appends its name to `ran`."""
+    def wrapper(*args, **kwargs):
+        ran.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_mutated_inputs_exit_cleanly_and_refusals_write_nothing(
         tmp_path, monkeypatch):
     # Each node of a two-state generator file (through analyze and evolve),
     # a simulate config and a diffusion config is replaced by each bad
-    # value, and each bad value is given as --rho0, --structure, --T and
-    # --dt.  cli.main must return (0, or the exit code of an LdgradError,
-    # OSError or JSONDecodeError) or stop in argparse's usage error; any
-    # other exception escapes it and fails the test.  A refused input
-    # leaves no file under --out.
+    # value, and each bad value is given as --rho0, --structure, --T, --dt
+    # and --seed of evolve, --samples and --seed of analyze and --seed of
+    # diffusion.  cli.main must return (0, or the exit code of an
+    # LdgradError, OSError or JSONDecodeError) or stop in argparse's usage
+    # error; any other exception escapes it and fails the test.  A refused
+    # input leaves no file under --out, and an input error is found in cli,
+    # before any numerics entry point runs.
     monkeypatch.delenv("OUT_DIR", raising=False)
+    ran = []
+    for module, name in _NUMERICS:
+        monkeypatch.setattr(module, name,
+                            _recording(getattr(module, name), ran))
     gen = {"Q": [[-1.0, 1.0], [1.0, -1.0]], "labels": ["a", "b"]}
     base = tmp_path / "base_gen.json"
     base.write_text(json.dumps(gen))
@@ -275,18 +298,27 @@ def test_mutated_inputs_exit_cleanly_and_refusals_write_nothing(
         cases += [(head, _replaced(doc, path, value))
                   for path in _json_paths(doc) for value in _BAD_VALUES
                   for head in heads]
-    flags = [["evolve", *short, "--structure", "ldp", "--rho0"],
-             ["evolve", *short, "--structure"],
-             ["evolve", "--dt", "0.001", "--structure", "ldp", "--T"],
-             ["evolve", "--T", "0.01", "--structure", "ldp", "--dt"]]
-    cases += [(head + [json.dumps(value).strip('"'), "--generator"], gen)
-              for head in flags for value in _BAD_VALUES]
-    assert len(cases) == 624
+    # The flag cases of diffusion use a config without a seed, which would
+    # take precedence over --seed.
+    unseeded = {key: v for key, v in dif.items() if key != "seed"}
+    flags = [(["evolve", *short, "--structure", "ldp", "--rho0"], gen),
+             (["evolve", *short, "--structure"], gen),
+             (["evolve", "--dt", "0.001", "--structure", "ldp", "--T"], gen),
+             (["evolve", "--T", "0.01", "--structure", "ldp", "--dt"], gen),
+             (["evolve", *short, "--structure", "ldp", "--seed"], gen),
+             (["analyze", "--samples", "2", "--seed"], gen),
+             (["analyze", "--samples"], gen),
+             (["diffusion", *short, "--seed"], unseeded)]
+    cases += [(head + [json.dumps(value).strip('"'),
+                       "--generator" if doc is gen else "--config"], doc)
+              for head, doc in flags for value in _BAD_VALUES]
+    assert len(cases) == 672
     inp = tmp_path / "in.json"
     codes = []
     for k, (head, doc) in enumerate(cases):
         inp.write_text(json.dumps(doc))
         out = tmp_path / ("out%d" % k)
+        ran.clear()
         try:
             code = cli.main(head + [str(inp), "--out", str(out)])
         except SystemExit as exc:  # argparse refuses a non-number
@@ -295,6 +327,8 @@ def test_mutated_inputs_exit_cleanly_and_refusals_write_nothing(
         codes.append(code)
         if code != cli.EXIT_OK:
             assert not out.exists() or not os.listdir(out), (head, doc)
+        if code == cli.EXIT_INPUT:
+            assert ran == [], (head, doc, ran)
     assert set(codes) <= {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_STRUCTURE,
                           cli.EXIT_RUNTIME}
     assert codes.count(cli.EXIT_OK) > 0 and codes.count(cli.EXIT_INPUT) > 0
@@ -308,7 +342,7 @@ _DIF = {"a": -2.0, "b": 2.0, "N": 11, "decomposition_samples": 2}
     ("evolve", _GEN, ["--structure", "linear,bogus"], cli.EXIT_INPUT,
      "unknown structure tag 'bogus'"),
     ("analyze", _GEN, ["--samples", "0"], cli.EXIT_INPUT,
-     "sample_count must be >= 1"),
+     "--samples must be >= 1, got 0"),
     ("analyze", {"Q": [[float("nan"), 1.0], [1.0, -1.0]]}, [],
      cli.EXIT_INPUT, "non-finite entries"),
     ("diffusion", {**_DIF, "rho0": {"type": "pi"}}, [], cli.EXIT_OK, ""),
@@ -319,10 +353,17 @@ _DIF = {"a": -2.0, "b": 2.0, "N": 11, "decomposition_samples": 2}
        "potential step from node 1 to node 0 is too steep")
       for p in ("linear:1e300", "linear:3545")],
     ("analyze", b"\x80{}", [], cli.EXIT_INPUT, "is not UTF-8 text"),
-    ("diffusion", b"\x80{}", [], cli.EXIT_INPUT, "is not UTF-8 text")],
+    ("diffusion", b"\x80{}", [], cli.EXIT_INPUT, "is not UTF-8 text"),
+    # One seed rule for every command: an integer in [0, 2^64).  _DIF has
+    # no seed, which would take precedence over --seed.
+    *[(command, content, ["--seed", "-1"], cli.EXIT_INPUT,
+       "--seed must be an integer in [0, 2^64), got -1")
+      for command, content in (("analyze", _GEN), ("diffusion", _DIF),
+                               ("evolve", _GEN))]],
     ids=["unknown-tag", "samples=0", "nan-rate", "rho0=pi", "linear:x",
          "linear:", "linear:1e400", "linear:nan", "linear:1e300",
-         "linear:3545", "generator-not-utf8", "config-not-utf8"])
+         "linear:3545", "generator-not-utf8", "config-not-utf8",
+         "analyze-seed=-1", "diffusion-seed=-1", "evolve-seed=-1"])
 def test_rare_input_branches(tmp_path, capsys, command, content, extra, code,
                              message):
     path = tmp_path / "in.json"
@@ -650,7 +691,7 @@ def test_evolve_workers_write_the_in_process_trajectories(tmp_path, forked,
     tags = tags.split(",")
     assert len(forked) == len(tags) - 1
     _assert_reaped(forked)
-    g = markov.load_generator(str(tmp_path / "gen.json"))
+    g = cli.load_generator(str(tmp_path / "gen.json"))
     rho0 = markov.as_simplex([0.4, 0.3, 0.2, 0.1])
     out, ref = tmp_path / "out", tmp_path / "ref"
     ref.mkdir()

@@ -58,11 +58,6 @@ def test_grid_validation():
     assert g.potential[1] == 1.0
 
 
-def test_force_is_centered_difference():
-    g = diffusion.make_grid(0, 2, 21, "quadratic")
-    assert np.abs(g.force[1:-1] - g.nodes[1:-1]).max() <= 1e-12
-
-
 def test_h_minus1_trivial_and_scaling():
     g = diffusion.make_grid(0, 1, 11, "zero")
     rho = np.full(11, 1.0 / 11)

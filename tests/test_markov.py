@@ -7,7 +7,7 @@ import chains
 from conftest import (cosh_conjugate, finite_diff_gradient,
                       grid_search_conjugate_2state, random_interior,
                       random_zero_sum, two_state_cost_closed_form)
-from ldgrad import convex, markov
+from ldgrad import cli, convex, markov
 from ldgrad.errors import (BoundaryPoint, DegenerateInvariantMeasure,
                            InfiniteEntropy, InvalidGenerator, InvalidInput,
                            ReducibleChain)
@@ -43,11 +43,11 @@ def test_generator_file_roundtrip(tmp_path, two_state):
     path = tmp_path / "gen.json"
     chains.save_generator(two_state, path)
     assert json.loads(path.read_text())["labels"] == ["1", "2"]
-    g = markov.load_generator(path)
+    g = cli.load_generator(path)
     assert np.array_equal(g.q, two_state.q)
     path.write_text(json.dumps({"labels": ["a"], "Q": [[0.0]]}))
     with pytest.raises(InvalidGenerator):
-        markov.load_generator(path)
+        cli.load_generator(path)
 
 
 def test_balance_two_state(two_state):
