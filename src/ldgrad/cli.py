@@ -248,6 +248,7 @@ def cmd_analyze(args):
         raise InvalidInput("--samples must be >= 1, got %d" % args.samples)
     check_seed(args.seed, "--seed")
     g = load_generator(args.generator)
+    g.balance  # a chain without pi is refused before any numerics
     report = structure.diagnostics(g, sample_count=args.samples,
                                    seed=args.seed)
     report["generator_file"] = args.generator
@@ -287,7 +288,7 @@ def _parse_rho0(text, g):
     entries = text.split(",")
     try:
         if len(entries) == g.size:
-            return markov.as_simplex([float(x) for x in entries])
+            return markov.as_simplex([float(x) for x in entries], "--rho0")
     except ValueError:
         pass
     raise InvalidInput("--rho0 must be 'pi' or %d comma-separated numbers, "
@@ -392,6 +393,8 @@ def cmd_evolve(args):
     if len(set(tags)) < len(tags):
         raise InvalidInput("repeated structure tag in %r" % args.structure)
     check_seed(args.seed, "--seed")
+    if tags != ["linear"]:
+        g.balance  # a structure needs pi: refused before any fork or output
     rho0 = _parse_rho0(args.rho0, g)
     evolve.time_grid(args.T, args.dt)  # a bad grid fails before any fork
     out = _out_dir(args)
@@ -464,7 +467,8 @@ def cmd_simulate(args):
                            "'linear_solution', got %r" % (target,))
     key = "target." + keys[kind]
     rho = markov.as_simplex(config_numbers(
-        {key: target.get(keys[kind])}, key, g.size, integer=False))
+        {key: target.get(keys[kind])}, key, g.size, integer=False),
+        "config %r" % key)
     if kind == "constant":
         states = np.tile(rho, (times.size, 1))
     else:

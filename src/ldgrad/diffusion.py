@@ -19,9 +19,9 @@ defines the discrete Sobolev pair: Psi*(rho, xi) = xi . A(rho) xi,
 Psi(rho, s) = (1/4) ||s||^2 in the dual norm, S(rho) = (1/2) E_pi(rho), and
 the cost (1/4) ||s - flux||^2 with flux = -2 A(rho) DS splits exactly
 (a quadratic-form identity) into Psi + Psi*(-DS) + <DS, s>.
-(1/2) xi . A(rho) xi is an edge sum over the grid chain with phi = z^2/2
-(`stiffness_functional`, a `markov.EdgeFunctional`); the chain is a path,
-so the dual norm is that functional's closed-form tree conjugate.
+(1/2) xi . A(rho) xi is a sum over the neighbour pairs of the grid chain
+with phi = z^2/2 (`stiffness_functional`, a `markov.EdgeFunctional`); the
+chain is a path, so the dual norm is that functional's tree conjugate.
 """
 
 import math
@@ -133,16 +133,17 @@ def discretize_generator(g):
 
 def stiffness_functional(rho, g):
     """F(xi) = (1/2) xi . A(rho) xi as a `markov.EdgeFunctional` on the
-    edges of the grid chain (both directions of each neighbour pair), with
-    weights (rho_i + rho_j) / (4 h^2) and phi = z^2/2.
+    neighbour pairs of the grid chain, with phi = z^2/2 and the weight
+    (rho_i + rho_j) / (4 h^2) forward and back, so that a pair contributes
+    (m_{i+1/2} / h^2) (xi_j - xi_i)^2 / 2.
     A vanishing m_{i+1/2} raises DegenerateWeight."""
     rho = np.asarray(rho, dtype=float)
-    src, dst, _ = g.chain.edges
-    m = rho[src] + rho[dst]
+    pairs = g.chain.pairs
+    m = rho[pairs.i] + rho[pairs.j]
     if np.any(m <= 0.0):
         raise DegenerateWeight("stiffness weights vanish (interior zeros)")
-    return markov.EdgeFunctional(g.chain, m / (4.0 * g.h * g.h),
-                                 markov.QUADRATIC)
+    w = m / (4.0 * g.h * g.h)
+    return markov.EdgeFunctional(g.chain, w, w, markov.QUADRATIC)
 
 
 def apply_stiffness(rho, xi, g):

@@ -17,11 +17,9 @@ index of its first row; nothing it holds grows with the number of steps.
 of the states, such as `cli.cmd_diffusion`, reads the blocks of
 `linear_blocks` instead and never builds that stack.
 
-The per-step work is array code built once per run: a gradient flow's
-stages call the structure's field (`GradientStructure.flow`, whose edge
-constants are built once per structure), and
-the entropy of a trajectory is one `relative_entropy` pass over the stack
-of states.  Both give the same bits as the one-call-per-state route, and
+The per-step work is array code: a gradient flow's stages call the
+structure's field (`GradientStructure.flow`), and the entropy of a
+trajectory is one `relative_entropy` pass over the stack of states.  Both give the same bits as the one-call-per-state route, and
 so does `relative_entropy` on each block.
 
 This module writes no files; `cli.write_trajectory` exports a trajectory.
@@ -128,7 +126,7 @@ def linear_blocks(rho0, g, times):
     """The RK4 states of rho' = Q^T rho on `times`, from the probability
     vector rho0, as the (k, block) stream of `_march`."""
     QT = g.q.T
-    return _march(lambda y: QT @ y, markov.as_simplex(rho0), times)
+    return _march(lambda y: QT @ y, markov.as_simplex(rho0, "rho0"), times)
 
 
 def integrate_linear(rho0, g, T, dt):
@@ -156,7 +154,7 @@ def exact_linear_solution(rho0, g, times):
     term and product is nonnegative, so nothing cancels, whatever the
     eigenbasis of Q^T: defective generators take the same route.
     """
-    rho0 = markov.as_simplex(rho0)
+    rho0 = markov.as_simplex(rho0, "rho0")
     times = np.asarray(times, dtype=float)
     # Any Lambda at or above the exit rates works; the zero generator has
     # none, and every P is the identity there.
@@ -186,7 +184,7 @@ def integrate_gradient_flow(rho0, gs, T, dt):
     diagnostics; halts with BoundaryPoint instead of clamping if the state
     approaches the simplex boundary, where the entropy gradient blows up.
     """
-    rho0 = markov.as_simplex(rho0)
+    rho0 = markov.as_simplex(rho0, "rho0")
     if not gs.generator.balance.detailed_balance:
         raise NotGradientSystem(
             "chain fails detailed balance; only the covector reading exists")

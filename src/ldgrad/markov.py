@@ -15,14 +15,24 @@ with closed-form gradient and Hessian in xi, and its conjugate
     L(rho, s) = sup_xi <xi, s> - H(rho, xi),
 
 the cost functional whose zero set is the forward equation rho' = Q^T rho.
-H is a sum over the edges of the generator graph, evaluated by the
-`EdgeFunctional` core that the dissipation potentials in `structure` share.
-When that graph, read as undirected, is a tree (the two-state, birth-death
-and discretized-diffusion chains), s fixes the flux on every edge and the
-conjugate of any edge sum is a sum of explicit per-edge transforms
+The graph of Q is held as one record per undirected edge
+(`GeneratorMatrix.pairs`): the pairs i < j with Q_ij > 0 or Q_ji > 0, each
+with its forward rate Q_ij and backward rate Q_ji (0 on one side of a
+one-way edge).  Every edge sum of the package, H and the dissipation
+potentials in `structure` alike, is an `EdgeFunctional` over the pairs,
+sum w+ phi(d) + w- phi(-d) with d = xi_j - xi_i.  H has the weights
+w+ = rho_i Q_ij and w- = rho_j Q_ji, and where both are positive
+
+    w+ (e^d - 1) + w- (e^-d - 1) = a [cosh(d + F/2) - cosh(F/2)],
+    a = 2 sqrt(w+ w-),   F = log(w+ / w-).
+
+When the pairs form a tree (the two-state, birth-death and
+discretized-diffusion chains), s fixes the flux on every pair and the
+conjugate of any edge sum is a sum of explicit per-pair transforms
 (`EdgeTree`); only graphs that are not trees take Newton.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +51,11 @@ EXP_GUARD = 700.0
 ENTROPY_CHUNK = 8192
 
 
+# The undirected edges {i, j} of a generator graph, i < j in row-major
+# order, with the forward rate Q_ij and the backward rate Q_ji.
+EdgePairs = namedtuple("EdgePairs", "i j fwd bwd")
+
+
 @dataclass
 class GeneratorMatrix:
     q: np.ndarray
@@ -51,8 +66,8 @@ class GeneratorMatrix:
 
     @property
     def weakly_reversible(self):
-        off = self.q > 0
-        return bool(np.array_equal(off, off.T))
+        """Whether every pair has both rates positive."""
+        return bool(np.all(np.minimum(self.pairs.fwd, self.pairs.bwd) > 0))
 
     @property
     def max_exit_rate(self):
@@ -60,25 +75,22 @@ class GeneratorMatrix:
         return float(np.max(self.q.sum(axis=1) - np.diag(self.q)))
 
     @cached_property
-    def edges(self):
-        """(src, dst, rate) of the positive off-diagonal entries, row-major.
-
-        Cached: q is built once by `validate_generator` and never mutated.
-        """
-        src, dst = np.nonzero(self.q > 0)  # the diagonal is <= 0
-        return src, dst, self.q[src, dst]
+    def pairs(self):
+        """`EdgePairs` of the pairs i < j with Q_ij > 0 or Q_ji > 0.  Cached:
+        q is built once by `validate_generator` and never mutated."""
+        i, j = np.nonzero(np.triu((self.q > 0) | (self.q.T > 0), 1))
+        return EdgePairs(i, j, self.q[i, j], self.q[j, i])
 
     @cached_property
     def tree(self):
-        """`EdgeTree` of the edge graph read as undirected, or None when
-        that graph is not a tree.  Cached like `edges`."""
-        src, dst, _ = self.edges
-        return EdgeTree.build(src, dst, self.size)
+        """`EdgeTree` of the pairs, or None when they do not form a tree.
+        Cached like `pairs`."""
+        return EdgeTree.build(self.pairs, self.size)
 
     @cached_property
     def balance(self):
         """`analyze_balance` of this generator, solved once.  Cached like
-        `edges`; a chain without one raises on every access."""
+        `pairs`; a chain without one raises on every access."""
         return analyze_balance(self)
 
 
@@ -109,12 +121,14 @@ def validate_generator(raw):
     return GeneratorMatrix(q=q)
 
 
-def as_simplex(v):
+def as_simplex(v, name):
+    """v as a probability vector; InvalidInput naming it (`name`) when it
+    has a non-finite or negative entry or does not sum to one."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)) or np.any(v < -SIMPLEX_TOL):
-        raise InvalidInput("not a probability vector")
+        raise InvalidInput("%s is not a probability vector" % name)
     if abs(v.sum() - 1.0) > SIMPLEX_TOL:
-        raise InvalidInput("entries must sum to one")
+        raise InvalidInput("%s must sum to one" % name)
     return np.clip(v, 0.0, None) / np.clip(v, 0.0, None).sum()
 
 
@@ -160,14 +174,12 @@ def analyze_balance(g):
     in the graph and in its transpose.  pi then solves Q^T pi = 0 (dense
     solve with a normalization row), and a coordinate pi_i <= 1e-14, which
     only rounding can produce, raises DegenerateInvariantMeasure.  Detailed
-    balance holds when max_ij |pi_i Q_ij - pi_j Q_ji| <= BALANCE_TOL relative
-    to the largest flux pi_i Q_ij.
+    balance holds when |pi_i Q_ij - pi_j Q_ji| <= BALANCE_TOL on every pair,
+    relative to the largest flux pi_i Q_ij.
     """
     Q = g.q
     J = g.size
-    off = Q.copy()
-    np.fill_diagonal(off, 0.0)
-    if not _strongly_connected(off > 0):
+    if not _strongly_connected(Q > 0):  # the diagonal is <= 0
         raise ReducibleChain("generator graph is not strongly connected")
     A = Q.T.copy()
     A[-1, :] = 1.0
@@ -178,9 +190,10 @@ def analyze_balance(g):
         raise DegenerateInvariantMeasure(
             "invariant measure has a non-positive coordinate")
     pi = pi / pi.sum()
-    flux = pi[:, None] * off
-    max_violation = float(np.abs(flux - flux.T).max())
-    scale = float(flux.max())
+    i, j, fwd, bwd = g.pairs
+    forward, backward = pi[i] * fwd, pi[j] * bwd
+    max_violation = float(np.abs(forward - backward).max())
+    scale = float(max(forward.max(), backward.max()))
     db = max_violation <= BALANCE_TOL * max(scale, 1e-300)
     return BalanceReport(invariant_measure=pi,
                          detailed_balance=bool(db), max_violation=max_violation)
@@ -262,8 +275,9 @@ def _even_argmax(inverse):
 
 
 # (phi, phi', phi'', argmax, guard) of the edge potentials.  argmax(a, b, j)
-# gives per edge the maximiser z of j z - a phi(z) - b phi(-z), and a mask of
-# the edges whose cost is finite.  An edge difference above guard raises
+# gives per pair, with forward weight a, backward weight b and flux j from i
+# to j, the maximiser z of j z - a phi(z) - b phi(-z), and a mask of the
+# pairs whose cost is finite.  A pair difference above guard raises
 # ExponentOverflow: EXP_GUARD where phi exponentiates, none (inf) for z^2/2.
 EXPM1 = (np.expm1, np.exp, np.exp, _expm1_argmax, EXP_GUARD)
 QUADRATIC = (lambda z: 0.5 * z * z, lambda z: z, np.ones_like,
@@ -273,91 +287,87 @@ COSH = (lambda z: np.cosh(z) - 1.0, np.sinh, np.cosh,
 
 
 class EdgeTree:
-    """Elimination order of an edge graph that, read as undirected, is a tree.
+    """Elimination order of a generator graph whose pairs form a tree.
 
     The states are listed in depth-first preorder from state 0 (`order`), so
     the subtree of the state at position k is the run of positions
     k .. tout[k-1] - 1, and the reversed order eliminates leaves first.  The
     state v at position k >= 1 owns the tree edge to its parent p
-    (`parent[k-1]`); `down` and `up` hold the positions of p -> v and
-    v -> p in the edge list (the list's length where that direction is
-    absent).
+    (`parent[k-1]`): the pair `edge[k-1]`, with `sign[k-1]` = 1 when that
+    pair is (p, v) and -1 when it is (v, p).
 
-    On a tree the slope s fixes the net flux j on every edge: the flux from
-    p into v is the mass that s puts on the subtree of v, a difference of
-    two prefix sums of s in preorder (on a path graph, one cumsum).  The
-    conjugate of sum_e w_e phi(xi[dst_e] - xi[src_e]) then splits into one
-    Legendre transform per edge, sup_z j z - a phi(z) - b phi(-z) with
-    a = w(p -> v) and b = w(v -> p), and the maximiser is the sum of the
-    edge maximisers z along the path from the root.  Apart from phi itself,
-    only that edge maximiser and the guard on z (the 4th and 5th entries of
-    the phi tuple) depend on phi.
+    On a tree the slope s fixes the net flux on every pair: the flux from p
+    into v is the mass that s puts on the subtree of v, a difference of two
+    prefix sums of s in preorder (on a path graph, one cumsum).  The
+    conjugate of sum_e w+_e phi(d_e) + w-_e phi(-d_e) then splits into one
+    Legendre transform per pair, sup_z j z - w+ phi(z) - w- phi(-z) with j
+    the flux from i to j, and the maximiser is the sum of the pair
+    maximisers z, signed toward the child, along the path from the root.
+    Apart from phi itself, only that pair maximiser and the guard on z (the
+    4th and 5th entries of the phi tuple) depend on phi.
     """
 
-    def __init__(self, order, parent, tout, down, up):
+    def __init__(self, order, parent, tout, edge, sign):
         self.order, self.parent, self.tout = order, parent, tout
-        self.down, self.up = down, up
+        self.edge, self.sign = edge, sign
 
     @classmethod
-    def build(cls, src, dst, J):
-        """The tree of the edges src -> dst on J states, or None when the
-        undirected graph has a cycle or is disconnected."""
-        und = np.zeros((J, J), dtype=bool)
-        und[src, dst] = und[dst, src] = True
-        if np.count_nonzero(und) != 2 * (J - 1):
+    def build(cls, pairs, J):
+        """The tree of `pairs` (`EdgePairs`) on J states, or None when the
+        pairs have a cycle or leave a state unconnected."""
+        if pairs.i.size != J - 1:
             return None
-        adj = [np.flatnonzero(row).tolist() for row in und]
-        parent = [-1] * J
-        seen = [False] * J
-        seen[0] = True
+        adj = [[] for _ in range(J)]  # (neighbour, pair), neighbours ascending
+        for e, (u, v) in enumerate(zip(pairs.i.tolist(), pairs.j.tolist())):
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+        up = [None] * J  # (parent, pair) of each state reached
+        up[0] = (-1, -1)
         order, stack = [], [0]
         while stack:
             v = stack.pop()
             order.append(v)
-            for u in reversed(adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    parent[u] = v
+            for u, e in reversed(adj[v]):
+                if up[u] is None:
+                    up[u] = (v, e)
                     stack.append(u)
         if len(order) < J:
             return None
         size = [1] * J
         for v in reversed(order[1:]):
-            size[parent[v]] += size[v]
-        child = np.array(order[1:], dtype=np.intp)
-        par = np.array([parent[v] for v in order[1:]], dtype=np.intp)
-        index = np.full((J, J), src.size, dtype=np.intp)
-        index[src, dst] = np.arange(src.size)
+            size[up[v][0]] += size[v]
+        par, edge = np.array([up[v] for v in order[1:]], dtype=np.intp).T
         return cls(order=np.array(order, dtype=np.intp), parent=par,
                    tout=np.arange(1, J) + np.array(
                        [size[v] for v in order[1:]], dtype=np.intp),
-                   down=index[par, child], up=index[child, par])
+                   edge=edge, sign=np.where(pairs.i[edge] == par, 1.0, -1.0))
 
-    def conjugate(self, weights, s, phi):
-        """(value, zero-sum argmax) of sup_xi <xi, s> - sum_e w_e
-        phi(xi[dst_e] - xi[src_e]) for zero-sum s, in closed form.
+    def conjugate(self, fwd, bwd, s, phi):
+        """(value, zero-sum argmax) of sup_xi <xi, s> - sum_e fwd_e phi(d_e)
+        + bwd_e phi(-d_e), d_e = xi[j_e] - xi[i_e], for zero-sum s, in
+        closed form.
 
-        phi[3] gives the edge maximisers; an edge whose cost is infinite or
+        phi[3] gives the pair maximisers; a pair whose cost is infinite or
         whose sup is not attained raises UnboundedConjugate, and |z| above
         phi's guard (phi[4]) raises ExponentOverflow.
         """
-        w = np.append(weights, 0.0)
-        a, b = w[self.down], w[self.up]
-        # Net flux from parent to child: the mass of s on the child's subtree.
+        a, b = fwd[self.edge], bwd[self.edge]
+        # Net flux from i to j: the signed mass of s on the child's subtree.
         cum = np.concatenate(([0.0], np.cumsum(s[self.order])))
-        j = cum[self.tout] - cum[1:-1]
+        j = self.sign * (cum[self.tout] - cum[1:-1])
         z, finite = phi[3](a, b, j)
         if not finite.all():
             k = int(np.flatnonzero(~finite)[0])
+            lo, hi = sorted((self.parent[k], self.order[k + 1]))
             raise UnboundedConjugate(
                 "flux %.6g on tree edge %d -- %d has no finite cost (weights "
-                "%.6g forward, %.6g back)" % (j[k], self.parent[k],
-                                              self.order[k + 1], a[k], b[k]))
+                "%.6g forward, %.6g back)" % (j[k], lo, hi, a[k], b[k]))
         if z.size and np.abs(z).max() > phi[4]:
             raise ExponentOverflow(
                 "potential difference on an edge exceeds %g" % phi[4])
         value = float(np.sum(j * z - a * phi[0](z) - b * phi[0](-z)))
         J = self.order.size
+        z = self.sign * z  # the potential step from parent to child
         delta = -np.bincount(self.tout, z, J + 1)
         delta[1:J] += z
         xi = np.empty(J)
@@ -366,53 +376,51 @@ class EdgeTree:
 
 
 class EdgeFunctional:
-    """f(xi) = sum_e w_e phi(xi[dst_e] - xi[src_e]) over the edges of a
-    generator `g` (`g.edges`), one weight per edge.
+    """f(xi) = sum_e fwd_e phi(d_e) + bwd_e phi(-d_e), d_e = xi[j_e] - xi[i_e],
+    over the pairs {i_e < j_e} of a generator `g` (`g.pairs`), with one
+    forward and one backward weight per pair.
 
     `phi` is one of the tuples `EXPM1`, `QUADRATIC`, `COSH`.  The gradient
-    gathers phi' at the edge heads minus the tails; the Hessian is the graph
-    Laplacian with edge weights w_e phi''.  Edge differences above phi's
-    guard (EXP_GUARD for expm1 and cosh, none for z^2/2) raise
-    ExponentOverflow; non-edges exponentiate nothing.
+    gathers the pair flux fwd phi'(d) - bwd phi'(-d) at j minus i; the
+    Hessian is the graph Laplacian with pair weights
+    fwd phi''(d) + bwd phi''(-d).  Pair differences above phi's guard
+    (EXP_GUARD for expm1 and cosh, none for z^2/2) raise ExponentOverflow;
+    non-edges exponentiate nothing.
 
     `conjugate` takes one of two routes, decided by the graph alone.  When
-    the generator's graph is a tree (`g.tree`), the conjugate is the exact
-    closed form of `EdgeTree.conjugate` for every phi, O(J) and with no
-    iteration.  Any other graph takes damped Newton (`convex.conjugate`)
-    with the closed-form gradient and Hessian.
+    the pairs form a tree (`g.tree`), the conjugate is the exact closed form
+    of `EdgeTree.conjugate` for every phi, O(J) and with no iteration.  Any
+    other graph takes damped Newton (`convex.conjugate`) with the
+    closed-form gradient and Hessian.
     """
 
-    def __init__(self, g, weights, phi=EXPM1):
-        self.g, self.weights, self.phi, self.J = g, weights, phi, g.size
-        self.src, self.dst, _ = g.edges
+    def __init__(self, g, fwd, bwd, phi=EXPM1):
+        self.g, self.fwd, self.bwd, self.phi, self.J = g, fwd, bwd, phi, g.size
+        self.i, self.j = g.pairs.i, g.pairs.j
 
     def _diff(self, xi):
-        d = xi[self.dst] - xi[self.src]
+        d = xi[self.j] - xi[self.i]
         if d.size and np.abs(d).max() > self.phi[4]:
             raise ExponentOverflow(
                 "potential difference on an edge exceeds %g" % self.phi[4])
         return d
 
     def __call__(self, xi):
-        return float(self.weights @ self.phi[0](self._diff(xi)))
+        d = self._diff(xi)
+        return float(self.fwd @ self.phi[0](d) + self.bwd @ self.phi[0](-d))
 
     def gradient(self, xi):
-        m = self.weights * self.phi[1](self._diff(xi))
-        return (np.bincount(self.dst, m, self.J)
-                - np.bincount(self.src, m, self.J))
-
-    @cached_property
-    def _laplacian_index(self):
-        # Flat positions (i,j), (j,i), (i,i), (j,j) of each edge i -> j.
-        J, src, dst = self.J, self.src, self.dst
-        return np.concatenate([src * J + dst, dst * J + src,
-                               src * (J + 1), dst * (J + 1)])
+        d = self._diff(xi)
+        m = self.fwd * self.phi[1](d) - self.bwd * self.phi[1](-d)
+        return np.bincount(self.j, m, self.J) - np.bincount(self.i, m, self.J)
 
     def hessian(self, xi):
-        a = self.weights * self.phi[2](self._diff(xi))
-        return np.bincount(self._laplacian_index,
-                           np.concatenate([-a, -a, a, a]),
-                           self.J * self.J).reshape(self.J, self.J)
+        d = self._diff(xi)
+        lap = np.zeros((self.J, self.J))
+        lap[self.i, self.j] = lap[self.j, self.i] = -(
+            self.fwd * self.phi[2](d) + self.bwd * self.phi[2](-d))
+        np.fill_diagonal(lap, -lap.sum(axis=1))
+        return lap
 
     def conjugate(self, s, x0=None, tol=convex.DEFAULT_TOL):
         """sup_xi <xi, s> - f(xi) over zero-sum xi, as a ConjugateResult.
@@ -425,16 +433,18 @@ class EdgeFunctional:
             return convex.conjugate(self, s, x0=x0, tol=tol,
                                     grad=self.gradient, hess=self.hessian)
         s = convex.project_zero_sum(convex.check_slope(s, tol))
-        value, xi = self.g.tree.conjugate(self.weights, s, self.phi)
+        value, xi = self.g.tree.conjugate(self.fwd, self.bwd, s, self.phi)
         resid = np.linalg.norm(convex.project_zero_sum(self.gradient(xi) - s))
         return convex.ConjugateResult(value=value, argmax=xi, converged=True,
                                       iterations=0, residual_norm=float(resid))
 
 
 def hamiltonian_functional(rho, g):
-    """H(rho, .) as an edge functional: weights rho_i Q_ij, phi = expm1."""
-    src, _, rate = g.edges
-    return EdgeFunctional(g, np.asarray(rho, dtype=float)[src] * rate)
+    """H(rho, .) as an edge functional: pair weights rho_i Q_ij forward and
+    rho_j Q_ji back, phi = expm1."""
+    i, j, fwd, bwd = g.pairs
+    rho = np.asarray(rho, dtype=float)
+    return EdgeFunctional(g, rho[i] * fwd, rho[j] * bwd)
 
 
 def hamiltonian(rho, xi, g):

@@ -53,7 +53,7 @@ def deterministic_assignment(rho0, n):
     """Largest-remainder rounding of n * rho0 into per-state counts, then
     states listed in index order.  Makes the initial empirical measure match
     rho0 to 1/n precision with no randomness."""
-    rho0 = markov.as_simplex(rho0)
+    rho0 = markov.as_simplex(rho0, "rho0")
     raw = n * rho0
     counts = np.floor(raw).astype(int)
     short = n - counts.sum()

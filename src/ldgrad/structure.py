@@ -8,28 +8,29 @@ split
 
 and both potentials are non-negative exactly when V is the critical covector
 V_L(rho) = argmin_xi H(rho, .) = D_s L(rho, 0).  Under detailed balance
-V_L = (1/2) D E_pi and Psi* takes the closed form
-
-    Psi*(rho, xi) = sum_ij sqrt(rho_i rho_j pi_i / pi_j) Q_ij (e^{xi_j-xi_i} - 1).
+V_L = (1/2) D E_pi.
 
 Every structure here, the exact one and the two-parameter family alike,
-weights the edges of the generator graph by one rule,
+weights each pair {i, j} of the generator graph (`GeneratorMatrix.pairs`)
+by one symmetric rule, the same weight forward and back:
 
-    Psi*(rho, xi) = sum_ij L_ij(rho) psi(xi_j - xi_i),
-    L_ij = pi_i Q_ij m(r_i, r_j),   r = rho/pi,
-    m(a, b) = (b - a) / (2 psi'((1/2) log(b/a))),
+    Psi*(rho, xi) = sum_{i<j} L_ij(rho) [phi(xi_j - xi_i) + phi(xi_i - xi_j)],
+    L_ij = m(rho_i Q_ij, rho_j Q_ji),
+    m(a, b) = (a - b) / (2 psi'((1/2) log(a/b))),
 
-which is what makes the flow of S = (1/2) E_pi, summed over ordered pairs,
-the forward equation rho' = Q^T rho under detailed balance.  The
-quadratic member psi(z) = z^2/2 has the logarithmic mean, the
+with psi the even part of phi.  Under detailed balance a / b = r_i / r_j,
+r = rho/pi, so at xi = -DS with S = (1/2) E_pi the pair difference is
+(1/2) log(a/b), and the pair carries the flux 2 L_ij psi' = a - b: the flow
+of S is the forward equation rho' = Q^T rho.  The quadratic member
+phi(z) = z^2/2 has the logarithmic mean (a - b) / log(a/b), the
 discrete-transport metric of Maas ("Gradient flows of the entropy for
-finite Markov chains").  The cosh member psi(z) = cosh z - 1 has the
-geometric mean sqrt(ab), and pi_i Q_ij sqrt(r_i r_j) is the exact
-structure's weight above.  Under detailed balance these weights are
-symmetric and expm1(z) + expm1(-z) = 2 (cosh z - 1), so the cosh member is
-the exact structure, the paper's gradient structure for Markov particles:
-
-    Psi*(rho, xi) = sum_ij sqrt(rho_i Q_ij rho_j Q_ji) (cosh(xi_j - xi_i) - 1).
+finite Markov chains").  The exact structure (phi = expm1) and the cosh
+member (phi(z) = cosh z - 1) have the geometric mean, the weight
+sqrt(rho_i Q_ij rho_j Q_ji), which needs no pi.  Under detailed balance
+this is the V_L-shifted H above, and expm1(z) + expm1(-z) = 2 (cosh z - 1),
+so the cosh member is the exact structure, the paper's gradient structure
+for Markov particles.  A one-way pair has the weight 0; the family members
+need Q_ij > 0 iff Q_ji > 0.
 
 The entropy scale is therefore 1/2 for every structure by construction;
 `determine_entropy_scale` checks the drift residual there and
@@ -37,20 +38,16 @@ The entropy scale is therefore 1/2 for every structure by construction;
 
 A structure is thus fixed by the generator and the family alone
 (`GradientStructure`); pi and the balance verdict are the generator's own,
-solved once (`GeneratorMatrix.balance`).  Every potential above is a sum over
-the edges of the generator graph and is evaluated by `markov.EdgeFunctional`;
-the shift by V tilts the edge weights of H by e^{V_j - V_i}.  The edge
-constants pi_i Q_ij of Psi*, which do not depend on rho, are built once per
-structure, and `flow_field`, `psi_star` and the family `psi` all take their
-weights from them.
+solved once (`GeneratorMatrix.balance`), and pi enters only S.  Every
+potential above is a sum over the pairs and is evaluated by
+`markov.EdgeFunctional`; the shift by V tilts the weights of H by
+e^{V_j - V_i} forward and e^{V_i - V_j} back.
 
 Every conjugate here (V_L, L and Psi, the conjugate of Psi*) goes through
-`EdgeFunctional.conjugate`.  On a generator whose graph, read as
-undirected, is a tree, s fixes the flux on each edge and every potential,
-expm1 and the family members alike, has an exact per-edge closed form in
-O(J): V_L, L(rho, s), Psi, the split and the detailed-balance identities
-then hold to rounding, with no Newton solve and no search box.  Only graphs
-that are not trees use Newton.
+`EdgeFunctional.conjugate`.  When the pairs form a tree, each has an exact
+per-pair closed form in O(J), so the split and the detailed-balance
+identities hold to rounding with no Newton solve and no search box; only
+graphs that are not trees use Newton.
 
 A gradient structure exists exactly when V_L is a derivative.  The simplex
 interior is simply connected, so this holds exactly when the projected
@@ -63,7 +60,6 @@ max|M - M^T| / max|M| of M = P D_rho V_L P as the integrability defect.
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +72,7 @@ DRIFT_TOL = 1e-8
 DRIFT_SAMPLES = 20
 COSH_SAMPLES = 50
 IDENTITY_TOL = 1e-12
-# S = ENTROPY_SCALE * E_pi for every structure: the edge-weight rule of the
+# S = ENTROPY_SCALE * E_pi for every structure: the pair-weight rule of the
 # module docstring fixes it.
 ENTROPY_SCALE = 0.5
 
@@ -87,22 +83,19 @@ class Family(enum.Enum):
     QUADRATIC_FAMILY = "quadratic_family"
 
 
-def _geometric_mean(r, src, dst, log_r):
-    return np.sqrt(r[src] * r[dst])
+def _geometric_mean(a, b):
+    return np.sqrt(a * b)
 
 
-def _log_mean(r, src, dst, log_r):
-    """(r_j - r_i) / (log r_j - log r_i), and its continuity value
-    (r_i + r_j) / 2 where |log r_j - log r_i| < LOG_RATIO_GUARD."""
-    if log_r is None:
-        log_r = np.log(r)
-    ri, rj = r[src], r[dst]
-    d = log_r[dst] - log_r[src]
+def _log_mean(a, b):
+    """(a - b) / log(a / b) for positive a, b, and its continuity value
+    (a + b) / 2 where |log(a / b)| < LOG_RATIO_GUARD."""
+    d = np.log(a / b)
     near = np.abs(d) < LOG_RATIO_GUARD
-    return np.where(near, 0.5 * (ri + rj), (rj - ri) / np.where(near, 1.0, d))
+    return np.where(near, 0.5 * (a + b), (a - b) / np.where(near, 1.0, d))
 
 
-# (phi, edge mean m(r, src, dst, log r or None)) of each structure's Psi*.
+# (phi, pair mean m(a, b)) of each structure's Psi*.
 _POTENTIALS = {Family.LDP_EXACT: (markov.EXPM1, _geometric_mean),
                Family.COSH_FAMILY: (markov.COSH, _geometric_mean),
                Family.QUADRATIC_FAMILY: (markov.QUADRATIC, _log_mean)}
@@ -111,10 +104,8 @@ _POTENTIALS = {Family.LDP_EXACT: (markov.EXPM1, _geometric_mean),
 @dataclass(frozen=True)
 class GradientStructure:
     """(generator, dissipation family); pi, S = ENTROPY_SCALE * E_pi and the
-    edge weights of Psi* all follow from these two.
-
-    Frozen, so that the edge constants of Psi*, built on first use, cannot
-    go stale.
+    pair weights of Psi* all follow from these two.  Frozen: a structure is
+    that pair of values.
     """
     generator: markov.GeneratorMatrix
     family: Family
@@ -123,33 +114,22 @@ class GradientStructure:
     def pi(self):
         return self.generator.balance.invariant_measure
 
-    @cached_property
-    def _dual(self):
-        # (phi, mean m, edge constants pi_i Q_ij) of Psi*.
-        phi, mean = _POTENTIALS[self.family]
-        src, _, rate = self.generator.edges
-        return phi, mean, self.pi[src] * rate
-
-    def _functional(self, r, log_r=None):
-        phi, mean, const = self._dual
-        src, dst, _ = self.generator.edges
-        return markov.EdgeFunctional(self.generator,
-                                     const * mean(r, src, dst, log_r), phi)
-
     def functional(self, rho):
-        """Psi*(rho, .) as an edge functional: weights L_ij = pi_i Q_ij
-        m(r_i, r_j), r = rho / pi, with m the geometric mean for the exact
-        structure and the cosh member and the guarded logarithmic mean for
-        the quadratic member."""
-        return self._functional(np.asarray(rho, dtype=float) / self.pi)
+        """Psi*(rho, .) as an edge functional: on each pair the weight
+        m(rho_i Q_ij, rho_j Q_ji) forward and back, with m the geometric
+        mean for the exact structure and the cosh member and the guarded
+        logarithmic mean for the quadratic member."""
+        phi, mean = _POTENTIALS[self.family]
+        i, j, fwd, bwd = self.generator.pairs
+        rho = np.asarray(rho, dtype=float)
+        w = mean(rho[i] * fwd, rho[j] * bwd)
+        return markov.EdgeFunctional(self.generator, w, w, phi)
 
     def flow(self, rho):
         """D_xi Psi*(rho, -DS(rho)) for an interior float array rho;
         `flow_field` checks the guards."""
-        r = rho / self.pi
-        log_r = np.log(r)  # also the log mean's logs
-        return self._functional(r, log_r).gradient(
-            -ENTROPY_SCALE * (log_r + 1.0))
+        return self.functional(rho).gradient(
+            -ENTROPY_SCALE * (np.log(rho / self.pi) + 1.0))
 
     def entropy(self, rho):
         """S(rho); on an (n, J) stack, one value per row."""
@@ -183,11 +163,12 @@ def critical_covector(rho, g):
 
 
 def _shifted_hamiltonian(rho, V, g):
-    """xi -> H(rho, V + xi) - H(rho, V): the edges of H with weights tilted
-    by e^{V_j - V_i}."""
+    """xi -> H(rho, V + xi) - H(rho, V): the pairs of H with weights tilted
+    by e^{V_j - V_i} forward and e^{V_i - V_j} back."""
     V = np.asarray(V, dtype=float)
     H = markov.hamiltonian_functional(rho, g)
-    return markov.EdgeFunctional(g, H.weights * np.exp(V[H.dst] - V[H.src]))
+    tilt = np.exp(V[H.j] - V[H.i])
+    return markov.EdgeFunctional(g, H.fwd * tilt, H.bwd / tilt)
 
 
 def psi_star(gs, rho, xi):
@@ -312,11 +293,12 @@ def covector_jacobian(rho, V, g):
     """
     rho = np.asarray(rho, dtype=float)
     V = np.asarray(V, dtype=float)
-    src, dst, rate = g.edges
-    J = g.size
-    t = rate * np.exp(V[dst] - V[src])
-    B = np.bincount(np.concatenate([dst * J + src, src * (J + 1)]),
-                    np.concatenate([t, -t]), J * J).reshape(J, J)
+    i, j, fwd, bwd = g.pairs
+    tilt = np.exp(V[j] - V[i])
+    B = np.zeros((g.size, g.size))
+    B[j, i] = fwd * tilt  # the tilted rate of i -> j, and of j -> i
+    B[i, j] = bwd / tilt
+    np.fill_diagonal(B, -B.sum(axis=0))
     hess = markov.hamiltonian_functional(rho, g).hessian(V)
     return -np.linalg.solve(hess + 1.0, B)
 

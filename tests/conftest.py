@@ -8,6 +8,8 @@ probabilities, the particle streams built from scratch and a replay of a
 particle path's per-particle state sequence.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,16 @@ def two_state():
 @pytest.fixture
 def cyclic():
     return chains.three_state_cycle()
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's `workloads` module, read from bench/, which must be
+    on sys.path for its own `import checks` (`bench.checks`)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    import workloads
+    return workloads
 
 
 def grid_search_conjugate_2state(pair_slope, hfun, lo=-10.0, hi=10.0,

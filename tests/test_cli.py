@@ -121,6 +121,7 @@ def test_simulate_rejects_a_bad_time_grid(tmp_path, capsys, T, grid_dt):
     {"target": {"type": "constant", "rho": [1.0]}},
     {"target": {"type": "constant", "rho": [0.5, 0.3, 0.2]}},
     {"target": {"type": "constant", "rho": [[0.6], [0.4]]}},
+    {"target": {"type": "constant", "rho": [0.5, 0.6]}},
     {"target": {"type": "constant"}},
     {"target": {"type": "linear_solution", "rho0": [1.0]}},
     {"target": {"type": "linear_solution", "rho0": [0.5, 0.3, 0.2]}}],
@@ -129,8 +130,10 @@ def test_simulate_rejects_a_bad_config(tmp_path, capsys, override):
     cfg = {"target": {"type": "constant", "rho": [0.6, 0.4]}, **override}
     argv = _simulate_config(tmp_path, [[-1.0, 1.0], [1.0, -1.0]], **cfg)
     assert cli.main(argv) == cli.EXIT_INPUT
-    assert "input error: config '%s" % next(iter(override)) in (
-        capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert "input error: config '%s" % next(iter(override)) in err
+    if override == {"target": {"type": "constant", "rho": [0.5, 0.6]}}:
+        assert "config 'target.rho' must sum to one" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -203,7 +206,7 @@ _BAD_RHO0 = "--rho0 must be 'pi' or 2 comma-separated numbers"
     ({"Q": _TWO_STATE_Q}, "0.5,0.5,", _BAD_RHO0),
     ({"Q": _TWO_STATE_Q}, "0.3,0.3,0.4", _BAD_RHO0),
     ({"Q": _TWO_STATE_Q}, "1", _BAD_RHO0),
-    ({"Q": _TWO_STATE_Q}, "nan,1", "not a probability vector")],
+    ({"Q": _TWO_STATE_Q}, "nan,1", "--rho0 is not a probability vector")],
     ids=["labels=5", "labels='ab'", "labels=null", "labels=['a']",
          "labels=[1,2]", "labels=['a','a']", "no-Q", "Q={}", "Q='ab'",
          "Q=ragged", "rate=true", "rate='1.0'", "rho0='a,b'", "rho0=''",
@@ -692,7 +695,7 @@ def test_evolve_workers_write_the_in_process_trajectories(tmp_path, forked,
     assert len(forked) == len(tags) - 1
     _assert_reaped(forked)
     g = cli.load_generator(str(tmp_path / "gen.json"))
-    rho0 = markov.as_simplex([0.4, 0.3, 0.2, 0.1])
+    rho0 = markov.as_simplex([0.4, 0.3, 0.2, 0.1], "rho0")
     out, ref = tmp_path / "out", tmp_path / "ref"
     ref.mkdir()
     trajs = []
@@ -797,6 +800,52 @@ def test_analyze_absorbing_chain_is_an_input_error(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_INPUT
     assert "not strongly connected" in capsys.readouterr().err
+
+
+def test_benchmark_sweep_passes_the_benchmark_checks(tmp_path, monkeypatch,
+                                                    bench):
+    # Each command once, as the benchmark runs it, gated by the benchmark's
+    # own output checks: the linear-vs-ldp gap, the analyze defect bounds,
+    # the Girsanov gap and the diffusion residual.
+    monkeypatch.delenv("OUT_DIR", raising=False)
+    runs = bench.build_sweep(0, tmp_path / "inputs")
+    assert len(runs) == 4
+    for run in runs:
+        out = tmp_path / run.name
+        assert cli.main(run.argv + ["--out", str(out)]) == cli.EXIT_OK
+        assert bench.checks.run_check(run.check, out) == [], run.name
+
+
+_REDUCIBLE = {"Q": [[0.0, 0.0], [1.0, -1.0]]}
+
+
+def test_analyze_refuses_a_reducible_generator_before_the_diagnostics(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagnostics ran on a reducible chain")
+
+    monkeypatch.setattr(structure, "diagnostics", refuse)
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(_REDUCIBLE))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--generator", str(gen),
+                     "--out", str(out)]) == cli.EXIT_INPUT
+    assert "not strongly connected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_refuses_a_reducible_generator_before_any_fork_or_output(
+        tmp_path, capsys, forked):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(_REDUCIBLE))
+    out = tmp_path / "out"
+    argv = ["evolve", "--generator", str(gen), "--rho0", "0.5,0.5",
+            "--T", "0.1", "--dt", "0.01", "--out", str(out), "--structure"]
+    assert cli.main(argv + ["linear,ldp"]) == cli.EXIT_INPUT
+    assert "not strongly connected" in capsys.readouterr().err
+    assert forked == [] and not out.exists()
+    # The linear flow needs no pi.
+    assert cli.main(argv + ["linear"]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("N", [51, 201])

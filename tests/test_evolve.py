@@ -70,7 +70,7 @@ def test_block_march_equals_a_step_by_step_loop(steps):
     pi = markov.analyze_balance(g).invariant_measure
     rho0 = markov.project_interior(
         np.random.default_rng(6).dirichlet(np.ones(_J)), 1e-2)
-    start = markov.as_simplex(rho0)  # as both integrators take rho0
+    start = markov.as_simplex(rho0, "rho0")  # as both integrators take rho0
     lin = evolve.integrate_linear(rho0, g, steps * 1e-3, 1e-3)
     assert lin.times.size == steps + 1
     want = _step_by_step(lambda y: g.q.T @ y, start, lin.times)

@@ -363,6 +363,49 @@ _PHIS = {"expm1": markov.EXPM1, "quadratic": markov.QUADRATIC,
          "cosh": markov.COSH}
 
 
+def _dense_edge_reference(W, phi, xi):
+    """(value, gradient, Hessian) of sum_{i != j} W_ij phi(xi_j - xi_i), one
+    term per ordered pair of states, by plain loops."""
+    J = xi.size
+    value, grad, hess = 0.0, np.zeros(J), np.zeros((J, J))
+    for i in range(J):
+        for j in range(J):
+            if i != j:
+                d = xi[j] - xi[i]
+                value += W[i, j] * float(phi[0](np.array(d)))
+                slope = W[i, j] * float(phi[1](np.array(d)))
+                grad[j] += slope
+                grad[i] -= slope
+                curv = W[i, j] * float(phi[2](np.array(d)))
+                hess[i, j] -= curv
+                hess[j, i] -= curv
+                hess[i, i] += curv
+                hess[j, j] += curv
+    return value, grad, hess
+
+
+@pytest.mark.parametrize("name", _PHIS)
+@pytest.mark.parametrize("chain", ["cycle", "irreducible-0", "irreducible-1"])
+def test_pair_functional_matches_a_dense_loop_with_one_way_edges(chain, name):
+    g = (chains.three_state_cycle() if chain == "cycle"
+         else chains.random_irreducible(6, int(chain[-1])))
+    i, j, fwd, bwd = g.pairs
+    assert np.any(np.minimum(fwd, bwd) == 0)  # one-way edges included
+    rng = np.random.default_rng([80, g.size])
+    for _ in range(5):
+        rho = random_interior(rng, g.size)
+        W = rho[:, None] * g.q
+        np.fill_diagonal(W, 0.0)
+        F = markov.EdgeFunctional(g, rho[i] * fwd, rho[j] * bwd, _PHIS[name])
+        xi = random_zero_sum(rng, g.size)
+        value, grad, hess = _dense_edge_reference(W, _PHIS[name], xi)
+        assert abs(F(xi) - value) <= 1e-13 * abs(value)
+        assert np.abs(F.gradient(xi) - grad).max() <= 1e-13 * np.abs(
+            grad).max()
+        assert np.abs(F.hessian(xi) - hess).max() <= 1e-13 * np.abs(
+            hess).max()
+
+
 # The expm1 cases keep the plain seed as their id.
 @pytest.mark.parametrize("name,seed", [
     pytest.param(name, seed, id=str(seed) if name == "expm1"
@@ -374,8 +417,8 @@ def test_tree_conjugate_matches_newton_on_random_trees(name, seed):
         g = _random_tree_generator(rng, J, one_way_prob=0.3 * (seed % 2))
         assert g.tree is not None
         rho = random_interior(rng, J)
-        src, _, rate = g.edges
-        H = markov.EdgeFunctional(g, rho[src] * rate, _PHIS[name])
+        i, j, fwd, bwd = g.pairs
+        H = markov.EdgeFunctional(g, rho[i] * fwd, rho[j] * bwd, _PHIS[name])
         # s is the slope at a known maximiser, so every one-way edge
         # carries a flux of its own sign.
         xi = random_zero_sum(rng, J)
@@ -463,7 +506,7 @@ def test_tree_conjugate_refuses_infinite_costs(two_state):
 
 
 def test_tree_conjugate_guards_the_exponent(two_state):
-    H = markov.EdgeFunctional(two_state, np.array([1e-310, 1.0]))
+    H = markov.EdgeFunctional(two_state, np.array([1e-310]), np.array([1.0]))
     with pytest.raises(markov.ExponentOverflow):
         H.conjugate(np.array([-1.0, 1.0]))
 

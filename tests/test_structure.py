@@ -381,26 +381,22 @@ def test_flow_field_matches_finite_difference_of_psi_star():
 
 
 def _rebuilt_dual_gradient(gs, rho, xi):
-    """D_xi Psi*(rho, xi) with every edge weight, its pi factors included,
-    rebuilt from gs at each call."""
+    """D_xi Psi*(rho, xi) with every pair weight rebuilt from rho and Q at
+    each call."""
     g = gs.generator
-    src, dst, rate = g.edges
-    pi = gs.pi
-    r = rho / pi
-    ri, rj = r[src], r[dst]
-    base = pi[src] * rate
+    i, j, fwd, bwd = g.pairs
+    a, b = rho[i] * fwd, rho[j] * bwd
     if gs.family is Family.QUADRATIC_FAMILY:
-        d = np.log(rj) - np.log(ri)
+        d = np.log(a / b)
         near = np.abs(d) < structure.LOG_RATIO_GUARD
-        w = base * np.where(near, 0.5 * (ri + rj),
-                            (rj - ri) / np.where(near, 1.0, d))
+        w = np.where(near, 0.5 * (a + b), (a - b) / np.where(near, 1.0, d))
         phi = (None, lambda z: z, None, None, np.inf)
     else:
-        # pi_i Q_ij sqrt(r_i r_j) = sqrt(rho_i rho_j pi_i / pi_j) Q_ij
-        w = base * np.sqrt(ri * rj)
+        # sqrt(rho_i Q_ij rho_j Q_ji), forward and back
+        w = np.sqrt(a * b)
         phi = (markov.EXPM1 if gs.family is Family.LDP_EXACT
                else (None, np.sinh, None, None, markov.EXP_GUARD))
-    return markov.EdgeFunctional(g, w, phi).gradient(xi)
+    return markov.EdgeFunctional(g, w, w, phi).gradient(xi)
 
 
 def _rebuilt_flow_field(gs, rho):
@@ -422,7 +418,7 @@ def test_cached_flow_field_equals_the_rebuilt_formula(family, seed):
         want = _rebuilt_flow_field(gs, rho)
         assert np.array_equal(structure.flow_field(gs, rho), want)
         assert np.array_equal(gs.flow(rho), want)
-    # Frozen, so that the cached edge constants cannot go stale.
+    # Frozen: a structure is the value (generator, family).
     with pytest.raises(dataclasses.FrozenInstanceError):
         gs.family = Family.LDP_EXACT
 
@@ -437,8 +433,8 @@ def test_cached_flow_field_raises_as_the_rebuilt_formula(family):
     # Psi* directly.  Only the exponentiating potentials are guarded;
     # phi = z^2/2 gives a finite gradient there.
     xi = -1e4 * (np.log(rho / gs.pi) + 1.0)
-    src, dst, _ = g.edges
-    assert np.abs(xi[dst] - xi[src]).max() > markov.EXP_GUARD
+    i, j = g.pairs.i, g.pairs.j
+    assert np.abs(xi[j] - xi[i]).max() > markov.EXP_GUARD
     if family is Family.QUADRATIC_FAMILY:
         want = _rebuilt_dual_gradient(gs, rho, xi)
         assert np.isfinite(want).all()
@@ -511,6 +507,15 @@ def test_cosh_member_equals_the_exact_structure(two_state):
         assert rep["coincide_to_rounding"]
 
 
+def test_cosh_member_equals_the_exact_structure_on_the_stiff_ou_chain(bench):
+    # Both take the pair weight sqrt(rho_i Q_ij rho_j Q_ji) from rho and Q,
+    # so the rounding of pi, which splits pi_i Q_ij from pi_j Q_ji, does not
+    # enter; stiff pairs would multiply that split by sinh(xi_j - xi_i).
+    g = markov.validate_generator(bench.ou_grid(201))
+    rep = structure.cosh_vs_ldp_report(g, seed=0)
+    assert rep["max_abs_discrepancy"] <= 1e-11
+
+
 def _dense_diff(xi):
     return xi[None, :] - xi[:, None]
 
@@ -521,33 +526,43 @@ def _off_diagonal(Q):
     return off
 
 
+def _both_ways(g):
+    """g with each one-way rate Q_ij matched by Q_ji = Q_ij / 2: weakly
+    reversible, and as sparse as g."""
+    off = _off_diagonal(g.q)
+    off += 0.5 * off.T * (off == 0)
+    np.fill_diagonal(off, -off.sum(axis=1))
+    return markov.validate_generator(off)
+
+
 def _edge_instances(g, rho, V):
-    """Every edge functional of the package with an independent dense oracle
-    for its value."""
+    """Every edge functional of the package, as a function that builds it,
+    with an independent dense oracle for its value."""
     Q = g.q
-    balance = markov.analyze_balance(g)
-    pi = balance.invariant_measure
-    r = rho / pi
+    K = rho[:, None] * _off_diagonal(Q)  # K_ij = rho_i Q_ij
 
     def dense_h(xi):
         return float(np.sum(rho[:, None] * Q * np.expm1(_dense_diff(xi))))
 
     def family(fam):
-        return structure.GradientStructure(generator=g,
-                                           family=fam).functional(rho)
+        return lambda: structure.GradientStructure(
+            generator=g, family=fam).functional(rho)
 
-    ldp_w = np.sqrt(np.outer(rho, rho) * np.outer(pi, 1.0 / pi)) * _off_diagonal(Q)
-    cosh_w = pi[:, None] * _off_diagonal(Q) * np.sqrt(np.outer(r, r))
-    quad_w = pi[:, None] * _off_diagonal(Q) * np.array(
-        [[log_mean(a, b) for b in r] for a in r])
+    # One weight per ordered pair, m(K_ij, K_ji), zero on a one-way pair.
+    geo_w = np.sqrt(K * K.T)
+    quad_w = np.array([[log_mean(a, b) if a > 0 and b > 0 else 0.0
+                        for a, b in zip(row, col)]
+                       for row, col in zip(K, K.T)])
     return {
-        "hamiltonian": (markov.hamiltonian_functional(rho, g), dense_h),
-        "shifted_hamiltonian": (structure._shifted_hamiltonian(rho, V, g),
+        "hamiltonian": (lambda: markov.hamiltonian_functional(rho, g),
+                        dense_h),
+        "shifted_hamiltonian": (lambda: structure._shifted_hamiltonian(
+                                    rho, V, g),
                                 lambda xi: dense_h(V + xi) - dense_h(V)),
         "ldp_psi_star": (family(Family.LDP_EXACT),
-                         lambda xi: float(np.sum(ldp_w * np.expm1(_dense_diff(xi))))),
+                         lambda xi: float(np.sum(geo_w * np.expm1(_dense_diff(xi))))),
         "cosh_family": (family(Family.COSH_FAMILY),
-                        lambda xi: float(np.sum(cosh_w * (np.cosh(_dense_diff(xi)) - 1.0)))),
+                        lambda xi: float(np.sum(geo_w * (np.cosh(_dense_diff(xi)) - 1.0)))),
         "quadratic_family": (family(Family.QUADRATIC_FAMILY),
                              lambda xi: float(np.sum(quad_w * 0.5 * _dense_diff(xi) ** 2))),
     }
@@ -558,13 +573,17 @@ def _edge_instances(g, rho, V):
                                   "quadratic_family"])
 @pytest.mark.parametrize("seed", [3, 8])
 def test_edge_functional_matches_dense_and_finite_differences(name, seed):
-    # A chain with zero rates, so the edge list is not the dense pattern.
+    # A chain with zero rates, so the pairs are not the dense pattern.  The
+    # family members need every pair both ways.
     g = chains.random_irreducible(5, seed)
+    if name in ("cosh_family", "quadratic_family"):
+        g = _both_ways(g)
     assert np.count_nonzero(g.q) < g.size ** 2
     rng = np.random.default_rng(seed)
     rho = random_interior(rng, 5)
     V = structure.critical_covector(rho, g)
-    F, dense = _edge_instances(g, rho, V)[name]
+    make, dense = _edge_instances(g, rho, V)[name]
+    F = make()
     for _ in range(3):
         xi = random_zero_sum(rng, 5)
         assert abs(F(xi) - dense(xi)) <= 1e-12 * max(1.0, abs(dense(xi)))
