@@ -263,7 +263,6 @@ def cmd_analyze(args):
             fam.value: structure.determine_entropy_scale(g, fam, args.seed)
             for fam in (structure.Family.QUADRATIC_FAMILY,
                         structure.Family.COSH_FAMILY)}
-        report["cosh_vs_ldp"] = structure.cosh_vs_ldp_report(g, seed=args.seed)
     out = _out_dir(args)
     path = os.path.join(out, "diagnostics.json")
     write_json(path, report)

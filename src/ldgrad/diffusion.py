@@ -102,11 +102,11 @@ def make_grid(a, b, N, potential="zero"):
 
 
 def gaussian_tail_mass(g):
-    """For the quadratic potential: stationary mass outside the truncated
-    interval (documented against the 1e-8 default-example target)."""
-    lo = abs(g.a)
-    hi = abs(g.b)
-    return float(math.erfc(min(lo, hi) / math.sqrt(2.0)))
+    """For the quadratic potential: the standard normal mass outside
+    [a, b], P(X < a) + P(X > b) (documented against the 1e-8
+    default-example target)."""
+    return float(0.5 * math.erfc(-g.a / math.sqrt(2.0))
+                 + 0.5 * math.erfc(g.b / math.sqrt(2.0)))
 
 
 def discretize_generator(g):

@@ -19,8 +19,9 @@ of the states, such as `cli.cmd_diffusion`, reads the blocks of
 
 The per-step work is array code: a gradient flow's stages call the
 structure's field (`GradientStructure.flow`), and the entropy of a
-trajectory is one `relative_entropy` pass over the stack of states.  Both give the same bits as the one-call-per-state route, and
-so does `relative_entropy` on each block.
+trajectory is one `relative_entropy` pass over the stack of states.  Both
+give the same bits as the one-call-per-state route, and so does
+`relative_entropy` on each block.
 
 This module writes no files; `cli.write_trajectory` exports a trajectory.
 """

@@ -266,12 +266,11 @@ def _expm1_argmax(a, b, j):
     return z, two | fwd | bwd | ((j == 0) & (a == 0) & (b == 0))
 
 
-def _even_argmax(inverse):
-    """For an even phi, (a + b) phi'(z) = j: z = inverse(j / (a + b)), where
-    inverse inverts phi'; a + b = 0 has finite cost only at zero flux."""
-    return lambda a, b, j: (
-        inverse(np.divide(j, a + b, out=np.zeros(j.size), where=a + b > 0)),
-        (a + b > 0) | (j == 0))
+def _quadratic_argmax(a, b, j):
+    """(a + b) z = j: z = j / (a + b); a + b = 0 has finite cost only at
+    zero flux."""
+    return (np.divide(j, a + b, out=np.zeros(j.size), where=a + b > 0),
+            (a + b > 0) | (j == 0))
 
 
 # (phi, phi', phi'', argmax, guard) of the edge potentials.  argmax(a, b, j)
@@ -281,9 +280,7 @@ def _even_argmax(inverse):
 # ExponentOverflow: EXP_GUARD where phi exponentiates, none (inf) for z^2/2.
 EXPM1 = (np.expm1, np.exp, np.exp, _expm1_argmax, EXP_GUARD)
 QUADRATIC = (lambda z: 0.5 * z * z, lambda z: z, np.ones_like,
-             _even_argmax(lambda y: y), np.inf)
-COSH = (lambda z: np.cosh(z) - 1.0, np.sinh, np.cosh,
-        _even_argmax(np.arcsinh), EXP_GUARD)
+             _quadratic_argmax, np.inf)
 
 
 class EdgeTree:
@@ -380,11 +377,11 @@ class EdgeFunctional:
     over the pairs {i_e < j_e} of a generator `g` (`g.pairs`), with one
     forward and one backward weight per pair.
 
-    `phi` is one of the tuples `EXPM1`, `QUADRATIC`, `COSH`.  The gradient
+    `phi` is one of the tuples `EXPM1`, `QUADRATIC`.  The gradient
     gathers the pair flux fwd phi'(d) - bwd phi'(-d) at j minus i; the
     Hessian is the graph Laplacian with pair weights
     fwd phi''(d) + bwd phi''(-d).  Pair differences above phi's guard
-    (EXP_GUARD for expm1 and cosh, none for z^2/2) raise ExponentOverflow;
+    (EXP_GUARD for expm1, none for z^2/2) raise ExponentOverflow;
     non-edges exponentiate nothing.
 
     `conjugate` takes one of two routes, decided by the graph alone.  When

@@ -10,9 +10,9 @@ and both potentials are non-negative exactly when V is the critical covector
 V_L(rho) = argmin_xi H(rho, .) = D_s L(rho, 0).  Under detailed balance
 V_L = (1/2) D E_pi.
 
-Every structure here, the exact one and the two-parameter family alike,
-weights each pair {i, j} of the generator graph (`GeneratorMatrix.pairs`)
-by one symmetric rule, the same weight forward and back:
+Every structure here weights each pair {i, j} of the generator graph
+(`GeneratorMatrix.pairs`) by one symmetric rule, the same weight forward
+and back:
 
     Psi*(rho, xi) = sum_{i<j} L_ij(rho) [phi(xi_j - xi_i) + phi(xi_i - xi_j)],
     L_ij = m(rho_i Q_ij, rho_j Q_ji),
@@ -21,20 +21,20 @@ by one symmetric rule, the same weight forward and back:
 with psi the even part of phi.  Under detailed balance a / b = r_i / r_j,
 r = rho/pi, so at xi = -DS with S = (1/2) E_pi the pair difference is
 (1/2) log(a/b), and the pair carries the flux 2 L_ij psi' = a - b: the flow
-of S is the forward equation rho' = Q^T rho.  The quadratic member
-phi(z) = z^2/2 has the logarithmic mean (a - b) / log(a/b), the
-discrete-transport metric of Maas ("Gradient flows of the entropy for
-finite Markov chains").  The exact structure (phi = expm1) and the cosh
-member (phi(z) = cosh z - 1) have the geometric mean, the weight
-sqrt(rho_i Q_ij rho_j Q_ji), which needs no pi.  Under detailed balance
-this is the V_L-shifted H above, and expm1(z) + expm1(-z) = 2 (cosh z - 1),
-so the cosh member is the exact structure, the paper's gradient structure
-for Markov particles.  A one-way pair has the weight 0; the family members
-need Q_ij > 0 iff Q_ji > 0.
+of S is the forward equation rho' = Q^T rho.  The exact structure
+(phi = expm1) has the geometric mean, the weight sqrt(rho_i Q_ij rho_j Q_ji),
+which needs no pi; since expm1(z) + expm1(-z) = 2 (cosh z - 1), its Psi* is
+sum_{i<j} 2 sqrt(rho_i Q_ij rho_j Q_ji) (cosh(xi_j - xi_i) - 1), the
+paper's gradient structure for Markov particles, and under detailed balance
+the V_L-shifted H above.  The cosh member (`Family.COSH_FAMILY`,
+phi(z) = cosh z - 1) is this structure and shares its potential.
+The quadratic member phi(z) = z^2/2 has the logarithmic mean
+(a - b) / log(a/b), the discrete-transport metric of Maas ("Gradient flows
+of the entropy for finite Markov chains").  A one-way pair has the weight 0;
+the family members need Q_ij > 0 iff Q_ji > 0.
 
 The entropy scale is therefore 1/2 for every structure by construction;
-`determine_entropy_scale` checks the drift residual there and
-`cosh_vs_ldp_report` the identity of the two potentials.
+`determine_entropy_scale` checks the drift residual there.
 
 A structure is thus fixed by the generator and the family alone
 (`GradientStructure`); pi and the balance verdict are the generator's own,
@@ -70,8 +70,6 @@ DIAG_TOL = 1e-6
 LOG_RATIO_GUARD = 1e-8
 DRIFT_TOL = 1e-8
 DRIFT_SAMPLES = 20
-COSH_SAMPLES = 50
-IDENTITY_TOL = 1e-12
 # S = ENTROPY_SCALE * E_pi for every structure: the pair-weight rule of the
 # module docstring fixes it.
 ENTROPY_SCALE = 0.5
@@ -97,7 +95,7 @@ def _log_mean(a, b):
 
 # (phi, pair mean m(a, b)) of each structure's Psi*.
 _POTENTIALS = {Family.LDP_EXACT: (markov.EXPM1, _geometric_mean),
-               Family.COSH_FAMILY: (markov.COSH, _geometric_mean),
+               Family.COSH_FAMILY: (markov.EXPM1, _geometric_mean),
                Family.QUADRATIC_FAMILY: (markov.QUADRATIC, _log_mean)}
 
 
@@ -117,8 +115,8 @@ class GradientStructure:
     def functional(self, rho):
         """Psi*(rho, .) as an edge functional: on each pair the weight
         m(rho_i Q_ij, rho_j Q_ji) forward and back, with m the geometric
-        mean for the exact structure and the cosh member and the guarded
-        logarithmic mean for the quadratic member."""
+        mean for the exact structure (and the cosh member, which is it) and
+        the guarded logarithmic mean for the quadratic member."""
         phi, mean = _POTENTIALS[self.family]
         i, j, fwd, bwd = self.generator.pairs
         rho = np.asarray(rho, dtype=float)
@@ -169,11 +167,6 @@ def _shifted_hamiltonian(rho, V, g):
     H = markov.hamiltonian_functional(rho, g)
     tilt = np.exp(V[H.j] - V[H.i])
     return markov.EdgeFunctional(g, H.fwd * tilt, H.bwd / tilt)
-
-
-def psi_star(gs, rho, xi):
-    """Dual dissipation potential of the structure at (rho, xi)."""
-    return gs.functional(rho)(np.asarray(xi, dtype=float))
 
 
 def psi(gs, rho, s):
@@ -247,36 +240,6 @@ def determine_entropy_scale(g, family, seed=0):
     return {"family": family.value, "selected_scale": ENTROPY_SCALE,
             "selected_residual": worst, "reproduces_drift": worst <= DRIFT_TOL,
             "samples": DRIFT_SAMPLES, "seed": seed}
-
-
-def cosh_vs_ldp_report(g, seed=0):
-    """Pointwise comparison of the cosh family member against the exact
-    dual potential on COSH_SAMPLES seeded interior (rho, xi).  Under
-    detailed balance the two are one potential (module docstring), so they
-    differ by rounding: by at most IDENTITY_TOL relative to max(1, Psi*).
-    The sample of the largest absolute discrepancy is named."""
-    gs_c = build_structure(g, Family.COSH_FAMILY)
-    gs_l = build_structure(g, Family.LDP_EXACT)
-    rng = np.random.default_rng(seed)
-    J = g.size
-    worst = worst_rel = 0.0
-    worst_at = None
-    for _ in range(COSH_SAMPLES):
-        rho = markov.project_interior(rng.dirichlet(np.ones(J)), 1e-6)
-        xi = convex.project_zero_sum(rng.standard_normal(J))
-        cosh = psi_star(gs_c, rho, xi)
-        gap = abs(cosh - psi_star(gs_l, rho, xi))
-        worst_rel = max(worst_rel, gap / max(1.0, cosh))
-        if gap > worst:
-            worst, worst_at = float(gap), (rho.tolist(), xi.tolist())
-    return {
-        "max_abs_discrepancy": worst,
-        "max_rel_discrepancy": worst_rel,
-        "coincide_to_rounding": worst_rel <= IDENTITY_TOL,
-        "worst_sample": worst_at,
-        "samples": COSH_SAMPLES,
-        "seed": seed,
-    }
 
 
 def covector_jacobian(rho, V, g):

@@ -385,7 +385,7 @@ def test_rare_input_branches(tmp_path, capsys, command, content, extra, code,
 
 def test_analyze_solves_for_pi_once(tmp_path, monkeypatch):
     # A reversible, weakly reversible chain takes every analyze step: the
-    # diagnostics, both family drift reports and the cosh comparison.
+    # diagnostics and both family drift reports.
     calls = []
     solve = markov.analyze_balance
 
@@ -400,7 +400,7 @@ def test_analyze_solves_for_pi_once(tmp_path, monkeypatch):
     assert cli.main(["analyze", "--generator", str(gen), "--samples", "2",
                      "--out", str(out)]) == cli.EXIT_OK
     report = json.loads((out / "diagnostics.json").read_text())
-    assert "cosh_vs_ldp" in report and len(report["family_entropy_scales"]) == 2
+    assert len(report["family_entropy_scales"]) == 2
     assert len(calls) == 1
 
 
@@ -635,6 +635,19 @@ def _evolve_argv(tmp_path, g, tags, *extra):
             "--out", str(tmp_path / "out"), *extra]
 
 
+def test_cosh_member_evolves_as_the_exact_structure(tmp_path):
+    # The cosh member is the exact structure, so its flow is the same bits.
+    argv = _evolve_argv(tmp_path, chains.random_reversible(5, 4),
+                        "ldp,cosh_family", "--rho0", "0.1,0.2,0.3,0.15,0.25",
+                        "--T", "0.5", "--dt", "0.01")
+    assert cli.main(argv) == cli.EXIT_OK
+    out = tmp_path / "out"
+    assert ((out / "trajectory_ldp.csv").read_bytes()
+            == (out / "trajectory_cosh_family.csv").read_bytes())
+    report = json.loads((out / "evolve_report.json").read_text())
+    assert report["gap"]["sup_norm_gap"] == 0.0
+
+
 def test_evolve_refuses_a_repeated_tag(tmp_path, capsys):
     argv = _evolve_argv(tmp_path, chains.random_reversible(4, 2),
                         "linear,ldp,linear", "--T", "0.1", "--dt", "0.01")
@@ -866,12 +879,9 @@ def test_analyze_stiff_ou_chain_is_a_gradient_system(tmp_path, N):
     # hold exactly on the chain, not only in a limit.
     assert report["time_symmetry_defect_max"] <= 1e-9
     assert report["extras"]["critical_covector_gap_max"] <= 1e-9
-    # Both family members drive the chain's own flow, and the cosh member
-    # is the exact structure.  Psi* reaches about 2e3 at N = 201, so the two
-    # agree to rounding relative to it, not to 1e-12 absolute.
+    # Both family members drive the chain's own flow.
     assert all(rep["reproduces_drift"]
                for rep in report["family_entropy_scales"].values())
-    assert report["cosh_vs_ldp"]["coincide_to_rounding"]
 
 
 def _rerun_outputs(tmp_path, argv):

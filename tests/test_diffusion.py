@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,18 @@ def test_truncation_tail_mass_documented():
     g6 = diffusion.make_grid(-6, 6, 241, "quadratic")
     assert diffusion.gaussian_tail_mass(g5) > diffusion.TAIL_MASS_TARGET
     assert diffusion.gaussian_tail_mass(g6) < diffusion.TAIL_MASS_TARGET
+
+
+@pytest.mark.parametrize("a,b", [(-4.0, 4.0), (-2.0, 4.0), (1.0, 3.0)])
+def test_gaussian_tail_mass_is_the_mass_outside_the_grid(a, b):
+    # P(X < a) + P(X > b) for a standard normal X, by the normal cdf.
+    cdf = [0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in (a, b)]
+    want = cdf[0] + 1.0 - cdf[1]
+    got = diffusion.gaussian_tail_mass(diffusion.make_grid(a, b, 41,
+                                                           "quadratic"))
+    assert abs(got - want) <= 1e-15
+    if a == -b:  # a symmetric grid: both tails, each erfc(b / sqrt 2) / 2
+        assert got == math.erfc(b / math.sqrt(2.0))
 
 
 def test_profiles_rows():

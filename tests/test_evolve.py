@@ -148,7 +148,7 @@ def test_entropy_dissipation_identity(two_state):
         DS = structure.ENTROPY_SCALE * markov.relative_entropy_gradient(
             rho, gs.pi)[1]
         rhs = -(structure.psi(gs, rho, sdot)
-                + structure.psi_star(gs, rho, -DS))
+                + gs.functional(rho)(-DS))
         assert abs(dS - rhs) <= 1e-4
 
 

@@ -359,8 +359,23 @@ def test_tree_route_is_decided_by_the_graph(two_state, cyclic):
     assert g.tree is None
 
 
-_PHIS = {"expm1": markov.EXPM1, "quadratic": markov.QUADRATIC,
-         "cosh": markov.COSH}
+def _as_given(a, b):
+    return a, b
+
+
+def _geometric_both_ways(a, b):
+    w = np.sqrt(a * b)
+    return w, w
+
+
+# The edge potentials, as (phi tuple, rule from a pair's forward and
+# backward weights to the weights it is evaluated at, oracle phi).  "cosh"
+# is the cosh member, which is the exact structure: expm1 with sqrt(ab) both
+# ways, whose pair sum 2 sqrt(ab) (cosh d - 1) the cosh oracle checks.
+_PHIS = {"expm1": (markov.EXPM1, _as_given, markov.EXPM1),
+         "quadratic": (markov.QUADRATIC, _as_given, markov.QUADRATIC),
+         "cosh": (markov.EXPM1, _geometric_both_ways,
+                  (lambda z: np.cosh(z) - 1.0, np.sinh, np.cosh))}
 
 
 def _dense_edge_reference(W, phi, xi):
@@ -391,14 +406,17 @@ def test_pair_functional_matches_a_dense_loop_with_one_way_edges(chain, name):
          else chains.random_irreducible(6, int(chain[-1])))
     i, j, fwd, bwd = g.pairs
     assert np.any(np.minimum(fwd, bwd) == 0)  # one-way edges included
+    phi, weights, oracle = _PHIS[name]
     rng = np.random.default_rng([80, g.size])
     for _ in range(5):
         rho = random_interior(rng, g.size)
         W = rho[:, None] * g.q
         np.fill_diagonal(W, 0.0)
-        F = markov.EdgeFunctional(g, rho[i] * fwd, rho[j] * bwd, _PHIS[name])
+        W = weights(W, W.T)[0]
+        F = markov.EdgeFunctional(g, *weights(rho[i] * fwd, rho[j] * bwd),
+                                  phi)
         xi = random_zero_sum(rng, g.size)
-        value, grad, hess = _dense_edge_reference(W, _PHIS[name], xi)
+        value, grad, hess = _dense_edge_reference(W, oracle, xi)
         assert abs(F(xi) - value) <= 1e-13 * abs(value)
         assert np.abs(F.gradient(xi) - grad).max() <= 1e-13 * np.abs(
             grad).max()
@@ -412,13 +430,18 @@ def test_pair_functional_matches_a_dense_loop_with_one_way_edges(chain, name):
                  else "%s-%d" % (name, seed))
     for name in _PHIS for seed in range(8)])
 def test_tree_conjugate_matches_newton_on_random_trees(name, seed):
+    phi, weights, _ = _PHIS[name]
+    # The cosh member needs every pair both ways: a one-way pair would have
+    # no weight and cut the tree.
+    one_way_prob = 0.3 * (seed % 2) if name != "cosh" else 0.0
     rng = np.random.default_rng([77, seed])
     for J in (2, 3, 7, 20, 50):
-        g = _random_tree_generator(rng, J, one_way_prob=0.3 * (seed % 2))
+        g = _random_tree_generator(rng, J, one_way_prob)
         assert g.tree is not None
         rho = random_interior(rng, J)
         i, j, fwd, bwd = g.pairs
-        H = markov.EdgeFunctional(g, rho[i] * fwd, rho[j] * bwd, _PHIS[name])
+        H = markov.EdgeFunctional(g, *weights(rho[i] * fwd, rho[j] * bwd),
+                                  phi)
         # s is the slope at a known maximiser, so every one-way edge
         # carries a flux of its own sign.
         xi = random_zero_sum(rng, J)
@@ -472,15 +495,16 @@ def test_tree_cost_at_rest_is_the_hellinger_sum(seed):
 @pytest.mark.parametrize("name", _PHIS)
 def test_edge_maximiser_solves_the_edge_equation(name):
     # Contract of the 4th entry of a phi tuple: z with
-    # a phi'(z) - b phi'(-z) = j, and a mask of the edges with finite cost.
-    phi = _PHIS[name]
+    # a phi'(z) - b phi'(-z) = j, and a mask of the edges with finite cost;
+    # the oracle's phi' checks it.
+    phi, weights, oracle = _PHIS[name]
     rng = np.random.default_rng(79)
-    a, b = rng.uniform(0.05, 5.0, (2, 200))
+    a, b = weights(*rng.uniform(0.05, 5.0, (2, 200)))
     j = 3.0 * rng.standard_normal(200)
     z, finite = phi[3](a, b, j)
     assert finite.all()
-    assert np.abs(a * phi[1](z) - b * phi[1](-z) - j).max() <= 1e-12 * max(
-        1.0, np.abs(j).max())
+    assert np.abs(a * oracle[1](z) - b * oracle[1](-z) - j).max() <= (
+        1e-12 * max(1.0, np.abs(j).max()))
     # No weight in either direction: finite (z = 0) only at zero flux.
     z, finite = phi[3](np.zeros(3), np.zeros(3), np.array([0.5, -0.5, 0.0]))
     assert finite.tolist() == [False, False, True] and z[2] == 0.0

@@ -256,7 +256,7 @@ def test_rate_functional_constant_path(two_state):
     gs = structure.build_structure(two_state)
     DS = structure.ENTROPY_SCALE * markov.relative_entropy_gradient(
         rho, gs.pi)[1]
-    assert abs(out["value"] - 2.0 * structure.psi_star(gs, rho, -DS)) <= 1e-9
+    assert abs(out["value"] - 2.0 * gs.functional(rho)(-DS)) <= 1e-9
     assert out["value"] > 0.0
 
 

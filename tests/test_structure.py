@@ -47,14 +47,14 @@ def test_psi_star_zero_at_zero(two_state):
     rho = random_interior(rng, 2)
     for fam in Family:
         gs = structure.build_structure(two_state, fam)
-        assert structure.psi_star(gs, rho, np.zeros(2)) == 0.0
+        assert gs.functional(rho)(np.zeros(2)) == 0.0
 
 
 def test_psi_star_two_state_closed_form(two_state):
     gs = structure.build_structure(two_state, Family.LDP_EXACT)
     rho = np.array([0.5, 0.5])
     xi = np.array([1.0, -1.0])
-    val = structure.psi_star(gs, rho, xi)
+    val = gs.functional(rho)(xi)
     # Shifted-Hamiltonian oracle: H(rho, V + xi) - H(rho, V)
     V = structure.critical_covector(rho, two_state)
     oracle = structure._shifted_hamiltonian(rho, V, two_state)(xi)
@@ -68,7 +68,7 @@ def test_psi_star_quadratic_family_log_mean_oracle(two_state):
     gs = structure.build_structure(two_state, Family.QUADRATIC_FAMILY)
     rho = np.array([0.25, 0.75])
     xi = np.array([1.0, -1.0])
-    val = structure.psi_star(gs, rho, xi)
+    val = gs.functional(rho)(xi)
     # independent route: L_12 = L_21 = pi Q * logmean(r), psi = z^2/2 at z = -+2
     pi = 0.5
     L = pi * 1.0 * log_mean(0.5, 1.5)
@@ -375,8 +375,7 @@ def test_flow_field_matches_finite_difference_of_psi_star():
     rho = random_interior(rng, 4)
     DS = structure.ENTROPY_SCALE * markov.relative_entropy_gradient(
         rho, gs.pi)[1]
-    fd = finite_diff_gradient(
-        lambda xi: structure.psi_star(gs, rho, xi), -DS, 1e-6)
+    fd = finite_diff_gradient(gs.functional(rho), -DS, 1e-6)
     assert np.abs(structure.flow_field(gs, rho) - fd).max() <= 1e-6
 
 
@@ -392,10 +391,10 @@ def _rebuilt_dual_gradient(gs, rho, xi):
         w = np.where(near, 0.5 * (a + b), (a - b) / np.where(near, 1.0, d))
         phi = (None, lambda z: z, None, None, np.inf)
     else:
-        # sqrt(rho_i Q_ij rho_j Q_ji), forward and back
+        # sqrt(rho_i Q_ij rho_j Q_ji), forward and back; the cosh member is
+        # the exact structure, phi = expm1
         w = np.sqrt(a * b)
-        phi = (markov.EXPM1 if gs.family is Family.LDP_EXACT
-               else (None, np.sinh, None, None, markov.EXP_GUARD))
+        phi = markov.EXPM1
     return markov.EdgeFunctional(g, w, w, phi).gradient(xi)
 
 
@@ -468,7 +467,7 @@ def test_fenchel_equality_on_flow():
             rho, gs.pi)[1]
         sdot = markov.drift(rho, g)
         total = (structure.psi(gs, rho, sdot)
-                 + structure.psi_star(gs, rho, -DS) + float(DS @ sdot))
+                 + gs.functional(rho)(-DS) + float(DS @ sdot))
         assert abs(total) <= 1e-8
 
 
@@ -494,26 +493,6 @@ def test_entropy_scale_report_shows_both_members_reproduce_the_drift():
         assert rep["family"] == family.value and "candidates" not in rep
         assert rep["selected_scale"] == 0.5 and rep["reproduces_drift"]
         assert rep["selected_residual"] <= 1e-12
-
-
-def test_cosh_member_equals_the_exact_structure(two_state):
-    # Under detailed balance the cosh member is the exact structure:
-    # sum_ij sqrt(rho_i Q_ij rho_j Q_ji) (cosh(xi_j - xi_i) - 1).
-    for g in (two_state, chains.random_reversible(4, 55),
-              chains.random_reversible(6, 0),
-              *(chains.random_reversible(8, seed) for seed in range(3))):
-        rep = structure.cosh_vs_ldp_report(g, seed=5)
-        assert rep["max_abs_discrepancy"] <= 1e-12
-        assert rep["coincide_to_rounding"]
-
-
-def test_cosh_member_equals_the_exact_structure_on_the_stiff_ou_chain(bench):
-    # Both take the pair weight sqrt(rho_i Q_ij rho_j Q_ji) from rho and Q,
-    # so the rounding of pi, which splits pi_i Q_ij from pi_j Q_ji, does not
-    # enter; stiff pairs would multiply that split by sinh(xi_j - xi_i).
-    g = markov.validate_generator(bench.ou_grid(201))
-    rep = structure.cosh_vs_ldp_report(g, seed=0)
-    assert rep["max_abs_discrepancy"] <= 1e-11
 
 
 def _dense_diff(xi):
