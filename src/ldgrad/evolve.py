@@ -1,27 +1,35 @@
 """Time integration of the linear evolution and of gradient flows.
 
-Flows are integrated by fixed-step classical Runge-Kutta (4th order):
-trajectories are deterministic and reproducible, which golden-file tests
-rely on.  `exact_linear_solution`, the reference for the linear flow, sums
-e^{t Q^T} rho0 by uniformization instead, in numpy alone.  Mass is
-renormalized every step (the drift per step must stay below 1e-12) and a
-trajectory that leaves the simplex by more than 1e-6 aborts rather than being
-clamped.
+Flows are integrated by fixed-step classical Runge-Kutta (4th order) on the
+uniform grid of `time_grid`, with the one step dt = times[1] - times[0]:
+trajectories are deterministic and reproducible.  `exact_linear_solution`,
+the reference for the linear flow, sums e^{t Q^T} rho0 by uniformization
+instead, in numpy alone.  Mass is renormalized every step (the drift per
+step must stay below 1e-12) and a trajectory that leaves the simplex by
+more than 1e-6 aborts rather than being clamped.
 
-There is one RK4 loop, `_march`, a generator.  It keeps the current state
-and one reused buffer of at most `markov.ENTROPY_CHUNK` elements
-(max(1, ENTROPY_CHUNK // J) rows), and yields each full buffer with the
-index of its first row; nothing it holds grows with the number of steps.
-`integrate_linear` and `integrate_gradient_flow` copy the blocks into one
-(n, J) stack of states, the `Trajectory`.  A caller that needs only part
-of the states, such as `cli.cmd_diffusion`, reads the blocks of
-`linear_blocks` instead and never builds that stack.
+`_rk4` is the one RK4 formula: the four stages k1..k4 of a field at y and
+y + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  A gradient flow steps by it, and each
+step calls the structure's field (`GradientStructure.flow`) four times.
+The RK4 step of the linear field y -> Q^T y is itself a matrix, the
+propagator R = `_rk4` of Y -> Q^T Y from the identity, so `linear_blocks`
+builds R once and then takes one matvec y <- R y per step, where the
+stages took four.  Building R costs O(J^3) once against O(J^2) per step,
+so it pays back once a run has more than about J steps, as every run of
+the benchmark in `bench/` and of the tests does.  R y is the stages' step
+regrouped, equal to it to rounding, not bit for bit.
 
-The per-step work is array code: a gradient flow's stages call the
-structure's field (`GradientStructure.flow`), and the entropy of a
-trajectory is one `relative_entropy` pass over the stack of states.  Both
-give the same bits as the one-call-per-state route, and so does
-`relative_entropy` on each block.
+There is one stepping loop, `_march`, a generator that applies a one-step
+map.  It keeps the current state and one reused buffer of at most
+`markov.ENTROPY_CHUNK` elements (max(1, ENTROPY_CHUNK // J) rows), and
+yields each full buffer with the index of its first row; nothing it holds
+grows with the number of steps.  `integrate_linear` and
+`integrate_gradient_flow` copy the blocks into one (n, J) stack of states,
+the `Trajectory`.  A caller that needs only part of the states, such as
+`cli.cmd_diffusion`, reads the blocks of `linear_blocks` instead and never
+builds that stack.  The entropy of a trajectory is one `relative_entropy`
+pass over the stack of states; it gives the same bits as one call per
+state, and so does `relative_entropy` on each block.
 
 This module writes no files; `cli.write_trajectory` exports a trajectory.
 """
@@ -81,8 +89,9 @@ def _rk4(field, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(field, rho0, times, floor=None):
-    """RK4 states on `times`, as (k, block) pairs: rows k, k + 1, ... of the
+def _march(step, rho0, times, floor=None):
+    """States on `times` from rho0 by the one-step map `step`, each step
+    renormalized and checked, as (k, block) pairs: rows k, k + 1, ... of the
     (n, J) stack of states.  `block` is a view of one buffer that the next
     step overwrites, so a caller copies what it keeps before asking for the
     next block.  A step that fails a check raises before its block is
@@ -93,8 +102,7 @@ def _march(field, rho0, times, floor=None):
     y = rho0.copy()
     start, i = 0, 1
     for k in range(1, times.size):
-        dt = times[k] - times[k - 1]
-        y = _rk4(field, y, dt)
+        y = step(y)
         mass = y.sum()
         # Both tests are written so that a NaN state fails them.
         if not abs(mass - 1.0) <= MASS_DRIFT_TOL:
@@ -125,9 +133,12 @@ def _stack(blocks, n, J):
 
 def linear_blocks(rho0, g, times):
     """The RK4 states of rho' = Q^T rho on `times`, from the probability
-    vector rho0, as the (k, block) stream of `_march`."""
+    vector rho0, as the (k, block) stream of `_march`: one matvec per step
+    with the RK4 propagator R, built once."""
+    rho0 = markov.as_simplex(rho0, "rho0")
     QT = g.q.T
-    return _march(lambda y: QT @ y, markov.as_simplex(rho0, "rho0"), times)
+    R = _rk4(lambda Y: QT @ Y, np.eye(g.size), times[1] - times[0])
+    return _march(lambda y: R @ y, rho0, times)
 
 
 def integrate_linear(rho0, g, T, dt):
@@ -202,8 +213,9 @@ def integrate_gradient_flow(rho0, gs, T, dt):
                 "flow stage reached the boundary (min rho = %.3e)" % y.min())
         return flow(y)
 
-    states = _stack(_march(fld, rho0, times, floor=BOUNDARY_FLOOR),
-                    times.size, rho0.size)
+    dt = times[1] - times[0]
+    states = _stack(_march(lambda y: _rk4(fld, y, dt), rho0, times,
+                           floor=BOUNDARY_FLOOR), times.size, rho0.size)
     return Trajectory(times=times, states=states,
                       entropy_values=gs.entropy(states))
 

@@ -33,15 +33,21 @@ The quadratic member phi(z) = z^2/2 has the logarithmic mean
 of the entropy for finite Markov chains").  A one-way pair has the weight 0;
 the family members need Q_ij > 0 iff Q_ji > 0.
 
-The entropy scale is therefore 1/2 for every structure by construction;
-`determine_entropy_scale` checks the drift residual there.
+The flow of S, rho' = D_xi Psi*(rho, -DS(rho)), is therefore a sum of
+pair fluxes: with d = delta / 2 the pair difference of xi = -DS,
+delta = log r_i - log r_j, pair {i, j} carries 2 L_ij psi'(d) from i to j,
+that is sqrt(4ab) sinh(delta / 2) for the exact structure and the cosh
+member and m(a, b) delta for the quadratic member, with a = rho_i Q_ij and
+b = rho_j Q_ji.  `GradientStructure.flow` evaluates these fluxes directly,
+with no edge functional.  The entropy scale is 1/2 for every structure by
+construction; `determine_entropy_scale` checks the drift residual there.
 
 A structure is thus fixed by the generator and the family alone
 (`GradientStructure`); pi and the balance verdict are the generator's own,
 solved once (`GeneratorMatrix.balance`), and pi enters only S.  Every
 potential above is a sum over the pairs and is evaluated by
-`markov.EdgeFunctional`; the shift by V tilts the weights of H by
-e^{V_j - V_i} forward and e^{V_i - V_j} back.
+`markov.EdgeFunctional` (for H, Newton and `psi`); the shift by V tilts
+the weights of H by e^{V_j - V_i} forward and e^{V_i - V_j} back.
 
 Every conjugate here (V_L, L and Psi, the conjugate of Psi*) goes through
 `EdgeFunctional.conjugate`.  When the pairs form a tree, each has an exact
@@ -60,11 +66,13 @@ max|M - M^T| / max|M| of M = P D_rho V_L P as the integrability defect.
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import convex, markov
-from .errors import BoundaryPoint, NotGradientSystem, NotWeaklyReversible
+from .errors import (BoundaryPoint, ExponentOverflow, NotGradientSystem,
+                     NotWeaklyReversible)
 
 DIAG_TOL = 1e-6
 LOG_RATIO_GUARD = 1e-8
@@ -90,13 +98,40 @@ def _log_mean(a, b):
     (a + b) / 2 where |log(a / b)| < LOG_RATIO_GUARD."""
     d = np.log(a / b)
     near = np.abs(d) < LOG_RATIO_GUARD
-    return np.where(near, 0.5 * (a + b), (a - b) / np.where(near, 1.0, d))
+    d[near] = 1.0
+    m = a - b
+    m /= d
+    m[near] = 0.5 * (a[near] + b[near])
+    return m
 
 
-# (phi, pair mean m(a, b)) of each structure's Psi*.
-_POTENTIALS = {Family.LDP_EXACT: (markov.EXPM1, _geometric_mean),
-               Family.COSH_FAMILY: (markov.EXPM1, _geometric_mean),
-               Family.QUADRATIC_FAMILY: (markov.QUADRATIC, _log_mean)}
+def _sinh_flux(a, b, delta):
+    """sqrt(4ab) sinh(delta / 2): the flux 2 L_ij psi'(delta / 2) of
+    phi = expm1, psi = cosh - 1, with the geometric mean.  Works in place in
+    a and delta, which `flow` builds for it: with more temporaries per call,
+    a flow on a large graph (J = 200, 19,900 pairs) can make the allocator
+    give back and refault the heap's top pages at every call."""
+    a *= b
+    a *= 4.0
+    np.sqrt(a, out=a)
+    delta *= 0.5
+    a *= np.sinh(delta, out=delta)
+    return a
+
+
+def _log_mean_flux(a, b, delta):
+    """m(a, b) delta: the flux 2 L_ij psi'(delta / 2) of phi = z^2/2 with
+    the logarithmic mean."""
+    m = _log_mean(a, b)
+    m *= delta
+    return m
+
+
+# (phi, pair mean m(a, b), pair flux of the flow) of each structure's Psi*.
+_POTENTIALS = {
+    Family.LDP_EXACT: (markov.EXPM1, _geometric_mean, _sinh_flux),
+    Family.COSH_FAMILY: (markov.EXPM1, _geometric_mean, _sinh_flux),
+    Family.QUADRATIC_FAMILY: (markov.QUADRATIC, _log_mean, _log_mean_flux)}
 
 
 @dataclass(frozen=True)
@@ -117,17 +152,40 @@ class GradientStructure:
         m(rho_i Q_ij, rho_j Q_ji) forward and back, with m the geometric
         mean for the exact structure (and the cosh member, which is it) and
         the guarded logarithmic mean for the quadratic member."""
-        phi, mean = _POTENTIALS[self.family]
+        phi, mean, _ = _POTENTIALS[self.family]
         i, j, fwd, bwd = self.generator.pairs
         rho = np.asarray(rho, dtype=float)
         w = mean(rho[i] * fwd, rho[j] * bwd)
         return markov.EdgeFunctional(self.generator, w, w, phi)
 
+    @cached_property
+    def _flow_constants(self):
+        """What `flow` reads at each call: the pair indices and rates, pi,
+        the family's pair flux, and the guard on delta (twice phi's guard
+        on the pair difference delta / 2)."""
+        phi, _, flux = _POTENTIALS[self.family]
+        i, j, fwd, bwd = self.generator.pairs
+        return i, j, fwd, bwd, self.pi, flux, 2.0 * phi[4]
+
     def flow(self, rho):
         """D_xi Psi*(rho, -DS(rho)) for an interior float array rho;
-        `flow_field` checks the guards."""
-        return self.functional(rho).gradient(
-            -ENTROPY_SCALE * (np.log(rho / self.pi) + 1.0))
+        `flow_field` checks the guards.
+
+        At xi = -DS the pair difference is delta / 2, delta = log r_i -
+        log r_j with r = rho / pi, and pair {i, j} carries the flux
+        2 L_ij psi'(delta / 2) from i to j: sqrt(4ab) sinh(delta / 2) for
+        the exact structure and the cosh member, m(a, b) delta for the
+        quadratic member, with a = rho_i Q_ij and b = rho_j Q_ji.  Two
+        gathers and one bincount per pair end, O(pairs).
+        """
+        i, j, fwd, bwd, pi, flux, guard = self._flow_constants
+        log_r = np.log(rho / pi)
+        delta = log_r[i] - log_r[j]
+        if delta.size and np.abs(delta).max() > guard:
+            raise ExponentOverflow(
+                "potential difference on an edge exceeds %g" % (0.5 * guard))
+        f = flux(rho[i] * fwd, rho[j] * bwd, delta)
+        return np.bincount(j, f, rho.size) - np.bincount(i, f, rho.size)
 
     def entropy(self, rho):
         """S(rho); on an (n, J) stack, one value per row."""

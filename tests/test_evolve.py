@@ -6,7 +6,7 @@ import pytest
 
 import chains
 from conftest import random_interior
-from ldgrad import cli, evolve, markov, structure
+from ldgrad import cli, diffusion, evolve, markov, structure
 from ldgrad.errors import (BoundaryPoint, GridMismatch, NonFiniteOutput,
                            NotGradientSystem, StepSizeTooLarge)
 from ldgrad.structure import Family
@@ -48,14 +48,26 @@ def test_overflowing_steps_are_refused():
             evolve.integrate_linear([0.9, 0.1], g, 0.01, 1e-3)
 
 
-def _step_by_step(field, rho0, times):
-    """Reference: one `_rk4` step and one renormalization per time, each
-    state kept as its own row."""
+def _step_by_step(step, rho0, times):
+    """Reference: one `step` and one renormalization per time, each state
+    kept as its own row."""
     states = [rho0]
-    for k in range(1, times.size):
-        y = evolve._rk4(field, states[-1], times[k] - times[k - 1])
+    for _ in range(1, times.size):
+        y = step(states[-1])
         states.append(y / y.sum())
     return np.array(states)
+
+
+def _rk4_stages(field, times):
+    """The RK4 step of `field` on the grid `times`, stage by stage."""
+    dt = times[1] - times[0]
+    return lambda y: evolve._rk4(field, y, dt)
+
+
+def _propagator(g, times):
+    """The RK4 step of y -> Q^T y as one matrix, built from the identity."""
+    QT = g.q.T
+    return evolve._rk4(lambda Y: QT @ Y, np.eye(g.size), times[1] - times[0])
 
 
 _J = 10
@@ -73,12 +85,13 @@ def test_block_march_equals_a_step_by_step_loop(steps):
     start = markov.as_simplex(rho0, "rho0")  # as both integrators take rho0
     lin = evolve.integrate_linear(rho0, g, steps * 1e-3, 1e-3)
     assert lin.times.size == steps + 1
-    want = _step_by_step(lambda y: g.q.T @ y, start, lin.times)
+    R = _propagator(g, lin.times)
+    want = _step_by_step(lambda y: R @ y, start, lin.times)
     assert np.array_equal(lin.states, want)
     assert np.array_equal(lin.entropy_values,
                           [markov.relative_entropy(r, pi) for r in want])
     flow = evolve.integrate_gradient_flow(rho0, gs, steps * 1e-3, 1e-3)
-    want = _step_by_step(gs.flow, start, flow.times)
+    want = _step_by_step(_rk4_stages(gs.flow, flow.times), start, flow.times)
     assert np.array_equal(flow.states, want)
     assert np.array_equal(flow.entropy_values, [gs.entropy(r) for r in want])
     # Blocks of at most _ROWS rows that tile the times in order.
@@ -87,6 +100,26 @@ def test_block_march_equals_a_step_by_step_loop(steps):
     assert max(sizes) <= _ROWS
     assert list(starts) == np.cumsum((0,) + sizes[:-1]).tolist()
     assert sum(sizes) == steps + 1
+
+
+@pytest.mark.parametrize("make, dt", [
+    (lambda: chains.random_reversible(10, 6), 1e-3),
+    (chains.three_state_cycle, 1e-3),
+    (lambda: diffusion.make_grid(-4.0, 4.0, 201, "quadratic").chain, 5e-4),
+], ids=["reversible10", "three_state_cycle", "ou201"])
+def test_propagator_step_matches_the_rk4_stages(make, dt):
+    # One matvec with the RK4 propagator per step against four field calls
+    # per step: the same map, regrouped, over 2000 steps.
+    g = make()
+    rho0 = markov.as_simplex(markov.project_interior(
+        np.random.default_rng(g.size).dirichlet(np.ones(g.size)), 1e-3),
+        "rho0")
+    lin = evolve.integrate_linear(rho0, g, 2000 * dt, dt)
+    assert lin.times.size == 2001
+    QT = g.q.T
+    want = _step_by_step(_rk4_stages(lambda y: QT @ y, lin.times), rho0,
+                         lin.times)
+    assert np.abs(lin.states - want).max() <= 1e-14
 
 
 def test_gradient_flow_stationary_at_pi():

@@ -398,25 +398,65 @@ def _rebuilt_dual_gradient(gs, rho, xi):
     return markov.EdgeFunctional(g, w, w, phi).gradient(xi)
 
 
-def _rebuilt_flow_field(gs, rho):
-    """The flow field as D_xi Psi*(rho, -DS(rho)), rebuilt."""
-    xi = -structure.ENTROPY_SCALE * (np.log(rho / gs.pi) + 1.0)
-    return _rebuilt_dual_gradient(gs, rho, xi)
+_WIDE = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 
 
+def _long_double_flow(gs, rho):
+    """The pair flux of the flow rebuilt in long double from the same
+    float64 rho, rates and pi, summed per node, with the per-node rounding
+    scale S_n = sum over the pairs at n of |f| + |df/dd| (1 + |L_i| + |L_j|),
+    d = delta / 2 the pair difference of xi = -DS."""
+    ld = np.longdouble
+    i, j, fwd, bwd = gs.generator.pairs
+    rho = rho.astype(ld)
+    a, b = rho[i] * fwd, rho[j] * bwd
+    L = np.log(rho / gs.pi)
+    delta = L[i] - L[j]
+    if gs.family is Family.QUADRATIC_FAMILY:
+        # The log mean as b expm1(t) / t, t = log(a / b): no cancellation.
+        t = np.log(a / b)
+        w = np.where(t == 0, b, b * np.expm1(t) / np.where(t == 0, 1, t))
+        f, df = w * delta, 2 * w
+    else:
+        w = np.sqrt(a * b)
+        f, df = 2 * w * np.sinh(delta / 2), 2 * w * np.cosh(delta / 2)
+    J = rho.size
+    net, scale = np.zeros(J, ld), np.zeros(J, ld)
+    np.add.at(net, j, f)
+    np.add.at(net, i, -f)
+    pair = np.abs(f) + np.abs(df) * (1 + np.abs(L[i]) + np.abs(L[j]))
+    np.add.at(scale, i, pair)
+    np.add.at(scale, j, pair)
+    return net, scale
+
+
+@pytest.mark.skipif(not _WIDE, reason="long double is no wider than float64")
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_cached_flow_field_equals_the_rebuilt_formula(family, seed):
-    g = chains.random_reversible(10, seed)
-    gs = structure.build_structure(g, family)
-    rng = np.random.default_rng(seed)
-    # Random interior points, and one within the quadratic guard band.
-    rhos = [random_interior(rng, 10) for _ in range(5)]
-    rhos.append(gs.pi * (1.0 + 1e-10 * random_zero_sum(rng, 10)))
-    for rho in rhos:
-        want = _rebuilt_flow_field(gs, rho)
-        assert np.array_equal(structure.flow_field(gs, rho), want)
-        assert np.array_equal(gs.flow(rho), want)
+    # The flow against its pair-flux formula rebuilt in long double, to
+    # 4 eps of each node's rounding scale, over four chains per seed at each
+    # J: half the points anywhere inside, half within 1e-3 of pi, where the
+    # fluxes are small and the quadratic member's log mean cancels most,
+    # and one within the log mean's guard band.
+    worst = 0.0
+    for J in (4, 10, 30):
+        for k in range(4 * seed, 4 * seed + 4):
+            gs = structure.build_structure(chains.random_reversible(J, k),
+                                           family)
+            rng = np.random.default_rng([k, J])
+            rhos = [random_interior(rng, J) for _ in range(10)]
+            rhos += [gs.pi * (1.0 + 1e-3 * random_zero_sum(rng, J))
+                     for _ in range(10)]
+            rhos.append(gs.pi * (1.0 + 1e-10 * random_zero_sum(rng, J)))
+            for rho in rhos:
+                rho = rho / rho.sum()
+                flow = gs.flow(rho)
+                assert np.array_equal(structure.flow_field(gs, rho), flow)
+                want, scale = _long_double_flow(gs, rho)
+                err = np.abs(flow.astype(np.longdouble) - want)
+                worst = max(worst, float((err / scale).max()))
+    assert worst <= 4 * np.finfo(float).eps
     # Frozen: a structure is the value (generator, family).
     with pytest.raises(dataclasses.FrozenInstanceError):
         gs.family = Family.LDP_EXACT
