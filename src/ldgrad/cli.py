@@ -46,7 +46,12 @@ EXIT_RUNTIME = 4
 
 CSV_BLOCK_ROWS = 512
 
-EVOLVE_TAGS = ("linear",) + tuple(fam.value for fam in structure.Family)
+# The family of each flow tag.  "cosh_family" is the exact structure (its
+# Psi* is the cosh form), kept only because bench/workloads.py runs it.
+TAG_FAMILIES = {"ldp": structure.Family.LDP_EXACT,
+                "cosh_family": structure.Family.LDP_EXACT,
+                "quadratic_family": structure.Family.QUADRATIC_FAMILY}
+EVOLVE_TAGS = ("linear",) + tuple(TAG_FAMILIES)
 
 # The JSON-number test `type(x) in _NUMBER` leaves out bools.
 _NUMBER = (int, float)
@@ -215,9 +220,8 @@ def write_trajectory(path, traj):
 
 
 def _out_dir(args):
-    out = os.environ.get("OUT_DIR", None) or args.out
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _sha256_file(path):
@@ -261,8 +265,7 @@ def cmd_analyze(args):
     if g.weakly_reversible and report["detailed_balance"]:
         report["family_entropy_scales"] = {
             fam.value: structure.determine_entropy_scale(g, fam, args.seed)
-            for fam in (structure.Family.QUADRATIC_FAMILY,
-                        structure.Family.COSH_FAMILY)}
+            for fam in structure.Family}
     out = _out_dir(args)
     path = os.path.join(out, "diagnostics.json")
     write_json(path, report)
@@ -300,7 +303,7 @@ def _integrate_tag(tag, g, rho0, args):
     if tag == "linear":
         traj = evolve.integrate_linear(rho0, g, args.T, args.dt)
     else:
-        gs = structure.build_structure(g, structure.Family(tag))
+        gs = structure.build_structure(g, TAG_FAMILIES[tag])
         traj = evolve.integrate_gradient_flow(rho0, gs, args.T, args.dt)
     return traj, time.perf_counter() - t0
 
@@ -492,7 +495,7 @@ def cmd_simulate(args):
           % report["girsanov_consistency_abs_gap"])
     _write_manifest(out, "simulate", {"config": args.config},
                     {"seed": seed},
-                    {"girsanov_exactness": 1e-10},
+                    {"girsanov_exactness": particle.GIRSANOV_TOL},
                     ["ldp_report.json", "replicas.csv"],
                     time.perf_counter() - t0, config_path=args.config)
     return EXIT_OK
@@ -575,7 +578,7 @@ def cmd_diffusion(args):
         "grid": {"a": g.a, "b": g.b, "N": g.N, "h": g.h},
         "T": args.T, "dt": args.dt, "seed": seed,
         "decomposition_residual_max": worst,
-        "decomposition_tolerance": 1e-12,
+        "decomposition_tolerance": diffusion.DECOMPOSITION_TOL,
         "entropy_monotone": bool(np.all(np.diff(entropy) <= 1e-10)),
         "final_gap_to_pi": float(np.abs(snapshots[-1] - pi).max()),
         "detailed_balance": True,
@@ -584,12 +587,14 @@ def cmd_diffusion(args):
         report["truncation_tail_mass"] = diffusion.gaussian_tail_mass(g)
         report["truncation_tail_target"] = diffusion.TAIL_MASS_TARGET
     write_json(os.path.join(out, "diffusion_report.json"), report)
-    print("decomposition residual max = %.3e (must be <= 1e-12)" % worst)
+    print("decomposition residual max = %.3e (must be <= %g)"
+          % (worst, diffusion.DECOMPOSITION_TOL))
     print("entropy monotone: %s; final |rho - pi|_inf = %.3e"
           % (report["entropy_monotone"], report["final_gap_to_pi"]))
     _write_manifest(out, "diffusion", {"config": args.config, "T": args.T,
                                        "dt": args.dt},
-                    {"seed": seed}, {"decomposition_residual": 1e-12},
+                    {"seed": seed},
+                    {"decomposition_residual": diffusion.DECOMPOSITION_TOL},
                     ["profiles.csv", "entropy.csv", "plot_diffusion.py",
                      "diffusion_report.json"],
                     time.perf_counter() - t0, config_path=args.config)

@@ -15,13 +15,18 @@ and oracles.  With the mass pairing fixed, the rho-weighted stiffness
     (A(rho) xi)_i = -[m_{i+1/2}(xi_{i+1}-xi_i) - m_{i-1/2}(xi_i-xi_{i-1})]/h^2,
     m_{i+1/2} = (rho_i + rho_{i+1}) / 2,
 
-defines the discrete Sobolev pair: Psi*(rho, xi) = xi . A(rho) xi,
-Psi(rho, s) = (1/4) ||s||^2 in the dual norm, S(rho) = (1/2) E_pi(rho), and
-the cost (1/4) ||s - flux||^2 with flux = -2 A(rho) DS splits exactly
-(a quadratic-form identity) into Psi + Psi*(-DS) + <DS, s>.
-(1/2) xi . A(rho) xi is a sum over the neighbour pairs of the grid chain
-with phi = z^2/2 (`stiffness_functional`, a `markov.EdgeFunctional`); the
-chain is a path, so the dual norm is that functional's tree conjugate.
+defines the discrete Sobolev pair, and the whole structure is one edge
+functional, F(xi) = (1/2) xi . A(rho) xi = `stiffness_functional(rho, g)`,
+a sum over the neighbour pairs of the grid chain with phi = z^2/2.  Every
+piece is read off F, with S(rho) = (1/2) E_pi(rho):
+
+    Psi*(rho, xi) = 2 F(xi),              flux = -2 A(rho) DS = -2 DF(DS),
+    Psi(rho, s)   = (1/2) F*(s) = (1/4) ||s||^2 in the dual norm,
+    cost(rho, s)  = (1/2) F*(s - flux) = (1/4) ||s - flux||^2,
+
+and the cost splits exactly (a quadratic-form identity) into
+Psi + Psi*(-DS) + <DS, s>.  The chain is a path, so F* is that functional's
+tree conjugate: no linear solve.
 """
 
 import math
@@ -34,6 +39,8 @@ from . import markov
 from .errors import DegenerateWeight, InvalidInput
 
 TAIL_MASS_TARGET = 1e-8
+# The bound on `decomposition_residual` that `ldgrad diffusion` reports.
+DECOMPOSITION_TOL = 1e-12
 
 
 @dataclass
@@ -146,56 +153,28 @@ def stiffness_functional(rho, g):
     return markov.EdgeFunctional(g.chain, w, w, markov.QUADRATIC)
 
 
-def apply_stiffness(rho, xi, g):
-    """(A(rho) xi)_i = D F(xi); symmetric PSD with kernel = constants."""
-    return stiffness_functional(rho, g).gradient(np.asarray(xi, dtype=float))
-
-
-def h_minus1_norm_sq(rho, s, g):
-    """Dual Sobolev norm ||s||^2 = <xi, s> with A(rho) xi = s, for zero-sum
-    s; returns (value, potential xi as zero-mean representative).  The value
-    is 2 F*(s), on the path a sum of edge terms j^2 / (2c) >= 0 with j the
-    edge flux and c = m_{i+1/2} / h^2: no linear solve."""
-    res = stiffness_functional(rho, g).conjugate(s)
-    return 2.0 * res.value, res.argmax
-
-
-def wasserstein_structure(rho, g, s=None):
-    """Quadratic structure pieces at rho: entropy (1/2) E_pi, nodal entropy
-    gradient, flux -2 A(rho) DS (the discrete drift-diffusion right-hand
-    side: A applied to log rho + P, constants dropped), plus psi at s when
-    supplied."""
-    rho = np.asarray(rho, dtype=float)
-    pi = g.invariant_masses()
-    DS = 0.5 * (np.log(rho / pi) + 1.0)
-    out = {
-        "entropy_S": 0.5 * markov.relative_entropy(rho, pi),
-        "DS": DS,
-        "flux_drift": -2.0 * apply_stiffness(rho, DS, g),
-    }
-    if s is not None:
-        val, pot = h_minus1_norm_sq(rho, s, g)
-        out["psi"] = 0.25 * val
-        out["psi_potential"] = pot
-    return out
+def _entropy_gradient(rho, pi):
+    """DS = (1/2) (log(rho / pi) + 1), the nodal gradient of S = (1/2) E_pi."""
+    return 0.5 * (np.log(np.asarray(rho, dtype=float) / pi) + 1.0)
 
 
 def quadratic_cost(rho, s, g):
     """(1/4) ||s - flux||^2 in H^-1(rho), the quadratic cost functional."""
-    ws = wasserstein_structure(rho, g)
-    val, _ = h_minus1_norm_sq(rho, np.asarray(s, dtype=float)
-                              - ws["flux_drift"], g)
-    return 0.25 * val
+    F = stiffness_functional(rho, g)
+    flux = -2.0 * F.gradient(_entropy_gradient(rho, g.invariant_masses()))
+    return 0.5 * F.conjugate(np.asarray(s, dtype=float) - flux).value
 
 
 def decomposition_residual(rho, s, g):
     """|cost - (psi + psi_star(-DS) + <DS, s>)|; zero in exact arithmetic."""
     s = np.asarray(s, dtype=float)
-    ws = wasserstein_structure(rho, g, s=s)
-    DS, flux = ws["DS"], ws["flux_drift"]
-    cost = 0.25 * h_minus1_norm_sq(rho, s - flux, g)[0]
+    F = stiffness_functional(rho, g)
+    DS = _entropy_gradient(rho, g.invariant_masses())
+    flux = -2.0 * F.gradient(DS)
+    cost = 0.5 * F.conjugate(s - flux).value
+    dissipation = 0.5 * F.conjugate(s).value
     # psi_star(-DS) = DS . A(rho) DS, and flux = -2 A(rho) DS.
-    return abs(cost - (ws["psi"] - 0.5 * float(DS @ flux) + float(DS @ s)))
+    return abs(cost - (dissipation - 0.5 * float(DS @ flux) + float(DS @ s)))
 
 
 def gaussian_initial_masses(g, mu0, var0):
@@ -206,7 +185,7 @@ def gaussian_initial_masses(g, mu0, var0):
 def profiles_rows(g, rho):
     """Rows (x, rho density, pi density, DS) for CSV output."""
     pi = g.invariant_masses()
-    DS = 0.5 * (np.log(np.asarray(rho) / pi) + 1.0)
+    DS = _entropy_gradient(rho, pi)
     dens = g.density(rho)
     pdens = g.density(pi)
     return [(float(x), float(d), float(p), float(ds))

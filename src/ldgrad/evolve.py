@@ -82,11 +82,19 @@ def time_grid(T, dt):
 
 
 def _rk4(field, y, dt):
-    k1 = field(y)
-    k2 = field(y + 0.5 * dt * k1)
-    k3 = field(y + 0.5 * dt * k2)
-    k4 = field(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """y + (dt/6)(k1 + 2 k2 + 2 k3 + k4), summed in place as each stage
+    comes, so that no stage outlives the next: the same operations up to
+    operand order, and so the same bits."""
+    k = field(y)
+    acc = k.copy()
+    k = field(y + 0.5 * dt * k)
+    acc += 2.0 * k
+    k = field(y + 0.5 * dt * k)
+    acc += 2.0 * k
+    acc += field(y + dt * k)
+    acc *= dt / 6.0
+    acc += y
+    return acc
 
 
 def _march(step, rho0, times, floor=None):

@@ -10,7 +10,7 @@ stream keyed by (seed, stream id), so a particle's path does not depend on n
 or on the other particles.
 
 The pathwise objects follow two deliberately independent computational
-routes that must agree to 1e-10:
+routes that must agree to GIRSANOV_TOL = 1e-10:
 
   * `girsanov_log_density` sums the boundary-minus-integral form of the
     tilted log density over the jump list, with one per-state table
@@ -47,6 +47,8 @@ BOUND_SLACK = 1e-10
 # tilted thinning, 8 MB of doubles.
 THINNING_BLOCK = 1 << 20
 ESS_THRESHOLD = 0.1
+# The agreement of the two routes of the module docstring.
+GIRSANOV_TOL = 1e-10
 
 
 def deterministic_assignment(rho0, n):

@@ -26,20 +26,20 @@ of S is the forward equation rho' = Q^T rho.  The exact structure
 which needs no pi; since expm1(z) + expm1(-z) = 2 (cosh z - 1), its Psi* is
 sum_{i<j} 2 sqrt(rho_i Q_ij rho_j Q_ji) (cosh(xi_j - xi_i) - 1), the
 paper's gradient structure for Markov particles, and under detailed balance
-the V_L-shifted H above.  The cosh member (`Family.COSH_FAMILY`,
-phi(z) = cosh z - 1) is this structure and shares its potential.
+the V_L-shifted H above.  phi(z) = cosh z - 1 gives the same Psi*, pair by
+pair, so the cosh form has no `Family` member of its own.
 The quadratic member phi(z) = z^2/2 has the logarithmic mean
 (a - b) / log(a/b), the discrete-transport metric of Maas ("Gradient flows
 of the entropy for finite Markov chains").  A one-way pair has the weight 0;
-the family members need Q_ij > 0 iff Q_ji > 0.
+the quadratic member needs Q_ij > 0 iff Q_ji > 0.
 
 The flow of S, rho' = D_xi Psi*(rho, -DS(rho)), is therefore a sum of
 pair fluxes: with d = delta / 2 the pair difference of xi = -DS,
 delta = log r_i - log r_j, pair {i, j} carries 2 L_ij psi'(d) from i to j,
-that is sqrt(4ab) sinh(delta / 2) for the exact structure and the cosh
-member and m(a, b) delta for the quadratic member, with a = rho_i Q_ij and
-b = rho_j Q_ji.  `GradientStructure.flow` evaluates these fluxes directly,
-with no edge functional.  The entropy scale is 1/2 for every structure by
+that is sqrt(4ab) sinh(delta / 2) for the exact structure and m(a, b) delta
+for the quadratic member, with a = rho_i Q_ij and b = rho_j Q_ji.
+`GradientStructure.flow` evaluates these fluxes directly, with no edge
+functional.  The entropy scale is 1/2 for every structure by
 construction; `determine_entropy_scale` checks the drift residual there.
 
 A structure is thus fixed by the generator and the family alone
@@ -85,7 +85,6 @@ ENTROPY_SCALE = 0.5
 
 class Family(enum.Enum):
     LDP_EXACT = "ldp"
-    COSH_FAMILY = "cosh_family"
     QUADRATIC_FAMILY = "quadratic_family"
 
 
@@ -130,7 +129,6 @@ def _log_mean_flux(a, b, delta):
 # (phi, pair mean m(a, b), pair flux of the flow) of each structure's Psi*.
 _POTENTIALS = {
     Family.LDP_EXACT: (markov.EXPM1, _geometric_mean, _sinh_flux),
-    Family.COSH_FAMILY: (markov.EXPM1, _geometric_mean, _sinh_flux),
     Family.QUADRATIC_FAMILY: (markov.QUADRATIC, _log_mean, _log_mean_flux)}
 
 
@@ -150,8 +148,8 @@ class GradientStructure:
     def functional(self, rho):
         """Psi*(rho, .) as an edge functional: on each pair the weight
         m(rho_i Q_ij, rho_j Q_ji) forward and back, with m the geometric
-        mean for the exact structure (and the cosh member, which is it) and
-        the guarded logarithmic mean for the quadratic member."""
+        mean for the exact structure and the guarded logarithmic mean for
+        the quadratic member."""
         phi, mean, _ = _POTENTIALS[self.family]
         i, j, fwd, bwd = self.generator.pairs
         rho = np.asarray(rho, dtype=float)
@@ -174,9 +172,9 @@ class GradientStructure:
         At xi = -DS the pair difference is delta / 2, delta = log r_i -
         log r_j with r = rho / pi, and pair {i, j} carries the flux
         2 L_ij psi'(delta / 2) from i to j: sqrt(4ab) sinh(delta / 2) for
-        the exact structure and the cosh member, m(a, b) delta for the
-        quadratic member, with a = rho_i Q_ij and b = rho_j Q_ji.  Two
-        gathers and one bincount per pair end, O(pairs).
+        the exact structure and m(a, b) delta for the quadratic member,
+        with a = rho_i Q_ij and b = rho_j Q_ji.  Two gathers and one
+        bincount per pair end, O(pairs).
         """
         i, j, fwd, bwd, pi, flux, guard = self._flow_constants
         log_r = np.log(rho / pi)
@@ -194,7 +192,7 @@ class GradientStructure:
 
 def build_structure(g, family=Family.LDP_EXACT):
     """The structure (g, family), checked: a reducible chain raises
-    ReducibleChain, and a family member needs Q_ij > 0 iff Q_ji > 0."""
+    ReducibleChain, and the quadratic member needs Q_ij > 0 iff Q_ji > 0."""
     g.balance  # solved here, so that a reducible chain raises first
     if family is not Family.LDP_EXACT and not g.weakly_reversible:
         raise NotWeaklyReversible(
@@ -232,7 +230,7 @@ def psi(gs, rho, s):
 
     For the exact structure, with or without detailed balance, Psi* is the
     V_L-shifted Hamiltonian and Psi is the "psi" of `decompose`; for the
-    family members Psi* is the structure's own edge functional.
+    quadratic member Psi* is the structure's own edge functional.
     """
     if gs.family is Family.LDP_EXACT:
         return decompose(gs.generator, rho, s)["psi"]
@@ -285,7 +283,7 @@ def flow_field(gs, rho):
 
 
 def determine_entropy_scale(g, family, seed=0):
-    """The drift residual of a family member at the entropy scale 1/2 that
+    """The drift residual of a structure at the entropy scale 1/2 that
     its weights fix: max |flow_field - Q^T rho| over DRIFT_SAMPLES seeded
     interior rho, reported with whether it is at most DRIFT_TOL."""
     gs = build_structure(g, family)
@@ -339,9 +337,11 @@ def diagnostics(g, sample_count, seed):
       * critical_covector_is_half_entropy_gradient compares V_L against
         (1/2) the zero-sum entropy gradient, within DIAG_TOL.
     Each sample solves for V_L once, and worst_cases names the sample of
-    each defect's largest positive value.  extras["conjugate_route"] says
-    which conjugate solver ran: "tree" (the closed form, no Newton solve)
-    when the generator graph read as undirected is a tree, else "newton".
+    each defect's largest value, for the defects whose largest value
+    exceeds DIAG_TOL (the report's tol): rounding noise has no worst case.
+    extras["conjugate_route"] says which conjugate solver ran: "tree" (the
+    closed form, no Newton solve) when the generator graph read as
+    undirected is a tree, else "newton".
     All defects vanish together exactly when detailed balance holds; they
     are always reported numerically, never only as booleans.
     """
@@ -375,7 +375,8 @@ def diagnostics(g, sample_count, seed):
         for name, defect in defects.items():
             if defect > top[name]:
                 top[name] = defect
-                worst[name] = {"sample": i, "defect": defect}
+                if defect > DIAG_TOL:
+                    worst[name] = {"sample": i, "defect": defect}
 
     return {
         "decomposition_residual_max": float(top["decomposition"]),

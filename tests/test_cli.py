@@ -277,7 +277,6 @@ def test_mutated_inputs_exit_cleanly_and_refusals_write_nothing(
     # error; any other exception escapes it and fails the test.  A refused
     # input leaves no file under --out, and an input error is found in cli,
     # before any numerics entry point runs.
-    monkeypatch.delenv("OUT_DIR", raising=False)
     ran = []
     for module, name in _NUMERICS:
         monkeypatch.setattr(module, name,
@@ -400,7 +399,8 @@ def test_analyze_solves_for_pi_once(tmp_path, monkeypatch):
     assert cli.main(["analyze", "--generator", str(gen), "--samples", "2",
                      "--out", str(out)]) == cli.EXIT_OK
     report = json.loads((out / "diagnostics.json").read_text())
-    assert len(report["family_entropy_scales"]) == 2
+    assert set(report["family_entropy_scales"]) == {"ldp",
+                                                    "quadratic_family"}
     assert len(calls) == 1
 
 
@@ -648,6 +648,19 @@ def test_cosh_member_evolves_as_the_exact_structure(tmp_path):
     assert report["gap"]["sup_norm_gap"] == 0.0
 
 
+def test_evolve_tags_keep_their_order_and_name_each_structure(capsys):
+    # "cosh_family" names the exact structure; every structure has a tag,
+    # and the --structure help lists the tags in this order.
+    assert cli.EVOLVE_TAGS == ("linear", "ldp", "cosh_family",
+                               "quadratic_family")
+    assert (cli.TAG_FAMILIES["cosh_family"] is cli.TAG_FAMILIES["ldp"]
+            is structure.Family.LDP_EXACT)
+    assert set(cli.TAG_FAMILIES.values()) == set(structure.Family)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["evolve", "--help"])
+    assert "linear|ldp|cosh_family|quadratic_family" in capsys.readouterr().out
+
+
 def test_evolve_refuses_a_repeated_tag(tmp_path, capsys):
     argv = _evolve_argv(tmp_path, chains.random_reversible(4, 2),
                         "linear,ldp,linear", "--T", "0.1", "--dt", "0.01")
@@ -716,7 +729,7 @@ def test_evolve_workers_write_the_in_process_trajectories(tmp_path, forked,
         if tag == "linear":
             traj = evolve.integrate_linear(rho0, g, 0.2, 0.01)
         else:
-            gs = structure.build_structure(g, structure.Family(tag))
+            gs = structure.build_structure(g, cli.TAG_FAMILIES[tag])
             traj = evolve.integrate_gradient_flow(rho0, gs, 0.2, 0.01)
         name = "trajectory_%s.csv" % tag
         cli.write_trajectory(str(ref / name), traj)
@@ -815,12 +828,10 @@ def test_analyze_absorbing_chain_is_an_input_error(tmp_path, capsys):
     assert "not strongly connected" in capsys.readouterr().err
 
 
-def test_benchmark_sweep_passes_the_benchmark_checks(tmp_path, monkeypatch,
-                                                    bench):
+def test_benchmark_sweep_passes_the_benchmark_checks(tmp_path, bench):
     # Each command once, as the benchmark runs it, gated by the benchmark's
     # own output checks: the linear-vs-ldp gap, the analyze defect bounds,
     # the Girsanov gap and the diffusion residual.
-    monkeypatch.delenv("OUT_DIR", raising=False)
     runs = bench.build_sweep(0, tmp_path / "inputs")
     assert len(runs) == 4
     for run in runs:
@@ -879,7 +890,9 @@ def test_analyze_stiff_ou_chain_is_a_gradient_system(tmp_path, N):
     # hold exactly on the chain, not only in a limit.
     assert report["time_symmetry_defect_max"] <= 1e-9
     assert report["extras"]["critical_covector_gap_max"] <= 1e-9
-    # Both family members drive the chain's own flow.
+    # Every defect is rounding noise, so no sample is a worst case.
+    assert report["worst_cases"] == {}
+    # Both structures drive the chain's own flow.
     assert all(rep["reproduces_drift"]
                for rep in report["family_entropy_scales"].values())
 
@@ -967,7 +980,6 @@ def _fresh_interpreter(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop("OUT_DIR", None)
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           capture_output=True, text=True, env=env,
                           timeout=300)

@@ -60,16 +60,30 @@ def test_grid_validation():
     assert g.potential[1] == 1.0
 
 
+def _h_minus1_norm_sq(rho, s, g):
+    """The dual Sobolev norm ||s||^2 = <xi, s> with A(rho) xi = s, as
+    2 F*(s) of F = stiffness_functional(rho, g), and the zero-mean xi, the
+    argmax of F*(s)."""
+    res = diffusion.stiffness_functional(rho, g).conjugate(s)
+    return 2.0 * res.value, res.argmax
+
+
+def _flux(rho, g):
+    """The drift-diffusion flux -2 A(rho) DS = -2 DF(DS)."""
+    DS = diffusion._entropy_gradient(rho, g.invariant_masses())
+    return -2.0 * diffusion.stiffness_functional(rho, g).gradient(DS)
+
+
 def test_h_minus1_trivial_and_scaling():
     g = diffusion.make_grid(0, 1, 11, "zero")
     rho = np.full(11, 1.0 / 11)
-    val, xi = diffusion.h_minus1_norm_sq(rho, np.zeros(11), g)
+    val, xi = _h_minus1_norm_sq(rho, np.zeros(11), g)
     assert val == 0.0 and np.abs(xi).max() == 0.0 and abs(xi.mean()) == 0.0
     rng = np.random.default_rng(2)
     s = rng.standard_normal(11)
     s -= s.mean()
-    v1, _ = diffusion.h_minus1_norm_sq(rho, s, g)
-    v4, _ = diffusion.h_minus1_norm_sq(rho, 2 * s, g)
+    v1, _ = _h_minus1_norm_sq(rho, s, g)
+    v4, _ = _h_minus1_norm_sq(rho, 2 * s, g)
     assert abs(v4 - 4 * v1) <= 1e-10 * max(1.0, v1)
     assert v1 >= 0.0
 
@@ -84,7 +98,7 @@ def test_h_minus1_uniform_matches_eigen_oracle():
     for _ in range(5):
         s = rng.standard_normal(N)
         s -= s.mean()
-        val, xi = diffusion.h_minus1_norm_sq(rho, s, g)
+        val, xi = _h_minus1_norm_sq(rho, s, g)
         ks = np.arange(1, N)
         lam = (2.0 - 2.0 * np.cos(np.pi * ks / N)) / g.h ** 2
         V = np.cos(np.pi * np.outer(ks, 2 * np.arange(N) + 1) / (2 * N))
@@ -92,7 +106,8 @@ def test_h_minus1_uniform_matches_eigen_oracle():
         oracle = N * np.sum(coef ** 2 * (V ** 2).sum(axis=1) / lam)
         assert abs(val - oracle) <= 1e-12 * max(1.0, oracle)
         # returned potential solves the weighted system
-        assert np.abs(diffusion.apply_stiffness(rho, xi, g) - s).max() <= 1e-10
+        A_xi = diffusion.stiffness_functional(rho, g).gradient(xi)
+        assert np.abs(A_xi - s).max() <= 1e-10
         assert abs(xi.mean()) <= 1e-15
 
 
@@ -101,23 +116,23 @@ def test_h_minus1_degenerate_weight():
     rho = np.array([0.5, 0.0, 0.0, 0.0, 0.5])
     s = np.array([1.0, 0.0, 0.0, 0.0, -1.0])
     with pytest.raises(DegenerateWeight):
-        diffusion.h_minus1_norm_sq(rho, s, g)
+        _h_minus1_norm_sq(rho, s, g)
 
 
 def test_h_minus1_rejects_nonzero_sum():
     g = diffusion.make_grid(0, 1, 5, "zero")
     with pytest.raises(InvalidInput):
-        diffusion.h_minus1_norm_sq(np.full(5, 0.2), np.ones(5), g)
+        _h_minus1_norm_sq(np.full(5, 0.2), np.ones(5), g)
 
 
 def test_wasserstein_structure_at_pi():
     g = diffusion.make_grid(0, 1, 21, "linear:1")
     pi = g.invariant_masses()
-    ws = diffusion.wasserstein_structure(pi, g)
+    DS = diffusion._entropy_gradient(pi, pi)
     # DS is constant, so its zero-mean part and the flux vanish
-    assert np.abs(ws["DS"] - ws["DS"].mean()).max() <= 1e-12
-    assert np.abs(ws["flux_drift"]).max() <= 1e-10
-    assert abs(ws["entropy_S"]) <= 1e-15
+    assert np.abs(DS - DS.mean()).max() <= 1e-12
+    assert np.abs(_flux(pi, g)).max() <= 1e-10
+    assert abs(0.5 * markov.relative_entropy(pi, pi)) <= 1e-15
 
 
 def test_exact_decomposition_residual():
@@ -150,9 +165,8 @@ def test_flux_drift_matches_generator_to_h_squared():
         g = diffusion.make_grid(-5, 5, N, "quadratic")
         gen = diffusion.discretize_generator(g)
         rho = diffusion.gaussian_initial_masses(g, 0.5, 0.9)
-        ws = diffusion.wasserstein_structure(rho, g)
         drift = markov.drift(rho, gen)
-        gaps.append(np.abs(ws["flux_drift"] - drift).max()
+        gaps.append(np.abs(_flux(rho, g) - drift).max()
                     / np.abs(drift).max())
     assert 3.0 <= gaps[0] / gaps[1] <= 5.0  # O(h^2)
     fitted_c = gaps[0] / (10.0 / 50) ** 2
@@ -242,9 +256,33 @@ def test_h_minus1_matches_solveh_banded():
         s = rng.standard_normal(N)
         s -= s.mean()
         ref = np.append(0.0, solveh_banded(_pinned_stiffness(rho, g), s[1:]))
-        val, xi = diffusion.h_minus1_norm_sq(rho, s, g)
+        val, xi = _h_minus1_norm_sq(rho, s, g)
         assert abs(val - ref @ s) <= 1e-12 * (ref @ s)
         assert abs(xi.mean()) <= 1e-15 * np.abs(xi).max()
+
+
+def test_quadratic_cost_matches_solveh_banded():
+    # Oracle: the flux -2 A(rho) DS from the stiffness written out, and the
+    # cost (1/4) <xi, r>, r = s - flux, from LAPACK's solve of A(rho) xi = r.
+    from scipy.linalg import solveh_banded
+    N = 101
+    g = diffusion.make_grid(-4, 4, N, "quadratic")
+    pi = g.invariant_masses()
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        rho = 0.5 * rng.dirichlet(np.ones(N)) + 0.5 / N
+        s = rng.standard_normal(N)
+        s -= s.mean()
+        DS = 0.5 * (np.log(rho / pi) + 1.0)
+        d = 0.5 * (rho[:-1] + rho[1:]) / g.h ** 2 * np.diff(DS)
+        A_DS = np.zeros(N)
+        A_DS[:-1] -= d
+        A_DS[1:] += d
+        r = s + 2.0 * A_DS
+        ref = solveh_banded(_pinned_stiffness(rho, g), r[1:])
+        want = 0.25 * (ref @ r[1:])
+        got = diffusion.quadratic_cost(rho, s, g)
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_h_minus1_has_no_exponent_guard():
@@ -258,7 +296,7 @@ def test_h_minus1_has_no_exponent_guard():
     rho[100] = rho[101] = 201e-6
     rho /= rho.sum()
     s = np.concatenate([np.ones(100), [0.0], -np.ones(100)])
-    val, xi = diffusion.h_minus1_norm_sq(rho, s, g)
+    val, xi = _h_minus1_norm_sq(rho, s, g)
     assert np.abs(np.diff(xi)).max() > 300 * markov.EXP_GUARD
     banded = _pinned_stiffness(rho, g)
     ref = solveh_banded(banded, s[1:])

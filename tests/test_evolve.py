@@ -74,6 +74,28 @@ _J = 10
 _ROWS = markov.ENTROPY_CHUNK // _J
 
 
+def test_rk4_equals_the_textbook_formula_bit_for_bit():
+    # The in-place accumulation against the formula written out, on the
+    # gradient-flow field of each structure and on the matrix field that
+    # builds the propagator; the state passed in is left as it was.
+    g = chains.random_reversible(_J, 3)
+    QT = g.q.T
+    rng = np.random.default_rng(3)
+    fields = [(structure.build_structure(g, fam).flow,
+               random_interior(rng, _J)) for fam in Family]
+    fields.append((lambda Y: QT @ Y, np.eye(_J)))
+    for field, y in fields:
+        for dt in (1e-3, 7e-3):
+            k1 = field(y)
+            k2 = field(y + 0.5 * dt * k1)
+            k3 = field(y + 0.5 * dt * k2)
+            k4 = field(y + dt * k3)
+            want = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y_in = y.copy()
+            assert np.array_equal(evolve._rk4(field, y, dt), want)
+            assert np.array_equal(y, y_in)
+
+
 @pytest.mark.parametrize("steps", [1, _ROWS - 1, _ROWS, _ROWS + 1,
                                    3 * _ROWS + 5])
 def test_block_march_equals_a_step_by_step_loop(steps):

@@ -549,6 +549,6 @@ def test_tree_solves_make_no_newton_call(monkeypatch):
     rng = np.random.default_rng(3)
     rho = markov.project_interior(rng.dirichlet(np.ones(21)), 1e-6)
     s = convex.project_zero_sum(rng.standard_normal(21))
-    for family in ("quadratic_family", "cosh_family"):
-        gs = structure.build_structure(g, structure.Family(family))
+    for family in structure.Family:
+        gs = structure.build_structure(g, family)
         assert structure.psi(gs, rho, s) > 0.0

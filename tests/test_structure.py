@@ -210,6 +210,11 @@ def test_diagnostics_cyclic(cyclic):
     assert not d["detailed_balance"]
     # the decomposition stays exact without detailed balance
     assert d["decomposition_residual_max"] <= 1e-7
+    # worst_cases names each real defect, and not the decomposition's
+    # rounding noise
+    assert set(d["worst_cases"]) == {"time_symmetry", "psi_star_symmetry",
+                                     "critical_covector", "integrability"}
+    assert all(w["defect"] > d["tol"] for w in d["worst_cases"].values())
 
 
 def test_diagnostics_constructed_reversible():
@@ -219,6 +224,8 @@ def test_diagnostics_constructed_reversible():
     assert d["psi_star_symmetry_defect"] <= 1e-6
     assert d["integrability_defect"] <= 1e-6
     assert d["critical_covector_is_half_entropy_gradient"]
+    # every defect is rounding noise, so no sample is a worst case
+    assert d["worst_cases"] == {}
 
 
 def test_diagnostics_json_serializable(cyclic):
@@ -346,7 +353,7 @@ def test_flow_field_matches_drift_ldp():
 
 
 @pytest.mark.parametrize("family", [Family.QUADRATIC_FAMILY,
-                                    Family.COSH_FAMILY], ids=lambda f: f.value)
+                                    Family.LDP_EXACT], ids=lambda f: f.value)
 def test_flow_field_family_matches_drift(family):
     rng = np.random.default_rng(23)
     for seed in (0, 1, 2):
@@ -528,7 +535,7 @@ def test_psi_star_symmetry_iff_detailed_balance(cyclic):
 
 def test_entropy_scale_report_shows_both_members_reproduce_the_drift():
     g = chains.random_reversible(5, 77)
-    for family in (Family.COSH_FAMILY, Family.QUADRATIC_FAMILY):
+    for family in Family:
         rep = structure.determine_entropy_scale(g, family, seed=0)
         assert rep["family"] == family.value and "candidates" not in rep
         assert rep["selected_scale"] == 0.5 and rep["reproduces_drift"]
@@ -580,7 +587,8 @@ def _edge_instances(g, rho, V):
                                 lambda xi: dense_h(V + xi) - dense_h(V)),
         "ldp_psi_star": (family(Family.LDP_EXACT),
                          lambda xi: float(np.sum(geo_w * np.expm1(_dense_diff(xi))))),
-        "cosh_family": (family(Family.COSH_FAMILY),
+        # The cosh form of Psi* is the exact structure's.
+        "cosh_family": (family(Family.LDP_EXACT),
                         lambda xi: float(np.sum(geo_w * (np.cosh(_dense_diff(xi)) - 1.0)))),
         "quadratic_family": (family(Family.QUADRATIC_FAMILY),
                              lambda xi: float(np.sum(quad_w * 0.5 * _dense_diff(xi) ** 2))),
@@ -593,9 +601,9 @@ def _edge_instances(g, rho, V):
 @pytest.mark.parametrize("seed", [3, 8])
 def test_edge_functional_matches_dense_and_finite_differences(name, seed):
     # A chain with zero rates, so the pairs are not the dense pattern.  The
-    # family members need every pair both ways.
+    # quadratic member needs every pair both ways.
     g = chains.random_irreducible(5, seed)
-    if name in ("cosh_family", "quadratic_family"):
+    if name == "quadratic_family":
         g = _both_ways(g)
     assert np.count_nonzero(g.q) < g.size ** 2
     rng = np.random.default_rng(seed)
