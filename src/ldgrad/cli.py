@@ -209,7 +209,11 @@ def write_csv(path, header, columns):
 
 def write_trajectory(path, traj):
     """Columns t, rho_1..rho_J and, when the trajectory has entropy values,
-    entropy: one row per time."""
+    entropy: one row per time.  The entropy column is the trajectory's own:
+    the relative entropy E_pi for the linear flow (`integrate_linear`), and
+    the driving entropy S = E_pi / 2 for a gradient flow
+    (`GradientStructure.entropy`), so at one state the two differ by a
+    factor 2."""
     header = ["t"] + ["rho_%d" % (j + 1)
                       for j in range(traj.states.shape[1])]
     columns = [traj.times, *traj.states.T]
@@ -623,8 +627,9 @@ def build_parser():
     pe.add_argument("--dt", type=float, default=1e-3)
     pe.add_argument("--structure", default="linear",
                     help="distinct comma-separated TAGs from %s; two "
-                         "TAGs also give their sup-norm gap"
-                         % "|".join(EVOLVE_TAGS))
+                         "TAGs also give their sup-norm gap.  The entropy "
+                         "column is E_pi for linear and S = E_pi/2 for the "
+                         "gradient flows" % "|".join(EVOLVE_TAGS))
     pe.add_argument("--seed", type=int, default=0,
                     help="recorded in the report only: no flow is random")
     pe.add_argument("--out", default="out")

@@ -9,15 +9,24 @@ step must stay below 1e-12) and a trajectory that leaves the simplex by
 more than 1e-6 aborts rather than being clamped.
 
 `_rk4` is the one RK4 formula: the four stages k1..k4 of a field at y and
-y + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  A gradient flow steps by it, and each
-step calls the structure's field (`GradientStructure.flow`) four times.
-The RK4 step of the linear field y -> Q^T y is itself a matrix, the
-propagator R = `_rk4` of Y -> Q^T Y from the identity, so `linear_blocks`
-builds R once and then takes one matvec y <- R y per step, where the
-stages took four.  Building R costs O(J^3) once against O(J^2) per step,
-so it pays back once a run has more than about J steps, as every run of
-the benchmark in `bench/` and of the tests does.  R y is the stages' step
-regrouped, equal to it to rounding, not bit for bit.
+y + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  The RK4 step of a linear field
+y -> Q^T y is itself a matrix, the propagator R = `_rk4` of Y -> Q^T Y
+from the identity, so `linear_blocks` builds R once and then takes one
+matvec y <- R y per step, where the stages took four.  Building R costs
+O(J^3) once against O(J^2) per step, so it pays back once a run has more
+than about J steps, as every run of the benchmark in `bench/` and of the
+tests does.  R y is the stages' step regrouped, equal to it to rounding,
+not bit for bit.
+
+The exact structure's gradient flow is linear too: it is the forward
+equation of the generator K of `GradientStructure.flow_generator`, so it
+steps through `linear_blocks` on K.  Under detailed balance K = Q to
+rounding, so the gap between the `linear` and `ldp` trajectories compares
+the propagators of Q and K: it measures whether the structure's own pi
+balances Q, which is what "the gradient flow is the forward equation"
+says.  The quadratic member's flow is not linear in rho; it steps by
+`_rk4`, and each step calls its field (`GradientStructure.flow`) four
+times.
 
 There is one stepping loop, `_march`, a generator that applies a one-step
 map.  It keeps the current state and one reused buffer of at most
@@ -139,14 +148,16 @@ def _stack(blocks, n, J):
     return states
 
 
-def linear_blocks(rho0, g, times):
-    """The RK4 states of rho' = Q^T rho on `times`, from the probability
-    vector rho0, as the (k, block) stream of `_march`: one matvec per step
-    with the RK4 propagator R, built once."""
+def linear_blocks(rho0, g, times, floor=None):
+    """The RK4 states of rho' = Q^T rho on `times`, Q = g.q, from the
+    probability vector rho0, as the (k, block) stream of `_march`: one
+    matvec per step with the RK4 propagator R, built once.  g is a chain's
+    generator or the generator K of the exact structure's flow; `floor` is
+    `_march`'s boundary floor."""
     rho0 = markov.as_simplex(rho0, "rho0")
     QT = g.q.T
     R = _rk4(lambda Y: QT @ Y, np.eye(g.size), times[1] - times[0])
-    return _march(lambda y: R @ y, rho0, times)
+    return _march(lambda y: R @ y, rho0, times, floor)
 
 
 def integrate_linear(rho0, g, T, dt):
@@ -202,28 +213,42 @@ def integrate_gradient_flow(rho0, gs, T, dt):
 
     Refused (NotGradientSystem) when the chain fails detailed-balance
     diagnostics; halts with BoundaryPoint instead of clamping if the state
-    approaches the simplex boundary, where the entropy gradient blows up.
+    approaches the simplex boundary, where the entropy gradient blows up:
+    the initial state and the state after each step must be at least
+    BOUNDARY_FLOOR.  The family picks the route.  The exact structure's
+    flow is the forward equation of its generator K
+    (`GradientStructure.flow_generator`) and steps through `linear_blocks`
+    on K, one matvec per step, with no stage states.  The quadratic member
+    steps by the stages of `_rk4`, and each stage state must also be at
+    least BOUNDARY_FLOOR.
     """
-    rho0 = markov.as_simplex(rho0, "rho0")
+    start = markov.as_simplex(rho0, "rho0")
     if not gs.generator.balance.detailed_balance:
         raise NotGradientSystem(
             "chain fails detailed balance; only the covector reading exists")
-    if not markov.is_interior(rho0, BOUNDARY_FLOOR):
+    if not markov.is_interior(start, BOUNDARY_FLOOR):
         raise BoundaryPoint("initial state must be interior")
     times = time_grid(T, dt)
-    # The stage floor implies flow_field's interior guard, and detailed
-    # balance is checked above, so the stages call the field directly.
-    flow = gs.flow
+    K = gs.flow_generator
+    if K is not None:
+        # linear_blocks normalizes rho0 as `start` was; normalizing `start`
+        # again could move its last bit.
+        blocks = linear_blocks(rho0, K, times, BOUNDARY_FLOOR)
+    else:
+        # The stage floor implies flow_field's interior guard, and detailed
+        # balance is checked above, so the stages call the field directly.
+        flow = gs.flow
 
-    def fld(y):
-        if y.min() < BOUNDARY_FLOOR:
-            raise BoundaryPoint(
-                "flow stage reached the boundary (min rho = %.3e)" % y.min())
-        return flow(y)
+        def fld(y):
+            if y.min() < BOUNDARY_FLOOR:
+                raise BoundaryPoint("flow stage reached the boundary "
+                                    "(min rho = %.3e)" % y.min())
+            return flow(y)
 
-    dt = times[1] - times[0]
-    states = _stack(_march(lambda y: _rk4(fld, y, dt), rho0, times,
-                           floor=BOUNDARY_FLOOR), times.size, rho0.size)
+        dt = times[1] - times[0]
+        blocks = _march(lambda y: _rk4(fld, y, dt), start, times,
+                        BOUNDARY_FLOOR)
+    states = _stack(blocks, times.size, start.size)
     return Trajectory(times=times, states=states,
                       entropy_values=gs.entropy(states))
 

@@ -39,12 +39,18 @@ delta = log r_i - log r_j, pair {i, j} carries 2 L_ij psi'(d) from i to j,
 that is sqrt(4ab) sinh(delta / 2) for the exact structure and m(a, b) delta
 for the quadratic member, with a = rho_i Q_ij and b = rho_j Q_ji.
 `GradientStructure.flow` evaluates these fluxes directly, with no edge
-functional.  The entropy scale is 1/2 for every structure by
+functional.  The exact structure's flux is linear in rho: it is
+rho_i K_ij - rho_j K_ji with K_ij = sqrt(Q_ij Q_ji pi_j / pi_i), for every
+rho and with or without detailed balance, so its flow is the forward
+equation rho' = K^T rho of the generator K
+(`GradientStructure.flow_generator`), and K = Q under detailed balance:
+the gradient flow is the Markov evolution.  The quadratic member's flux is
+not linear in rho.  The entropy scale is 1/2 for every structure by
 construction; `determine_entropy_scale` checks the drift residual there.
 
 A structure is thus fixed by the generator and the family alone
 (`GradientStructure`); pi and the balance verdict are the generator's own,
-solved once (`GeneratorMatrix.balance`), and pi enters only S.  Every
+solved once (`GeneratorMatrix.balance`), and pi enters only S and K.  Every
 potential above is a sum over the pairs and is evaluated by
 `markov.EdgeFunctional` (for H, Newton and `psi`); the shift by V tilts
 the weights of H by e^{V_j - V_i} forward and e^{V_i - V_j} back.
@@ -94,13 +100,17 @@ def _geometric_mean(a, b):
 
 def _log_mean(a, b):
     """(a - b) / log(a / b) for positive a, b, and its continuity value
-    (a + b) / 2 where |log(a / b)| < LOG_RATIO_GUARD."""
+    (a + b) / 2 where |log(a / b)| < LOG_RATIO_GUARD.  Away from pi no
+    pair is that near, so the masked writes run only when one is."""
     d = np.log(a / b)
     near = np.abs(d) < LOG_RATIO_GUARD
-    d[near] = 1.0
+    any_near = near.any()
+    if any_near:
+        d[near] = 1.0
     m = a - b
     m /= d
-    m[near] = 0.5 * (a[near] + b[near])
+    if any_near:
+        m[near] = 0.5 * (a[near] + b[near])
     return m
 
 
@@ -160,10 +170,33 @@ class GradientStructure:
     def _flow_constants(self):
         """What `flow` reads at each call: the pair indices and rates, pi,
         the family's pair flux, and the guard on delta (twice phi's guard
-        on the pair difference delta / 2)."""
+        on the pair difference delta / 2), None when phi has none."""
         phi, _, flux = _POTENTIALS[self.family]
         i, j, fwd, bwd = self.generator.pairs
-        return i, j, fwd, bwd, self.pi, flux, 2.0 * phi[4]
+        guard = 2.0 * phi[4] if np.isfinite(phi[4]) else None
+        return i, j, fwd, bwd, self.pi, flux, guard
+
+    @cached_property
+    def flow_generator(self):
+        """The generator K whose forward equation rho' = K^T rho is the
+        exact structure's flow, as a `markov.GeneratorMatrix`; None for the
+        quadratic member, whose flow is not linear in rho.
+
+        K_ij = sqrt(Q_ij Q_ji pi_j / pi_i) off the diagonal (see the module
+        docstring), formed as sqrt(Q_ij) sqrt(Q_ji) sqrt(pi_j / pi_i) so
+        that no product of two rates overflows, and each diagonal entry is
+        minus its row sum.  Under detailed balance K = Q to rounding.
+        Built once, as `_flow_constants` is."""
+        if self.family is not Family.LDP_EXACT:
+            return None
+        i, j, fwd, bwd = self.generator.pairs
+        pi = self.pi
+        root = np.sqrt(fwd) * np.sqrt(bwd)
+        k = np.zeros((self.generator.size, self.generator.size))
+        k[i, j] = root * np.sqrt(pi[j] / pi[i])
+        k[j, i] = root * np.sqrt(pi[i] / pi[j])
+        np.fill_diagonal(k, -k.sum(axis=1))
+        return markov.GeneratorMatrix(k)
 
     def flow(self, rho):
         """D_xi Psi*(rho, -DS(rho)) for an interior float array rho;
@@ -174,12 +207,14 @@ class GradientStructure:
         2 L_ij psi'(delta / 2) from i to j: sqrt(4ab) sinh(delta / 2) for
         the exact structure and m(a, b) delta for the quadratic member,
         with a = rho_i Q_ij and b = rho_j Q_ji.  Two gathers and one
-        bincount per pair end, O(pairs).
+        bincount per pair end, O(pairs).  This is the flux formula itself,
+        not `flow_generator`: `flow_field`, and with it analyze's drift
+        check, evaluates it independently of K.
         """
         i, j, fwd, bwd, pi, flux, guard = self._flow_constants
         log_r = np.log(rho / pi)
         delta = log_r[i] - log_r[j]
-        if delta.size and np.abs(delta).max() > guard:
+        if guard is not None and delta.size and np.abs(delta).max() > guard:
             raise ExponentOverflow(
                 "potential difference on an edge exceeds %g" % (0.5 * guard))
         f = flux(rho[i] * fwd, rho[j] * bwd, delta)

@@ -618,6 +618,24 @@ def test_evolve_non_finite_trajectory_is_a_runtime_failure(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+def test_evolve_ldp_non_finite_trajectory_is_a_runtime_failure(tmp_path,
+                                                               capsys):
+    # The exact structure steps by the propagator of its generator K, which
+    # overflows on these rates; the first step's state is NaN, and the mass
+    # check refuses it before any file is written.
+    gen = tmp_path / "gen.json"
+    chains.save_generator(chains.two_state_symmetric(1e300), gen)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["evolve", "--generator", str(gen), "--rho0",
+                         "0.9,0.1", "--structure", "ldp", "--T", "0.01",
+                         "--dt", "0.001", "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "mass drifted by nan" in err
+    assert os.listdir(out) == []
+
+
 def test_evolve_ldp_on_a_cycle_is_a_structural_refusal(tmp_path, capsys):
     gen = tmp_path / "gen.json"
     chains.save_generator(chains.three_state_cycle(), gen)

@@ -65,7 +65,9 @@ def _rk4_stages(field, times):
 
 
 def _propagator(g, times):
-    """The RK4 step of y -> Q^T y as one matrix, built from the identity."""
+    """The RK4 step of y -> Q^T y as one matrix, built from the identity;
+    g is a chain's generator or the generator K of the exact structure's
+    flow."""
     QT = g.q.T
     return evolve._rk4(lambda Y: QT @ Y, np.eye(g.size), times[1] - times[0])
 
@@ -100,7 +102,6 @@ def test_rk4_equals_the_textbook_formula_bit_for_bit():
                                    3 * _ROWS + 5])
 def test_block_march_equals_a_step_by_step_loop(steps):
     g = chains.random_reversible(_J, 6)
-    gs = structure.build_structure(g)
     pi = markov.analyze_balance(g).invariant_measure
     rho0 = markov.project_interior(
         np.random.default_rng(6).dirichlet(np.ones(_J)), 1e-2)
@@ -112,10 +113,19 @@ def test_block_march_equals_a_step_by_step_loop(steps):
     assert np.array_equal(lin.states, want)
     assert np.array_equal(lin.entropy_values,
                           [markov.relative_entropy(r, pi) for r in want])
-    flow = evolve.integrate_gradient_flow(rho0, gs, steps * 1e-3, 1e-3)
-    want = _step_by_step(_rk4_stages(gs.flow, flow.times), start, flow.times)
-    assert np.array_equal(flow.states, want)
-    assert np.array_equal(flow.entropy_values, [gs.entropy(r) for r in want])
+    for family in Family:
+        gs = structure.build_structure(g, family)
+        flow = evolve.integrate_gradient_flow(rho0, gs, steps * 1e-3, 1e-3)
+        if family is Family.LDP_EXACT:
+            # The forward equation of K: one matvec with its propagator.
+            R = _propagator(gs.flow_generator, flow.times)
+            want = _step_by_step(lambda y: R @ y, start, flow.times)
+        else:
+            want = _step_by_step(_rk4_stages(gs.flow, flow.times), start,
+                                 flow.times)
+        assert np.array_equal(flow.states, want)
+        assert np.array_equal(flow.entropy_values,
+                              [gs.entropy(r) for r in want])
     # Blocks of at most _ROWS rows that tile the times in order.
     starts, sizes = zip(*((k, len(block)) for k, block in
                           evolve.linear_blocks(rho0, g, lin.times)))
@@ -142,6 +152,26 @@ def test_propagator_step_matches_the_rk4_stages(make, dt):
     want = _step_by_step(_rk4_stages(lambda y: QT @ y, lin.times), rho0,
                          lin.times)
     assert np.abs(lin.states - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("make, dt", [
+    (lambda: chains.random_reversible(10, 6), 1e-3),
+    (lambda: chains.two_state(1.0, 2.0), 1e-3),
+    (lambda: diffusion.make_grid(-4.0, 4.0, 201, "quadratic").chain, 5e-4),
+], ids=["reversible10", "two_state", "ou201"])
+def test_exact_flow_propagator_matches_the_rk4_stages(make, dt):
+    # The exact structure steps by one matvec with the propagator of K per
+    # step, against four calls of its pair-flux field per step: the same
+    # map up to rounding, over 2000 steps.
+    g = make()
+    gs = structure.build_structure(g)
+    rho0 = markov.as_simplex(markov.project_interior(
+        np.random.default_rng(g.size).dirichlet(np.ones(g.size)), 1e-3),
+        "rho0")
+    flow = evolve.integrate_gradient_flow(rho0, gs, 2000 * dt, dt)
+    assert flow.times.size == 2001
+    want = _step_by_step(_rk4_stages(gs.flow, flow.times), rho0, flow.times)
+    assert np.abs(flow.states - want).max() <= 1e-14
 
 
 def test_gradient_flow_stationary_at_pi():

@@ -469,6 +469,50 @@ def test_cached_flow_field_equals_the_rebuilt_formula(family, seed):
         gs.family = Family.LDP_EXACT
 
 
+@pytest.mark.parametrize("make", [
+    lambda: chains.random_reversible(10, 6),
+    lambda: chains.random_reversible(30, 2),
+    lambda: chains.two_state(1.0, 2.0),
+    lambda: chains.random_irreducible(6, 3),
+    lambda: chains.random_irreducible(12, 7),
+    chains.three_state_cycle,
+], ids=["reversible10", "reversible30", "two_state", "irreducible6",
+        "irreducible12", "three_state_cycle"])
+def test_exact_flow_is_the_forward_equation_of_K(make):
+    # The exact structure's pair flux sqrt(4ab) sinh(delta / 2) is
+    # rho_i K_ij - rho_j K_ji, K_ij = sqrt(Q_ij Q_ji pi_j / pi_i), for every
+    # rho, with or without detailed balance: the flow is K^T rho to 8 eps
+    # of each node's scale (|K|^T rho, its inflow plus its outflow).  On the
+    # one-way cycle every K_ij is 0, and so is the flow.
+    g = make()
+    gs = structure.build_structure(g)
+    K = gs.flow_generator.q
+    assert gs.flow_generator is gs.flow_generator  # built once
+    off = ~np.eye(g.size, dtype=bool)
+    assert np.all(K[off] >= 0.0)
+    assert np.array_equal(np.diag(K), -np.where(off, K, 0.0).sum(axis=1))
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(g.size)
+    for _ in range(20):
+        rho = random_interior(rng, g.size)
+        err = np.abs(gs.flow(rho) - K.T @ rho)
+        assert np.all(err <= 8 * eps * (np.abs(K).T @ rho))
+    if g.balance.detailed_balance:
+        # pi_i Q_ij = pi_j Q_ji, so K = Q to rounding: the gradient flow is
+        # the forward equation of the chain itself.
+        assert np.all(np.abs(K - g.q) <= 8 * eps * np.abs(g.q))
+        assert structure.build_structure(
+            g, Family.QUADRATIC_FAMILY).flow_generator is None
+
+
+def test_flow_generator_forms_no_product_of_rates():
+    # Q_ij Q_ji = 1e600 overflows; sqrt(Q_ij) sqrt(Q_ji) does not, and
+    # building K warns of nothing (warnings are errors in this suite).
+    g = chains.two_state_symmetric(1e300)
+    K = structure.build_structure(g).flow_generator.q
+    assert np.all(np.abs(K - g.q) <= 2 * np.finfo(float).eps * np.abs(g.q))
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_cached_flow_field_raises_as_the_rebuilt_formula(family):
     g = chains.random_reversible(10, 2)
