@@ -2,7 +2,7 @@
 
 Subcommands: analyze (structure diagnostics), evolve (trajectory CSVs and
 comparison gaps), simulate (particle experiment report), diffusion
-(grid profiles, entropy decay, decomposition report, plot script).
+(grid profiles, entropy decay, decomposition report).
 
 Exit codes: 0 ok, 2 input error, 3 structural refusal (no gradient system),
 4 runtime/statistical failure, which includes an output value that is NaN or
@@ -13,22 +13,14 @@ through `write_csv`, and both through `_atomic_write` (temp file + rename).
 Outputs are byte-identical for a fixed config and seed; every report
 carries its seeds and tolerances.  A run manifest (command, config hash,
 outputs, wall clock) is written next to the outputs; the manifest is the
-one file allowed to differ between reruns.
-
-The one parallel step is in `cmd_evolve`: each structure tag after the
-first is integrated in a forked `_Worker` while this process integrates the
-first, and every output is still written here, in tag order.  Nothing below
-the CLI forks, and the other commands run in one process.  A tracer
-installed in this process sees only the first tag's integration.
+one file allowed to differ between reruns.  Every command runs in one
+process.
 """
 
 import argparse
-import functools
 import hashlib
 import json
 import os
-import pickle
-import signal
 import sys
 import time
 
@@ -37,7 +29,7 @@ import numpy as np
 from . import __version__, diffusion, evolve, markov, particle, structure
 from .errors import (InvalidGenerator, InvalidInput, LdgradError,
                      NonFiniteOutput, NotGradientSystem, NotWeaklyReversible,
-                     ReducibleChain, WorkerLost)
+                     ReducibleChain)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -301,95 +293,11 @@ def _parse_rho0(text, g):
                        "got %r" % (g.size, text))
 
 
-def _integrate_tag(tag, g, rho0, args):
-    """(trajectory, seconds) of the flow of structure `tag` from rho0."""
-    t0 = time.perf_counter()
-    if tag == "linear":
-        traj = evolve.integrate_linear(rho0, g, args.T, args.dt)
-    else:
-        gs = structure.build_structure(g, TAG_FAMILIES[tag])
-        traj = evolve.integrate_gradient_flow(rho0, gs, args.T, args.dt)
-    return traj, time.perf_counter() - t0
-
-
-class _Worker:
-    """A forked process that runs `task()` and pickles its return value, or
-    the Exception it raised (its traceback added as a note), into a pipe to
-    this process.
-
-    Fork, not spawn: the worker starts with the parent's modules and
-    arguments, so it imports nothing and is sent nothing.  On Python 3.12
-    and later os.fork warns when the process has other threads, and numpy's
-    OpenBLAS pool gives this process a second one.  The worker leaves
-    through os._exit on every path, so it never returns into its caller's
-    frames, flushes none of their buffers and runs no exit handlers.
-    """
-
-    def __init__(self, task):
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                try:
-                    result = task()
-                except Exception as exc:  # re-raised by the parent
-                    import traceback  # pickling drops the traceback
-                    exc.__notes__ = [*getattr(exc, "__notes__", ()),
-                                     "in worker %d:\n%s" % (
-                                         os.getpid(), traceback.format_exc())]
-                    result = exc
-                with open(write_fd, "wb") as fh:
-                    pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self.pid = pid
-        self.pipe = open(read_fd, "rb")
-
-    def result(self):
-        """The task's return value, or its exception raised here; WorkerLost
-        when the worker ended without sending either.  The worker has been
-        reaped when this returns or raises."""
-        try:
-            data = self.pipe.read()
-        finally:
-            self.stop()
-        try:
-            result = pickle.loads(data)
-        except Exception as exc:
-            raise WorkerLost("a worker ended without a result (%d bytes "
-                             "received)" % len(data)) from exc
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def stop(self):
-        """Kill and reap the worker and close the pipe; later calls do
-        nothing."""
-        if self.pid is None:
-            return
-        self.pipe.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self.pid = None
-
-
 def cmd_evolve(args):
-    """Integrate each structure tag's flow and write one trajectory CSV per
-    tag, in tag order, then the report.  The first tag is integrated in this
-    process and every other tag, at most three, in a `_Worker` forked
-    before it, so the flows run at the same time on separate cores.  This
-    process writes every file and raises the first failure in tag order, so
-    the files, exit code and message are those of integrating the tags one
-    after another; no worker outlives the call."""
+    """Integrate each structure tag's flow and write its trajectory CSV, one
+    tag after another in tag order, then the report.  Every input is checked
+    before any flow runs or any file is written; a tag that fails leaves the
+    files of the tags before it."""
     t0 = time.perf_counter()
     g = load_generator(args.generator)
     tags = args.structure.split(",")
@@ -400,30 +308,25 @@ def cmd_evolve(args):
         raise InvalidInput("repeated structure tag in %r" % args.structure)
     check_seed(args.seed, "--seed")
     if tags != ["linear"]:
-        g.balance  # a structure needs pi: refused before any fork or output
+        g.balance  # a structure needs pi: refused before any flow or output
     rho0 = _parse_rho0(args.rho0, g)
-    evolve.time_grid(args.T, args.dt)  # a bad grid fails before any fork
+    evolve.time_grid(args.T, args.dt)  # a bad grid fails before any output
     out = _out_dir(args)
     outputs = []
     trajs = {}
     seconds = {}
-    workers = {}
-    try:
-        for tag in tags[1:]:
-            workers[tag] = _Worker(functools.partial(_integrate_tag, tag, g,
-                                                     rho0, args))
-        for tag in tags:
-            if tag in workers:
-                traj, seconds[tag] = workers[tag].result()
-            else:
-                traj, seconds[tag] = _integrate_tag(tag, g, rho0, args)
-            name = "trajectory_%s.csv" % tag
-            write_trajectory(os.path.join(out, name), traj)
-            outputs.append(name)
-            trajs[tag] = traj
-    finally:
-        for worker in workers.values():
-            worker.stop()
+    for tag in tags:
+        t1 = time.perf_counter()
+        if tag == "linear":
+            traj = evolve.integrate_linear(rho0, g, args.T, args.dt)
+        else:
+            gs = structure.build_structure(g, TAG_FAMILIES[tag])
+            traj = evolve.integrate_gradient_flow(rho0, gs, args.T, args.dt)
+        seconds[tag] = time.perf_counter() - t1
+        name = "trajectory_%s.csv" % tag
+        write_trajectory(os.path.join(out, name), traj)
+        outputs.append(name)
+        trajs[tag] = traj
     report = {"generator_file": args.generator, "rho0": rho0.tolist(),
               "T": args.T, "dt": args.dt, "tags": tags, "seed": args.seed}
     if len(tags) == 2:
@@ -441,7 +344,7 @@ def cmd_evolve(args):
                     {"seed": args.seed},
                     {"mass_drift_per_step": evolve.MASS_DRIFT_TOL},
                     outputs, time.perf_counter() - t0,
-                    integration_s=seconds, processes=1 + len(workers))
+                    integration_s=seconds)
     return EXIT_OK
 
 
@@ -505,39 +408,6 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-# Plot commands for the diffusion outputs in this directory.
-import csv, sys
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-def read(path):
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    return rows
-
-prof = read("profiles.csv")
-ent = read("entropy.csv")
-times = sorted({r["t"] for r in prof}, key=float)
-fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 4))
-for t in times:
-    xs = [float(r["x"]) for r in prof if r["t"] == t]
-    ys = [float(r["rho"]) for r in prof if r["t"] == t]
-    ax1.plot(xs, ys, label="t=%s" % t)
-ax1.plot([float(r["x"]) for r in prof if r["t"] == times[0]],
-         [float(r["pi"]) for r in prof if r["t"] == times[0]],
-         "k--", label="pi")
-ax1.set_xlabel("x"); ax1.set_ylabel("density"); ax1.legend(fontsize=6)
-ax2.plot([float(r["t"]) for r in ent], [float(r["entropy"]) for r in ent])
-ax2.set_xlabel("t"); ax2.set_ylabel("entropy")
-fig.tight_layout()
-fig.savefig("diffusion.png", dpi=150)
-print("wrote diffusion.png")
-"""
-
-
 def cmd_diffusion(args):
     """Integrate the grid chain from rho0 and write six profile snapshots,
     the entropy at every time and the report.  The states are read block
@@ -577,7 +447,6 @@ def cmd_diffusion(args):
               [np.repeat(times[snap], g.N), *profiles.T])
     write_csv(os.path.join(out, "entropy.csv"), ["t", "entropy"],
               [times, entropy])
-    _atomic_write(os.path.join(out, "plot_diffusion.py"), [PLOT_SCRIPT])
     report = {
         "grid": {"a": g.a, "b": g.b, "N": g.N, "h": g.h},
         "T": args.T, "dt": args.dt, "seed": seed,
@@ -599,8 +468,7 @@ def cmd_diffusion(args):
                                        "dt": args.dt},
                     {"seed": seed},
                     {"decomposition_residual": diffusion.DECOMPOSITION_TOL},
-                    ["profiles.csv", "entropy.csv", "plot_diffusion.py",
-                     "diffusion_report.json"],
+                    ["profiles.csv", "entropy.csv", "diffusion_report.json"],
                     time.perf_counter() - t0, config_path=args.config)
     return EXIT_OK
 

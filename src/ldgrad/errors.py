@@ -81,7 +81,3 @@ class ThinningBoundExceeded(LdgradError):
 
 class NonFiniteOutput(LdgradError):
     """A report value is NaN or infinite, which strict JSON cannot hold."""
-
-
-class WorkerLost(LdgradError):
-    """A forked worker ended without sending back its result."""

@@ -4,7 +4,6 @@ import io
 import json
 import os
 import pickle
-import signal
 import subprocess
 import sys
 
@@ -211,9 +210,9 @@ _BAD_RHO0 = "--rho0 must be 'pi' or 2 comma-separated numbers"
          "labels=[1,2]", "labels=['a','a']", "no-Q", "Q={}", "Q='ab'",
          "Q=ragged", "rate=true", "rate='1.0'", "rho0='a,b'", "rho0=''",
          "rho0='0.5,0.5,'", "rho0=3-entries", "rho0=1-entry", "rho0=nan"])
-def test_evolve_rejects_a_bad_generator_file_or_rho0(tmp_path, capsys, forked,
-                                                     generator, rho0,
-                                                     message):
+def test_evolve_rejects_a_bad_generator_file_or_rho0(tmp_path, capsys,
+                                                     one_process, generator,
+                                                     rho0, message):
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps(generator))
     out = tmp_path / "out"
@@ -221,7 +220,7 @@ def test_evolve_rejects_a_bad_generator_file_or_rho0(tmp_path, capsys, forked,
                      "--structure", "linear,ldp", "--T", "0.1", "--dt", "0.01",
                      "--out", str(out)]) == cli.EXIT_INPUT
     assert "input error: " + message in capsys.readouterr().err
-    assert forked == [] and not out.exists()
+    assert not out.exists()
 
 
 # The bad values of the leaf-mutation fuzz, for JSON leaves and for flags.
@@ -706,38 +705,23 @@ def test_evolve_rejects_a_bad_time_grid(tmp_path, capsys, T, dt, code,
 
 
 @pytest.fixture
-def forked(monkeypatch):
-    """The pids that os.fork returns to this process."""
-    pids = []
-    fork = os.fork
+def one_process(monkeypatch):
+    """Makes os.fork raise: every command runs in the calling process."""
+    def no_fork():
+        raise AssertionError("os.fork called")
 
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def _assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
 @pytest.mark.parametrize("tags", [
     "ldp,linear", "quadratic_family,linear,cosh_family,ldp"])
-def test_evolve_workers_write_the_in_process_trajectories(tmp_path, forked,
-                                                          tags):
+def test_evolve_writes_the_tags_one_after_another(tmp_path, one_process,
+                                                  tags):
     argv = _evolve_argv(tmp_path, chains.random_reversible(4, 2), tags,
                         "--rho0", "0.4,0.3,0.2,0.1", "--T", "0.2",
                         "--dt", "0.01", "--seed", "3")
     assert cli.main(argv) == cli.EXIT_OK
     tags = tags.split(",")
-    assert len(forked) == len(tags) - 1
-    _assert_reaped(forked)
     g = cli.load_generator(str(tmp_path / "gen.json"))
     rho0 = markov.as_simplex([0.4, 0.3, 0.2, 0.1], "rho0")
     out, ref = tmp_path / "out", tmp_path / "ref"
@@ -759,67 +743,21 @@ def test_evolve_workers_write_the_in_process_trajectories(tmp_path, forked,
     else:
         assert "gap" not in report
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["processes"] == len(tags)
     assert sorted(manifest["integration_s"]) == sorted(tags)
     assert all(s > 0 for s in manifest["integration_s"].values())
 
 
 @pytest.mark.parametrize("tags,left", [
     ("linear,ldp", ["trajectory_linear.csv"]), ("ldp,linear", [])])
-def test_evolve_refusal_keeps_the_serial_outputs(tmp_path, capsys, forked,
-                                                 tags, left):
-    # The one-way 3-cycle has no detailed balance: ldp is refused.  Files
-    # of the tags before the refused one are written, as one tag after
-    # another would leave them.
+def test_evolve_refusal_keeps_the_serial_outputs(tmp_path, capsys,
+                                                 one_process, tags, left):
+    # The one-way 3-cycle has no detailed balance: ldp is refused.  The
+    # files of the tags before the refused one stay written.
     argv = _evolve_argv(tmp_path, chains.three_state_cycle(), tags,
                         "--T", "0.1", "--dt", "0.01")
     assert cli.main(argv) == cli.EXIT_STRUCTURE
-    _assert_reaped(forked)
     assert "structural refusal" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path / "out")) == left
-
-
-def test_evolve_worker_lost_without_result_is_a_runtime_failure(
-        tmp_path, capsys, monkeypatch, forked):
-    # The ldp worker exits as soon as it starts integrating.
-    test_pid = os.getpid()
-
-    def exit_in_worker(*args):
-        if os.getpid() == test_pid:
-            raise AssertionError("ldp was integrated in the test process")
-        os._exit(0)
-
-    monkeypatch.setattr(evolve, "integrate_gradient_flow", exit_in_worker)
-
-    def hung(signum, frame):
-        raise TimeoutError("evolve waited 60 s for a dead worker")
-
-    argv = _evolve_argv(tmp_path, chains.random_reversible(4, 2),
-                        "linear,ldp", "--T", "0.1", "--dt", "0.01")
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        code = cli.main(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert code == cli.EXIT_RUNTIME
-    assert len(forked) == 1
-    _assert_reaped(forked)
-    assert "without a result (0 bytes received)" in capsys.readouterr().err
-    assert os.listdir(tmp_path / "out") == ["trajectory_linear.csv"]
-
-
-def test_worker_exception_carries_its_traceback():
-    def fail():
-        raise errors.NoConvergence("no luck", best=[1.0, 2.0])
-
-    with pytest.raises(errors.NoConvergence) as info:
-        cli._Worker(fail).result()
-    assert info.value.best == [1.0, 2.0]
-    note, = info.value.__notes__
-    assert note.startswith("in worker ")
-    assert "in fail\n" in note
 
 
 _ERROR_ARGS = {errors.NoConvergence: ("no luck", [1.0, 2.0])}
@@ -830,7 +768,8 @@ _ERROR_ARGS = {errors.NoConvergence: ("no luck", [1.0, 2.0])}
     if isinstance(c, type) and issubclass(c, LdgradError)],
     ids=lambda c: c.__name__)
 def test_every_error_survives_a_pickle_round_trip(cls):
-    # Worker exceptions reach the parent pickled.
+    # A caller that runs ldgrad in a process pool gets its errors
+    # back pickled.
     err = cls(*_ERROR_ARGS.get(cls, ("message",)))
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is cls
@@ -876,8 +815,8 @@ def test_analyze_refuses_a_reducible_generator_before_the_diagnostics(
     assert not out.exists()
 
 
-def test_evolve_refuses_a_reducible_generator_before_any_fork_or_output(
-        tmp_path, capsys, forked):
+def test_evolve_refuses_a_reducible_generator_before_any_flow_or_output(
+        tmp_path, capsys, one_process):
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps(_REDUCIBLE))
     out = tmp_path / "out"
@@ -885,7 +824,7 @@ def test_evolve_refuses_a_reducible_generator_before_any_fork_or_output(
             "--T", "0.1", "--dt", "0.01", "--out", str(out), "--structure"]
     assert cli.main(argv + ["linear,ldp"]) == cli.EXIT_INPUT
     assert "not strongly connected" in capsys.readouterr().err
-    assert forked == [] and not out.exists()
+    assert not out.exists()
     # The linear flow needs no pi.
     assert cli.main(argv + ["linear"]) == cli.EXIT_OK
 
@@ -943,8 +882,7 @@ def _rerun_argv(tmp_path, command):
                                "potential": "quadratic", "seed": 4,
                                "decomposition_samples": 3}))
     return ["diffusion", "--config", str(cfg), "--T", "0.1", "--dt", "0.01"], {
-        "profiles.csv", "entropy.csv", "plot_diffusion.py",
-        "diffusion_report.json"}
+        "profiles.csv", "entropy.csv", "diffusion_report.json"}
 
 
 @pytest.mark.parametrize("command", ["analyze", "evolve", "diffusion"])
