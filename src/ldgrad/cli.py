@@ -135,19 +135,27 @@ def grid_from_config(cfg):
 def initial_masses_from_config(cfg, g):
     """rho0 of a diffusion config as grid masses: {"type": "pi"}, or
     {"type": "gaussian", "mean": m, "var": v} with m a finite real and v a
-    finite real > 0 (default mean 1.0, var 0.8); InvalidInput otherwise."""
+    finite real > 0 (default mean 1.0, var 0.8), with a positive mass on
+    every node; InvalidInput otherwise."""
     spec = cfg.get("rho0", {"type": "gaussian", "mean": 1.0, "var": 0.8})
     kind = spec.get("type") if isinstance(spec, dict) else None
     if kind == "pi":
-        return g.invariant_masses()
-    if kind != "gaussian":
+        rho0 = g.invariant_masses()
+    elif kind == "gaussian":
+        mean = config_number(spec, "mean", integer=False)
+        var = config_number(spec, "var", integer=False)
+        if not var > 0:
+            raise InvalidInput("config 'var' must be > 0, got %r" % var)
+        rho0 = diffusion.gaussian_initial_masses(g, mean, var)
+    else:
         raise InvalidInput("config 'rho0' must be an object with type "
                            "'gaussian' or 'pi', got %r" % (spec,))
-    mean = config_number(spec, "mean", integer=False)
-    var = config_number(spec, "var", integer=False)
-    if not var > 0:
-        raise InvalidInput("config 'var' must be > 0, got %r" % var)
-    return diffusion.gaussian_initial_masses(g, mean, var)
+    empty = np.flatnonzero(rho0 <= 0.0)
+    if empty.size:
+        raise InvalidInput("config 'rho0' has no mass at node %d (x = %r): "
+                           "the entropy needs a positive mass on every node"
+                           % (empty[0], float(g.nodes[empty[0]])))
+    return rho0
 
 
 def _atomic_write(path, chunks):
@@ -431,7 +439,8 @@ def cmd_diffusion(args):
         hit = (snap >= k) & (snap < k + len(block))
         snapshots[hit] = block[snap[hit] - k]
 
-    # Exact quadratic-form split, checked on seeded random tangents.
+    # Exact quadratic-form split of the grid chain's quadratic member
+    # (log-mean weights, flow Q^T rho), checked on seeded random tangents.
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):

@@ -10,23 +10,17 @@ O(h^2) consistent in the interior.  All state vectors here are nodal MASSES
 (probability vectors, as in the Markov modules) and the dual pairing is the
 plain Euclidean dot product; the trapezoid nodal weights (h, halved at the
 endpoints) enter only when converting to continuum densities for profiles
-and oracles.  With the mass pairing fixed, the rho-weighted stiffness
+and oracles.
 
-    (A(rho) xi)_i = -[m_{i+1/2}(xi_{i+1}-xi_i) - m_{i-1/2}(xi_i-xi_{i-1})]/h^2,
-    m_{i+1/2} = (rho_i + rho_{i+1}) / 2,
-
-defines the discrete Sobolev pair, and the whole structure is one edge
-functional, F(xi) = (1/2) xi . A(rho) xi = `stiffness_functional(rho, g)`,
-a sum over the neighbour pairs of the grid chain with phi = z^2/2.  Every
-piece is read off F, with S(rho) = (1/2) E_pi(rho):
-
-    Psi*(rho, xi) = 2 F(xi),              flux = -2 A(rho) DS = -2 DF(DS),
-    Psi(rho, s)   = (1/2) F*(s) = (1/4) ||s||^2 in the dual norm,
-    cost(rho, s)  = (1/2) F*(s - flux) = (1/4) ||s - flux||^2,
-
-and the cost splits exactly (a quadratic-form identity) into
-Psi + Psi*(-DS) + <DS, s>.  The chain is a path, so F* is that functional's
-tree conjugate: no linear solve.
+The diffusion structure is the grid chain's own quadratic member,
+`structure.GradientStructure(g.chain, Family.QUADRATIC_FAMILY)`: Psi* is
+the edge functional f with phi = z^2/2 and the logarithmic mean
+L_ij = m(rho_i Q_ij, rho_j Q_ji) on each neighbour pair, the discrete
+transport metric of Maas, and its flow Df(-DS), S = (1/2) E_pi, is the
+forward equation Q^T rho of the chain the command integrates.  For this
+quadratic f the cost f*(s - flow) splits exactly (a quadratic-form
+identity) into Psi + Psi*(-DS) + <DS, s>, Psi = f*.  The chain is a path,
+so f* is that functional's tree conjugate: no linear solve.
 """
 
 import math
@@ -35,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import markov
-from .errors import DegenerateWeight, InvalidInput
+from . import markov, structure
+from .errors import InvalidInput
 
 TAIL_MASS_TARGET = 1e-8
 # The bound on `decomposition_residual` that `ldgrad diffusion` reports.
@@ -67,8 +61,13 @@ class Grid1D:
         return np.asarray(masses, dtype=float) / self.weights
 
     def masses_from_density(self, dens):
+        """The normalized nodal masses of `dens`; InvalidInput when they
+        sum to zero (a density that underflows on every node)."""
         m = np.asarray(dens, dtype=float) * self.weights
-        return m / m.sum()
+        total = m.sum()
+        if not total > 0.0:
+            raise InvalidInput("the density has no mass on the grid")
+        return m / total
 
 
 def _parse_potential(spec, nodes):
@@ -138,43 +137,21 @@ def discretize_generator(g):
     return markov.validate_generator(Q)
 
 
-def stiffness_functional(rho, g):
-    """F(xi) = (1/2) xi . A(rho) xi as a `markov.EdgeFunctional` on the
-    neighbour pairs of the grid chain, with phi = z^2/2 and the weight
-    (rho_i + rho_j) / (4 h^2) forward and back, so that a pair contributes
-    (m_{i+1/2} / h^2) (xi_j - xi_i)^2 / 2.
-    A vanishing m_{i+1/2} raises DegenerateWeight."""
-    rho = np.asarray(rho, dtype=float)
-    pairs = g.chain.pairs
-    m = rho[pairs.i] + rho[pairs.j]
-    if np.any(m <= 0.0):
-        raise DegenerateWeight("stiffness weights vanish (interior zeros)")
-    w = m / (4.0 * g.h * g.h)
-    return markov.EdgeFunctional(g.chain, w, w, markov.QUADRATIC)
-
-
 def _entropy_gradient(rho, pi):
     """DS = (1/2) (log(rho / pi) + 1), the nodal gradient of S = (1/2) E_pi."""
     return 0.5 * (np.log(np.asarray(rho, dtype=float) / pi) + 1.0)
 
 
-def quadratic_cost(rho, s, g):
-    """(1/4) ||s - flux||^2 in H^-1(rho), the quadratic cost functional."""
-    F = stiffness_functional(rho, g)
-    flux = -2.0 * F.gradient(_entropy_gradient(rho, g.invariant_masses()))
-    return 0.5 * F.conjugate(np.asarray(s, dtype=float) - flux).value
-
-
 def decomposition_residual(rho, s, g):
-    """|cost - (psi + psi_star(-DS) + <DS, s>)|; zero in exact arithmetic."""
+    """|cost - (psi + psi_star(-DS) + <DS, s>)| of the grid chain's
+    quadratic member, with cost = f*(s - flow); zero in exact arithmetic."""
     s = np.asarray(s, dtype=float)
-    F = stiffness_functional(rho, g)
+    gs = structure.GradientStructure(g.chain,
+                                     structure.Family.QUADRATIC_FAMILY)
+    F = gs.functional(rho)
     DS = _entropy_gradient(rho, g.invariant_masses())
-    flux = -2.0 * F.gradient(DS)
-    cost = 0.5 * F.conjugate(s - flux).value
-    dissipation = 0.5 * F.conjugate(s).value
-    # psi_star(-DS) = DS . A(rho) DS, and flux = -2 A(rho) DS.
-    return abs(cost - (dissipation - 0.5 * float(DS @ flux) + float(DS @ s)))
+    cost = F.conjugate(s - F.gradient(-DS)).value
+    return abs(cost - (structure.psi(gs, rho, s) + F(-DS) + float(DS @ s)))
 
 
 def gaussian_initial_masses(g, mu0, var0):

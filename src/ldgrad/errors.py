@@ -66,10 +66,6 @@ class StepSizeTooLarge(LdgradError):
     """Integrator state left the simplex by more than the allowed slack."""
 
 
-class DegenerateWeight(LdgradError):
-    """Weighted stiffness operator is singular (interior zeros in rho)."""
-
-
 class TiltTooStrong(LdgradError):
     """Thinning bound for the tilted simulation is not representable/affordable."""
 

@@ -147,6 +147,10 @@ def test_simulate_rejects_a_bad_config(tmp_path, capsys, override):
     {"rho0": {"type": "gaussian", "mean": "x", "var": 0.8}},
     {"rho0": {"type": "gaussian", "mean": float("nan"), "var": 0.8}},
     {"rho0": {"type": "gaussian", "var": 0.8}},
+    # Masses that underflow to zero on some nodes, or on every node: DS
+    # would be -inf there, and with every node empty the masses 0/0.
+    {"rho0": {"type": "gaussian", "mean": 1.5, "var": 0.001}},
+    {"rho0": {"type": "gaussian", "mean": 1.9, "var": 1e-6}},
     {"rho0": {"type": "uniform"}}, {"rho0": {"mean": 1.0, "var": 0.8}},
     {"rho0": [1, 2]}, {"rho0": "pi"}, {"potential": {}},
     {"potential": [0.0] * 20}, {"potential": [0.0] * 20 + ["x"]}],
@@ -159,8 +163,11 @@ def test_diffusion_rejects_a_bad_config(tmp_path, capsys, override):
     out = tmp_path / "out"
     assert cli.main(["diffusion", "--config", str(path), "--T", "0.1",
                      "--dt", "0.01", "--out", str(out)]) == cli.EXIT_INPUT
-    assert "input error" in capsys.readouterr().err
-    assert not (out / "diffusion_report.json").exists()
+    err = capsys.readouterr().err
+    assert "input error" in err
+    if override == {"rho0": {"type": "gaussian", "mean": 1.5, "var": 0.001}}:
+        assert "config 'rho0' has no mass at node 0 (x = -2.0)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,option,value", [
@@ -1011,17 +1018,6 @@ def test_package_source_imports_no_scipy():
     assert found == []
 
 
-# Public names that no package code reaches, kept on purpose.
-_KEPT_UNREACHED = {
-    # The paper's primal dissipation potential Psi; the energy-dissipation
-    # tests evaluate it, and no report holds it apart from decompose's split.
-    "structure.psi",
-    # The quadratic (Wasserstein-type) cost of the diffusion structure, the
-    # limit against which the chain's cost is to be compared.
-    "diffusion.quadratic_cost",
-}
-
-
 def _package_trees():
     """{module name: parsed source} of every module of the package."""
     src = os.path.dirname(os.path.abspath(cli.__file__))
@@ -1052,7 +1048,7 @@ def test_every_public_name_is_reached_from_package_code():
                           for m in node.body if isinstance(m, defs)]
             unreached |= {"%s.%s" % (module, full) for full, d in named
                           if not d.name.startswith("_") and d.name not in used}
-    assert unreached == _KEPT_UNREACHED
+    assert unreached == set()
 
 
 # Defaulted parameters that no package call sets, kept on purpose.

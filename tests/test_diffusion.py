@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import chains
-from ldgrad import diffusion, evolve, markov
-from ldgrad.errors import DegenerateWeight, InvalidInput
+from ldgrad import diffusion, evolve, markov, structure
+from ldgrad.errors import InvalidInput
 
 
 def test_zero_potential_gives_random_walk():
@@ -60,18 +60,31 @@ def test_grid_validation():
     assert g.potential[1] == 1.0
 
 
+def _functional(rho, g):
+    """Psi*(rho, .) = f of the grid chain's quadratic member: the edge
+    functional sum_{i<j} L_ij (xi_j - xi_i)^2, L_ij = m(rho_i Q_ij,
+    rho_j Q_ji) with m the logarithmic mean, that is (1/2) xi . A xi for
+    the Laplacian A with pair weights 2 L_ij."""
+    return structure.GradientStructure(
+        g.chain, structure.Family.QUADRATIC_FAMILY).functional(rho)
+
+
 def _h_minus1_norm_sq(rho, s, g):
-    """The dual Sobolev norm ||s||^2 = <xi, s> with A(rho) xi = s, as
-    2 F*(s) of F = stiffness_functional(rho, g), and the zero-mean xi, the
-    argmax of F*(s)."""
-    res = diffusion.stiffness_functional(rho, g).conjugate(s)
+    """The dual norm ||s||^2 = <xi, s> with A xi = s, as 2 f*(s), and the
+    zero-mean xi, the argmax of f*(s)."""
+    res = _functional(rho, g).conjugate(s)
     return 2.0 * res.value, res.argmax
 
 
 def _flux(rho, g):
-    """The drift-diffusion flux -2 A(rho) DS = -2 DF(DS)."""
+    """The structure's flow Df(-DS) = -A DS."""
     DS = diffusion._entropy_gradient(rho, g.invariant_masses())
-    return -2.0 * diffusion.stiffness_functional(rho, g).gradient(DS)
+    return _functional(rho, g).gradient(-DS)
+
+
+def _cost(rho, s, g):
+    """The structure's cost f*(s - flow)."""
+    return _functional(rho, g).conjugate(np.asarray(s) - _flux(rho, g)).value
 
 
 def test_h_minus1_trivial_and_scaling():
@@ -89,8 +102,10 @@ def test_h_minus1_trivial_and_scaling():
 
 
 def test_h_minus1_uniform_matches_eigen_oracle():
-    # Uniform rho: value = (1/rho_bar) s^T (-Delta_h)^{-1} s, computed
-    # independently in the Neumann cosine eigenbasis.
+    # Uniform rho on the zero potential is pi, so each pair has a = b =
+    # rho_bar / h^2 and the log mean is that common value: A = 2 rho_bar
+    # (-Delta_h), and value = (1/(2 rho_bar)) s^T (-Delta_h)^{-1} s,
+    # computed independently in the Neumann cosine eigenbasis.
     N = 11
     g = diffusion.make_grid(0, 1, N, "zero")
     rho = np.full(N, 1.0 / N)
@@ -103,20 +118,12 @@ def test_h_minus1_uniform_matches_eigen_oracle():
         lam = (2.0 - 2.0 * np.cos(np.pi * ks / N)) / g.h ** 2
         V = np.cos(np.pi * np.outer(ks, 2 * np.arange(N) + 1) / (2 * N))
         coef = V @ s / (V ** 2).sum(axis=1)
-        oracle = N * np.sum(coef ** 2 * (V ** 2).sum(axis=1) / lam)
+        oracle = 0.5 * N * np.sum(coef ** 2 * (V ** 2).sum(axis=1) / lam)
         assert abs(val - oracle) <= 1e-12 * max(1.0, oracle)
         # returned potential solves the weighted system
-        A_xi = diffusion.stiffness_functional(rho, g).gradient(xi)
+        A_xi = _functional(rho, g).gradient(xi)
         assert np.abs(A_xi - s).max() <= 1e-10
         assert abs(xi.mean()) <= 1e-15
-
-
-def test_h_minus1_degenerate_weight():
-    g = diffusion.make_grid(0, 1, 5, "zero")
-    rho = np.array([0.5, 0.0, 0.0, 0.0, 0.5])
-    s = np.array([1.0, 0.0, 0.0, 0.0, -1.0])
-    with pytest.raises(DegenerateWeight):
-        _h_minus1_norm_sq(rho, s, g)
 
 
 def test_h_minus1_rejects_nonzero_sum():
@@ -129,9 +136,11 @@ def test_wasserstein_structure_at_pi():
     g = diffusion.make_grid(0, 1, 21, "linear:1")
     pi = g.invariant_masses()
     DS = diffusion._entropy_gradient(pi, pi)
-    # DS is constant, so its zero-mean part and the flux vanish
+    # DS is constant, so its zero-mean part, the flux and the cost of
+    # standing still vanish
     assert np.abs(DS - DS.mean()).max() <= 1e-12
     assert np.abs(_flux(pi, g)).max() <= 1e-10
+    assert abs(_cost(pi, np.zeros(21), g)) <= 1e-20
     assert abs(0.5 * markov.relative_entropy(pi, pi)) <= 1e-15
 
 
@@ -155,22 +164,19 @@ def test_decomposition_residual_relative_on_wild_samples():
         s = rng.standard_normal(51)
         s -= s.mean()
         res = diffusion.decomposition_residual(rho, s, g)
-        scale = max(1.0, diffusion.quadratic_cost(rho, s, g))
+        scale = max(1.0, _cost(rho, s, g))
         assert res <= 1e-9 * scale
 
 
-def test_flux_drift_matches_generator_to_h_squared():
-    gaps = []
-    for N in (51, 101):
-        g = diffusion.make_grid(-5, 5, N, "quadratic")
-        gen = diffusion.discretize_generator(g)
-        rho = diffusion.gaussian_initial_masses(g, 0.5, 0.9)
-        drift = markov.drift(rho, gen)
-        gaps.append(np.abs(_flux(rho, g) - drift).max()
-                    / np.abs(drift).max())
-    assert 3.0 <= gaps[0] / gaps[1] <= 5.0  # O(h^2)
-    fitted_c = gaps[0] / (10.0 / 50) ** 2
-    assert fitted_c < 10.0  # sanity on the reported constant
+@pytest.mark.parametrize("N", [51, 201, 801, 1601])
+def test_flux_is_the_chain_drift(N):
+    # The log-mean pair flux L_ij delta is a - b exactly, so the structure's
+    # flow is the forward equation Q^T rho of the grid chain, to rounding
+    # (cancellation in a - b, each term about 1/h^2 times the flux).
+    g = diffusion.make_grid(-4, 4, N, "quadratic")
+    rho = diffusion.gaussian_initial_masses(g, 1.0, 0.8)
+    drift = markov.drift(rho, g.chain)
+    assert np.abs(_flux(rho, g) - drift).max() <= 1e-12 * np.abs(drift).max()
 
 
 def test_ou_relaxation():
@@ -235,14 +241,25 @@ def test_profiles_rows():
     assert abs(dens - pdens) <= 1e-15
 
 
+def _pair_weights(rho, g):
+    """Oracle weights w_k = 2 L_k of pair {k, k+1}, written out from the
+    rates, with the logarithmic mean L_k = (a - b) / log(a / b),
+    a = rho_k Q_{k,k+1}, b = rho_{k+1} Q_{k+1,k} (a where a = b)."""
+    q = g.chain.q
+    k = np.arange(g.N - 1)
+    a, b = rho[k] * q[k, k + 1], rho[k + 1] * q[k + 1, k]
+    same = a == b
+    return 2.0 * np.where(same, a,
+                          (a - b) / np.log(np.where(same, 2.0, a / b)))
+
+
 def _pinned_stiffness(rho, g):
-    """Oracle matrix: A(rho) on nodes 1..N-1 with node 0 pinned at zero, in
-    the upper banded form of `solveh_banded`.  The diagonal is
-    m_{i-1/2} + m_{i+1/2} (m_{N-3/2} alone at the last node) and the
-    off-diagonal -m_{i+1/2}."""
-    m = 0.5 * (rho[:-1] + rho[1:]) / g.h ** 2
-    return np.vstack([np.append(0.0, -m[1:]),
-                      np.append(m[:-1] + m[1:], m[-1])])
+    """Oracle matrix: A on nodes 1..N-1 with node 0 pinned at zero, in the
+    upper banded form of `solveh_banded`.  The diagonal is w_{k-1} + w_k
+    (w_{N-2} alone at the last node) and the off-diagonal -w_k."""
+    w = _pair_weights(rho, g)
+    return np.vstack([np.append(0.0, -w[1:]),
+                      np.append(w[:-1] + w[1:], w[-1])])
 
 
 def test_h_minus1_matches_solveh_banded():
@@ -261,12 +278,16 @@ def test_h_minus1_matches_solveh_banded():
         assert abs(xi.mean()) <= 1e-15 * np.abs(xi).max()
 
 
-def test_quadratic_cost_matches_solveh_banded():
-    # Oracle: the flux -2 A(rho) DS from the stiffness written out, and the
-    # cost (1/4) <xi, r>, r = s - flux, from LAPACK's solve of A(rho) xi = r.
+def test_structure_cost_matches_solveh_banded():
+    # Oracle: the flux -A DS from the pair weights written out, and the cost
+    # f*(r) = (1/2) <xi, r>, r = s - flux, from LAPACK's solve of A xi = r.
+    # The split psi + psi_star(-DS) + <DS, s> that `decomposition_residual`
+    # compares the cost with matches the same oracle.
     from scipy.linalg import solveh_banded
     N = 101
     g = diffusion.make_grid(-4, 4, N, "quadratic")
+    gs = structure.GradientStructure(g.chain,
+                                     structure.Family.QUADRATIC_FAMILY)
     pi = g.invariant_masses()
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -274,20 +295,23 @@ def test_quadratic_cost_matches_solveh_banded():
         s = rng.standard_normal(N)
         s -= s.mean()
         DS = 0.5 * (np.log(rho / pi) + 1.0)
-        d = 0.5 * (rho[:-1] + rho[1:]) / g.h ** 2 * np.diff(DS)
+        d = _pair_weights(rho, g) * np.diff(DS)
         A_DS = np.zeros(N)
         A_DS[:-1] -= d
         A_DS[1:] += d
-        r = s + 2.0 * A_DS
+        r = s + A_DS
         ref = solveh_banded(_pinned_stiffness(rho, g), r[1:])
-        want = 0.25 * (ref @ r[1:])
-        got = diffusion.quadratic_cost(rho, s, g)
-        assert abs(got - want) <= 1e-12 * want
+        want = 0.5 * (ref @ r[1:])
+        assert abs(_cost(rho, s, g) - want) <= 1e-12 * want
+        F = _functional(rho, g)
+        split = structure.psi(gs, rho, s) + F(-DS) + float(DS @ s)
+        assert abs(split - want) <= 1e-12 * want
 
 
 def test_h_minus1_has_no_exponent_guard():
-    # Two near-empty middle nodes carry the whole flux: the potential jumps
-    # by 2.5e5 across them, far above EXP_GUARD, and phi = z^2/2 has no
+    # Two near-empty middle nodes carry the whole flux of 200: the
+    # potential jumps by 2.5e5 across them (their pair weight 2 L is about
+    # 2 rho_100 / h^2), far above EXP_GUARD, and phi = z^2/2 has no
     # exponential to overflow.
     from scipy.linalg import solveh_banded
     N = 201
@@ -295,17 +319,19 @@ def test_h_minus1_has_no_exponent_guard():
     rho = np.ones(N)
     rho[100] = rho[101] = 201e-6
     rho /= rho.sum()
-    s = np.concatenate([np.ones(100), [0.0], -np.ones(100)])
+    s = 2.0 * np.concatenate([np.ones(100), [0.0], -np.ones(100)])
     val, xi = _h_minus1_norm_sq(rho, s, g)
     assert np.abs(np.diff(xi)).max() > 300 * markov.EXP_GUARD
     banded = _pinned_stiffness(rho, g)
     ref = solveh_banded(banded, s[1:])
-    # The weights differ by a factor of 5,000, which costs LAPACK's solve
-    # alone about 1e-12 of the value; one step of iterative refinement
-    # with the banded product restores the oracle to rounding.
-    upper, diag = banded
-    r = s[1:] - diag * ref
-    r[:-1] -= upper[1:] * ref[1:]
-    r[1:] -= upper[1:] * ref[:-1]
-    ref += solveh_banded(banded, r)
+    # The rates vary along the potential, so the banded diagonal
+    # w_{k-1} + w_k rounds, and at potentials of 2.5e5 that rounding costs
+    # LAPACK's solve about 1e-11 of the value.  One step of iterative
+    # refinement, with the residual s - A xi taken pair by pair from the
+    # weights, restores the oracle to rounding.
+    flux = _pair_weights(rho, g) * np.diff(np.append(0.0, ref))
+    r = s.copy()
+    r[:-1] += flux
+    r[1:] -= flux
+    ref += solveh_banded(banded, r[1:])
     assert abs(val - ref @ s[1:]) <= 1e-12 * (ref @ s[1:])
