@@ -5,8 +5,11 @@ every conjugate here is taken over vectors summing to zero.  The transform
 
     f*(s) = sup_xi  <xi, s> - f(xi)
 
-is computed by damped Newton with an Armijo line search over J-1 free
-coordinates (the last coordinate is determined by the zero-sum constraint).
+is computed by damped Newton with an Armijo line search on zero-sum xi
+itself.  Every f in the package is blind to constants, f(xi + c 1) = f(xi),
+so its Hessian H has H 1 = 0, and for a zero-sum gradient the solve with
+H + 1 1^T returns the zero-sum Newton step: the device that
+`structure.covector_jacobian` uses too.
 The caller passes the gradient and Hessian of f in closed form; nothing
 here differentiates numerically.
 An explicit box |xi|_inf <= 50 converts genuinely unbounded problems into a
@@ -48,60 +51,53 @@ class ConjugateResult:
     residual_norm: float
 
 
-def _reduce_hessian(H):
-    # T = [I; -1^T] parametrizes xi = (u, -sum u); returns T^T H T
-    m = H.shape[0] - 1
-    return H[:m, :m] - H[:m, -1:] - H[-1:, :m] + H[-1, -1]
+def _newton(f, grad, hess, s, xi, tol, max_iter):
+    """Damped Newton ascent of <xi,s> - f(xi) over zero-sum xi.
 
+    With gf = P(grad f - s), the zero-sum residual, the step d solves
+    (H + 1 1^T) d = -gf, minus its mean.  Under f(xi + c 1) = f(xi), H 1 = 0
+    and d is zero-sum with H d = -gf: the Newton step on the subspace.
+    Armijo guards each step until the Newton decrement -gf.d falls below
+    1e-12 of the objective's magnitude; from there steps are pure Newton.
 
-def _full(u):
-    return np.append(u, -u.sum())
-
-
-def _newton(f, grad, hess, s, u0, tol, max_iter):
-    """Damped Newton ascent of <xi,s> - f(xi) over the reduced coordinates.
-
-    Returns (u, converged, iterations, residual, hit_box).
+    Returns (xi, converged, iterations, residual, hit_box).
     """
-    u = u0.copy()
-    best = (np.inf, u)
+    best = (np.inf, xi)
     for it in range(max_iter):
-        xi = _full(u)
         if np.abs(xi).max() >= BOX:
-            return u, False, it, np.inf, True
-        gf = grad(xi) - s
-        resid = np.linalg.norm(project_zero_sum(gf))
+            return xi, False, it, np.inf, True
+        gf = project_zero_sum(grad(xi) - s)
+        resid = np.linalg.norm(gf)
         if resid < best[0]:
-            best = (resid, u.copy())
+            best = (resid, xi)
         if resid <= tol:
-            return u, True, it, resid, False
-        g_red = gf[:-1] - gf[-1]
-        H_red = _reduce_hessian(hess(xi))
+            return xi, True, it, resid, False
+        fx, xs = f(xi), xi @ s
         try:
-            d = np.linalg.solve(H_red, -g_red)
+            d = np.linalg.solve(hess(xi) + 1.0, -gf)
+            d -= d.mean()
         except np.linalg.LinAlgError:
             d = None
-        if d is None or g_red @ d >= 0:
+        if d is None or gf @ d >= 0:
             # Hessian unusable; fall back to a plain ascent direction.
-            d = -g_red
-        elif resid <= 1e-6:
-            # Endgame: objective differences are below rounding, so Armijo
-            # cannot certify descent; pure Newton converges quadratically.
-            u_try = u + d
-            if np.abs(_full(u_try)).max() <= BOX:
-                u = u_try
+            d = -gf
+        elif -(gf @ d) <= 1e-12 * (abs(fx) + abs(xs)):
+            # Endgame: the Newton decrement -gf.d is below the rounding of
+            # the objective, so Armijo cannot certify descent; pure Newton
+            # converges quadratically.
+            xi_try = xi + d
+            if np.abs(xi_try).max() <= BOX:
+                xi = xi_try
                 continue
-        phi0 = f(xi) - xi @ s
-        slope = g_red @ d
+        phi0 = fx - xs
+        slope = gf @ d
         # First trial: the longest step (at most 1) that stays in the box.
-        dx = _full(d)
-        k = dx != 0
+        k = d != 0
         alpha0 = alpha = min(1.0, float(np.min(
-            (BOX - np.sign(dx[k]) * xi[k]) / np.abs(dx[k]))))
+            (BOX - np.sign(d[k]) * xi[k]) / np.abs(d[k]))))
         accepted = False
         while alpha > 1e-14 * alpha0:
-            u_try = u + alpha * d
-            xi_try = _full(u_try)
+            xi_try = xi + alpha * d
             if np.abs(xi_try).max() > BOX:
                 alpha *= ARMIJO_FACTOR
                 continue
@@ -112,9 +108,9 @@ def _newton(f, grad, hess, s, u0, tol, max_iter):
             alpha *= ARMIJO_FACTOR
         if not accepted:
             # Stalled: either pressed against the box or genuinely stuck.
-            hit = np.abs(_full(u)).max() >= 0.98 * BOX
+            hit = np.abs(xi).max() >= 0.98 * BOX
             return best[1], False, it, best[0], hit
-        u = u_try
+        xi = xi_try
     return best[1], False, max_iter, best[0], False
 
 
@@ -141,18 +137,13 @@ def conjugate(f, s, grad, hess, x0=None, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     Newton stalls or exhausts its iteration budget inside the box.
     """
     s = check_slope(s, tol)
-    m = s.size - 1
-    if x0 is None:
-        u0 = np.zeros(m)
-    else:
-        u0 = project_zero_sum(np.asarray(x0, dtype=float))[:m].copy()
-
-    u, ok, its, resid, hit_box = _newton(f, grad, hess, s, u0, tol, max_iter)
+    xi0 = np.zeros(s.size) if x0 is None else project_zero_sum(x0)
+    xi, ok, its, resid, hit_box = _newton(f, grad, hess, s, xi0, tol,
+                                          max_iter)
     if hit_box:
         raise UnboundedConjugate(
             "objective still increasing at the box |xi|_inf = %g" % BOX)
 
-    xi = _full(u)
     value = float(xi @ s - f(xi))
     result = ConjugateResult(value=value, argmax=xi, converged=bool(ok),
                              iterations=its, residual_norm=float(resid))

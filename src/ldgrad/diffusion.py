@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import markov, structure
-from .errors import InvalidInput
+from .errors import BoundaryPoint, InvalidInput
 
 TAIL_MASS_TARGET = 1e-8
 # The bound on `decomposition_residual` that `ldgrad diffusion` reports.
@@ -144,7 +144,14 @@ def _entropy_gradient(rho, pi):
 
 def decomposition_residual(rho, s, g):
     """|cost - (psi + psi_star(-DS) + <DS, s>)| of the grid chain's
-    quadratic member, with cost = f*(s - flow); zero in exact arithmetic."""
+    quadratic member, with cost = f*(s - flow); zero in exact arithmetic.
+    A rho that is not positive on every node raises BoundaryPoint."""
+    rho = np.asarray(rho, dtype=float)
+    empty = np.flatnonzero(~(rho > 0.0))
+    if empty.size:
+        raise BoundaryPoint("rho has no mass at node %d (x = %r): the "
+                            "entropy needs a positive mass on every node"
+                            % (empty[0], float(g.nodes[empty[0]])))
     s = np.asarray(s, dtype=float)
     gs = structure.GradientStructure(g.chain,
                                      structure.Family.QUADRATIC_FAMILY)

@@ -199,44 +199,32 @@ def analyze_balance(g):
                          detailed_balance=bool(db), max_violation=max_violation)
 
 
-def _check_entropy_support(rho, pi):
-    if not np.isfinite(rho).all():
-        raise InvalidInput("rho has a non-finite entry")
-    if np.any((rho > 0) & (pi <= 0)):
-        raise InfiniteEntropy("rho charges a state with zero reference mass")
-
-
-def _entropy_row(rho, pi):
-    pos = rho > 0
-    return float(np.sum(rho[pos] * np.log(rho[pos] / pi[pos])))
-
-
 def relative_entropy(rho, pi):
     """E_pi(rho) = sum rho_i log(rho_i/pi_i), with 0 log 0 := 0.
 
     An (n, J) stack of rows gives one value per row, each bit for bit the
-    value of its row alone.  The stack is worked through in chunks of at
-    most ENTROPY_CHUNK elements (one row if a row is longer), so that no
-    temporary grows with n.  A row sum over a strictly positive chunk adds
-    the terms in the order of the one-row sum; a chunk with a row that is
-    not strictly positive goes row by row, because dropping its zero terms
-    changes that order.  A NaN or infinite entry raises InvalidInput.
+    value of its row alone; a 1-D rho is a one-row stack and gives a float.
+    The stack is worked through in chunks of at most ENTROPY_CHUNK elements
+    (one row if a row is longer), so that no temporary grows with n.  A
+    zero entry takes the ratio 1 and so adds a zero term to its row sum.
+    A NaN or infinite entry raises InvalidInput.
     """
     rho = np.asarray(rho, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    if rho.ndim == 1:
-        _check_entropy_support(rho, pi)
-        return _entropy_row(rho, pi)
-    out = np.empty(rho.shape[0])
-    step = max(1, ENTROPY_CHUNK // rho.shape[1])
-    for k in range(0, rho.shape[0], step):
-        block = rho[k:k + step]
-        _check_entropy_support(block, pi)
-        if np.all(block > 0):
-            out[k:k + step] = np.sum(block * np.log(block / pi), axis=1)
-        else:
-            out[k:k + step] = [_entropy_row(row, pi) for row in block]
-    return out
+    rows = rho.reshape(-1, rho.shape[-1])
+    out = np.empty(rows.shape[0])
+    step = max(1, ENTROPY_CHUNK // rows.shape[1])
+    for k in range(0, rows.shape[0], step):
+        block = rows[k:k + step]
+        if not np.isfinite(block).all():
+            raise InvalidInput("rho has a non-finite entry")
+        if np.any((block > 0) & (pi <= 0)):
+            raise InfiniteEntropy(
+                "rho charges a state with zero reference mass")
+        ratio = np.divide(block, pi, out=np.ones_like(block),
+                          where=block > 0)
+        out[k:k + step] = np.sum(block * np.log(ratio), axis=1)
+    return float(out[0]) if rho.ndim == 1 else out
 
 
 def relative_entropy_gradient(rho, pi):

@@ -188,3 +188,44 @@ def test_conjugate_budget_exhausted_raises_with_best_iterate():
     # The converged run from the same start goes past the first iterate.
     full = convex.conjugate(H, s, grad=H.gradient, hess=H.hessian)
     assert full.converged and full.value >= best.value
+
+
+def test_conjugate_falls_back_to_the_zero_sum_gradient():
+    # A Hessian of zeros makes H + 1 1^T singular, so Newton falls back to
+    # the ascent direction -P(grad f - s), which for |xi|^2 / 2 reaches s
+    # in one step.
+    s = convex.project_zero_sum(np.random.default_rng(28).standard_normal(4))
+    res = convex.conjugate(lambda xi: 0.5 * xi @ xi, s, grad=lambda xi: xi,
+                           hess=lambda xi: np.zeros((4, 4)))
+    assert res.converged and res.iterations == 1
+    assert np.abs(res.argmax - s).max() <= 1e-15
+
+
+def _dense_graph_solves(count):
+    """Seeded `markov.lagrangian` solves on a graph of 200 states and 9,998
+    pairs, which takes the Newton route."""
+    g = chains.random_reversible(200, 3)
+    assert g.tree is None and len(g.pairs.i) == 9998
+    rng = np.random.default_rng(200)
+    for _ in range(count):
+        rho = 0.5 * rng.dirichlet(np.ones(200)) + 0.5 / 200
+        s = convex.project_zero_sum(rng.standard_normal(200))
+        yield markov.lagrangian(rho, s, g)
+
+
+def test_newton_argmax_stays_zero_sum_on_a_dense_graph():
+    # Newton steps on xi itself, each step recentred, so the sum of the
+    # argmax stays at rounding.
+    for res in _dense_graph_solves(5):
+        xi = res.argmax
+        assert abs(xi.sum()) <= 1e-13 * np.abs(xi).max()
+
+
+def test_newton_endgame_starts_where_armijo_cannot_see_descent():
+    # Here |f| is about 800 and the Hessian's smallest nonzero eigenvalue
+    # about 80, so at a residual of 1e-6 the Newton decrement is near
+    # 1e-14, below the objective's rounding.  The endgame must start from
+    # the decrement, not from a fixed residual: otherwise Armijo accepts
+    # steps that rounding cannot tell from no step, until the budget ends.
+    for res in _dense_graph_solves(8):
+        assert res.converged and res.iterations <= 6

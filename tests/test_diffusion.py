@@ -5,7 +5,7 @@ import pytest
 
 import chains
 from ldgrad import diffusion, evolve, markov, structure
-from ldgrad.errors import InvalidInput
+from ldgrad.errors import BoundaryPoint, InvalidInput
 
 
 def test_zero_potential_gives_random_walk():
@@ -166,6 +166,16 @@ def test_decomposition_residual_relative_on_wild_samples():
         res = diffusion.decomposition_residual(rho, s, g)
         scale = max(1.0, _cost(rho, s, g))
         assert res <= 1e-9 * scale
+
+
+def test_decomposition_residual_refuses_an_empty_node():
+    # Refused before any numerics: unchecked, the log of the empty nodes
+    # warns (an error under this suite's filterwarnings) and the residual
+    # fails later as a non-finite slope that names neither rho nor a node.
+    g = diffusion.make_grid(0, 1, 5, "zero")
+    rho = np.array([0.5, 0.0, 0.0, 0.0, 0.5])
+    with pytest.raises(BoundaryPoint, match="node 1 "):
+        diffusion.decomposition_residual(rho, np.zeros(5), g)
 
 
 @pytest.mark.parametrize("N", [51, 201, 801, 1601])
