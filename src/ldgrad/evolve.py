@@ -18,15 +18,18 @@ than about J steps, as every run of the benchmark in `bench/` and of the
 tests does.  R y is the stages' step regrouped, equal to it to rounding,
 not bit for bit.
 
-The exact structure's gradient flow is linear too: it is the forward
-equation of the generator K of `GradientStructure.flow_generator`, so it
-steps through `linear_blocks` on K.  Under detailed balance K = Q to
+Under detailed balance, which `integrate_gradient_flow` requires, every
+gradient flow is linear too: it is the forward equation of the generator
+of `GradientStructure.flow_generator`, so it steps through `linear_blocks`
+on that generator.  For the exact structure this is K, and K = Q to
 rounding, so the gap between the `linear` and `ldp` trajectories compares
 the propagators of Q and K: it measures whether the structure's own pi
 balances Q, which is what "the gradient flow is the forward equation"
-says.  The quadratic member's flow is not linear in rho; it steps by
-`_rk4`, and each step calls its field (`GradientStructure.flow`) four
-times.
+says.  For the quadratic member it is Q itself, whose pair flux
+m(a, b) log(a / b) is a - b, so its states are the `linear` states bit for
+bit.  The pair-flux formula (`GradientStructure.flow`) is then not called
+by any integration; `structure.flow_field` still evaluates it, and
+analyze's drift check compares it against Q^T rho.
 
 There is one stepping loop, `_march`, a generator that applies a one-step
 map.  It keeps the current state and one reused buffer of at most
@@ -152,8 +155,8 @@ def linear_blocks(rho0, g, times, floor=None):
     """The RK4 states of rho' = Q^T rho on `times`, Q = g.q, from the
     probability vector rho0, as the (k, block) stream of `_march`: one
     matvec per step with the RK4 propagator R, built once.  g is a chain's
-    generator or the generator K of the exact structure's flow; `floor` is
-    `_march`'s boundary floor."""
+    generator or a structure's `flow_generator`; `floor` is `_march`'s
+    boundary floor."""
     rho0 = markov.as_simplex(rho0, "rho0")
     QT = g.q.T
     R = _rk4(lambda Y: QT @ Y, np.eye(g.size), times[1] - times[0])
@@ -215,12 +218,11 @@ def integrate_gradient_flow(rho0, gs, T, dt):
     diagnostics; halts with BoundaryPoint instead of clamping if the state
     approaches the simplex boundary, where the entropy gradient blows up:
     the initial state and the state after each step must be at least
-    BOUNDARY_FLOOR.  The family picks the route.  The exact structure's
-    flow is the forward equation of its generator K
-    (`GradientStructure.flow_generator`) and steps through `linear_blocks`
-    on K, one matvec per step, with no stage states.  The quadratic member
-    steps by the stages of `_rk4`, and each stage state must also be at
-    least BOUNDARY_FLOOR.
+    BOUNDARY_FLOOR.  Under detailed balance every structure's flow is the
+    forward equation of its `GradientStructure.flow_generator` (K for the
+    exact structure, Q itself for the quadratic member), so it steps
+    through `linear_blocks` on that generator, one matvec per step, with
+    no stage states.
     """
     start = markov.as_simplex(rho0, "rho0")
     if not gs.generator.balance.detailed_balance:
@@ -229,25 +231,9 @@ def integrate_gradient_flow(rho0, gs, T, dt):
     if not markov.is_interior(start, BOUNDARY_FLOOR):
         raise BoundaryPoint("initial state must be interior")
     times = time_grid(T, dt)
-    K = gs.flow_generator
-    if K is not None:
-        # linear_blocks normalizes rho0 as `start` was; normalizing `start`
-        # again could move its last bit.
-        blocks = linear_blocks(rho0, K, times, BOUNDARY_FLOOR)
-    else:
-        # The stage floor implies flow_field's interior guard, and detailed
-        # balance is checked above, so the stages call the field directly.
-        flow = gs.flow
-
-        def fld(y):
-            if y.min() < BOUNDARY_FLOOR:
-                raise BoundaryPoint("flow stage reached the boundary "
-                                    "(min rho = %.3e)" % y.min())
-            return flow(y)
-
-        dt = times[1] - times[0]
-        blocks = _march(lambda y: _rk4(fld, y, dt), start, times,
-                        BOUNDARY_FLOOR)
+    # linear_blocks normalizes rho0 as `start` was; normalizing `start`
+    # again could move its last bit.
+    blocks = linear_blocks(rho0, gs.flow_generator, times, BOUNDARY_FLOOR)
     states = _stack(blocks, times.size, start.size)
     return Trajectory(times=times, states=states,
                       entropy_values=gs.entropy(states))

@@ -659,6 +659,22 @@ def _evolve_argv(tmp_path, g, tags, *extra):
             "--out", str(tmp_path / "out"), *extra]
 
 
+def test_evolve_quadratic_off_detailed_balance_is_a_structural_refusal(
+        tmp_path, capsys):
+    # Rate 2 forward and 1 back around a 3-cycle: weakly reversible, so
+    # the quadratic member exists, but not in detailed balance, so its flow
+    # is no forward equation and evolve refuses it before any output.
+    g = markov.validate_generator([[-3.0, 2.0, 1.0], [1.0, -3.0, 2.0],
+                                   [2.0, 1.0, -3.0]])
+    gs = structure.build_structure(g, structure.Family.QUADRATIC_FAMILY)
+    assert gs.flow_generator is None
+    argv = _evolve_argv(tmp_path, g, "quadratic_family", "--T", "0.1",
+                        "--dt", "0.01")
+    assert cli.main(argv) == cli.EXIT_STRUCTURE
+    assert "structural refusal" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_cosh_member_evolves_as_the_exact_structure(tmp_path):
     # The cosh member is the exact structure, so its flow is the same bits.
     argv = _evolve_argv(tmp_path, chains.random_reversible(5, 4),

@@ -116,16 +116,20 @@ def test_block_march_equals_a_step_by_step_loop(steps):
     for family in Family:
         gs = structure.build_structure(g, family)
         flow = evolve.integrate_gradient_flow(rho0, gs, steps * 1e-3, 1e-3)
-        if family is Family.LDP_EXACT:
-            # The forward equation of K: one matvec with its propagator.
-            R = _propagator(gs.flow_generator, flow.times)
-            want = _step_by_step(lambda y: R @ y, start, flow.times)
-        else:
-            want = _step_by_step(_rk4_stages(gs.flow, flow.times), start,
-                                 flow.times)
+        # The forward equation of the structure's generator (K for the
+        # exact structure, Q for the quadratic member): one matvec with its
+        # propagator.
+        R = _propagator(gs.flow_generator, flow.times)
+        want = _step_by_step(lambda y: R @ y, start, flow.times)
         assert np.array_equal(flow.states, want)
         assert np.array_equal(flow.entropy_values,
                               [gs.entropy(r) for r in want])
+        if family is Family.QUADRATIC_FAMILY:
+            # The pair-flux formula m(a, b) delta stepped stage by stage is
+            # the same flow to rounding (4.4e-16 here).
+            stages = _step_by_step(_rk4_stages(gs.flow, flow.times), start,
+                                   flow.times)
+            assert np.abs(flow.states - stages).max() <= 2e-15
     # Blocks of at most _ROWS rows that tile the times in order.
     starts, sizes = zip(*((k, len(block)) for k, block in
                           evolve.linear_blocks(rho0, g, lin.times)))
@@ -194,12 +198,16 @@ def test_gradient_flow_matches_linear():
 
 
 def test_gradient_flow_quadratic_family_matches_linear():
+    # Under detailed balance the quadratic member's flow is rho' = Q^T rho
+    # and steps by Q's own propagator: the linear states bit for bit, with
+    # S = (1/2) E_pi.
     g = chains.random_reversible(4, 3)
     gs = structure.build_structure(g, Family.QUADRATIC_FAMILY)
     rho0 = np.array([0.4, 0.3, 0.2, 0.1])
     a = evolve.integrate_linear(rho0, g, 5.0, 1e-3)
     b = evolve.integrate_gradient_flow(rho0, gs, 5.0, 1e-3)
-    assert evolve.compare_trajectories(a, b)["sup_norm_gap"] <= 1e-6
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(0.5 * a.entropy_values, b.entropy_values)
 
 
 def test_gradient_flow_entropy_decreases(two_state):

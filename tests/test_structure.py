@@ -8,7 +8,7 @@ import chains
 from conftest import (cosh_conjugate, finite_diff_gradient,
                       grid_search_conjugate_2state, log_mean, random_interior,
                       random_zero_sum)
-from ldgrad import convex, markov, structure
+from ldgrad import convex, diffusion, markov, structure
 from ldgrad.errors import (BoundaryPoint, ExponentOverflow,
                            NotGradientSystem, NotWeaklyReversible)
 from ldgrad.structure import Family
@@ -501,8 +501,10 @@ def test_exact_flow_is_the_forward_equation_of_K(make):
         # pi_i Q_ij = pi_j Q_ji, so K = Q to rounding: the gradient flow is
         # the forward equation of the chain itself.
         assert np.all(np.abs(K - g.q) <= 8 * eps * np.abs(g.q))
+        # The quadratic member's pair flux is then a - b: its flow is the
+        # forward equation of the chain's own generator.
         assert structure.build_structure(
-            g, Family.QUADRATIC_FAMILY).flow_generator is None
+            g, Family.QUADRATIC_FAMILY).flow_generator is g
 
 
 def test_flow_generator_forms_no_product_of_rates():
@@ -511,6 +513,52 @@ def test_flow_generator_forms_no_product_of_rates():
     g = chains.two_state_symmetric(1e300)
     K = structure.build_structure(g).flow_generator.q
     assert np.all(np.abs(K - g.q) <= 2 * np.finfo(float).eps * np.abs(g.q))
+
+
+def _balanced_chains(bench):
+    """Chains in detailed balance whose solved pi balances Q to rounding
+    (random conductances) and to about 1e-11 (stiff grid chains)."""
+    yield from (chains.random_reversible(J, J) for J in (4, 10, 20, 40))
+    for N in (21, 51, 201):
+        yield markov.validate_generator(bench.ou_grid(N))
+        yield diffusion.make_grid(-4.0, 4.0, N, "quadratic").chain
+
+
+def test_quadratic_flux_is_the_forward_equation_within_the_balance_gap(
+        bench):
+    # The pair flux m(a, b) delta is (a - b) - A_ij m(a, b) with
+    # A_ij = log(pi_i Q_ij) - log(pi_j Q_ji) and m(a, b) <= max(a, b), so the
+    # formula is within (|A_ij| + 16 eps) max(a, b), summed over a node's
+    # pairs, of Q^T rho: the only gap between the quadratic member's flux
+    # and the forward equation it steps by is the solved pi's.
+    eps = np.finfo(float).eps
+    for g in _balanced_chains(bench):
+        gs = structure.build_structure(g, Family.QUADRATIC_FAMILY)
+        assert gs.flow_generator is g
+        i, j, fwd, bwd = g.pairs
+        A = np.abs(np.log(gs.pi[i] * fwd) - np.log(gs.pi[j] * bwd))
+        rng = np.random.default_rng(g.size)
+        for _ in range(20):
+            rho = random_interior(rng, g.size)
+            pair = (A + 16 * eps) * np.maximum(rho[i] * fwd, rho[j] * bwd)
+            bound = (np.bincount(i, pair, g.size)
+                     + np.bincount(j, pair, g.size))
+            assert np.all(np.abs(gs.flow(rho) - g.q.T @ rho) <= bound)
+
+
+def test_log_mean_of_an_empty_pair_is_zero():
+    # m(a, 0) = m(0, b) = m(0, 0) = 0, the limits of the log mean, with no
+    # warning (warnings are errors in this suite); positive pairs keep the
+    # quotient's bits.
+    a = np.array([0.5, 0.0, 0.0, 0.3, 0.2])
+    b = np.array([0.0, 0.3, 0.0, 0.1, 0.2])
+    m = structure._log_mean(a, b)
+    assert np.array_equal(m, [0.0, 0.0, 0.0, (0.3 - 0.1) / np.log(0.3 / 0.1),
+                              0.2])
+    g = diffusion.make_grid(0.0, 1.0, 5, "zero").chain
+    gs = structure.build_structure(g, Family.QUADRATIC_FAMILY)
+    weights = gs.functional([0.5, 0.0, 0.0, 0.0, 0.5]).fwd
+    assert np.array_equal(weights, [0.0, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("family", list(Family))
