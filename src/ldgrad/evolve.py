@@ -27,19 +27,18 @@ the propagators of Q and K: it measures whether the structure's own pi
 balances Q, which is what "the gradient flow is the forward equation"
 says.  For the quadratic member it is Q itself, whose pair flux
 m(a, b) log(a / b) is a - b, so its states are the `linear` states bit for
-bit.  The pair-flux formula (`GradientStructure.flow`) is then not called
-by any integration; `structure.flow_field` still evaluates it, and
+bit.  No integration evaluates the flow field `structure.flow_field`;
 analyze's drift check compares it against Q^T rho.
 
-There is one stepping loop, `_march`, a generator that applies a one-step
-map.  It keeps the current state and one reused buffer of at most
-`markov.ENTROPY_CHUNK` elements (max(1, ENTROPY_CHUNK // J) rows), and
-yields each full buffer with the index of its first row; nothing it holds
-grows with the number of steps.  `integrate_linear` and
-`integrate_gradient_flow` copy the blocks into one (n, J) stack of states,
-the `Trajectory`.  A caller that needs only part of the states, such as
-`cli.cmd_diffusion`, reads the blocks of `linear_blocks` instead and never
-builds that stack.  The entropy of a trajectory is one `relative_entropy`
+There is one stepping loop, `_march`, a generator that takes one matvec
+y <- R y with the propagator R per step.  It keeps the current state and
+one reused buffer of at most `markov.ENTROPY_CHUNK` elements
+(max(1, ENTROPY_CHUNK // J) rows), and yields each full buffer with the
+index of its first row; nothing it holds grows with the number of steps.
+`integrate_linear` and `integrate_gradient_flow` copy the blocks into one
+(n, J) stack of states, the `Trajectory`.  A caller that needs only part
+of the states, such as `cli.cmd_diffusion`, reads the blocks of
+`linear_blocks` instead and never builds that stack.  The entropy of a trajectory is one `relative_entropy`
 pass over the stack of states; it gives the same bits as one call per
 state, and so does `relative_entropy` on each block.
 
@@ -109,12 +108,12 @@ def _rk4(field, y, dt):
     return acc
 
 
-def _march(step, rho0, times, floor=None):
-    """States on `times` from rho0 by the one-step map `step`, each step
-    renormalized and checked, as (k, block) pairs: rows k, k + 1, ... of the
-    (n, J) stack of states.  `block` is a view of one buffer that the next
-    step overwrites, so a caller copies what it keeps before asking for the
-    next block.  A step that fails a check raises before its block is
+def _march(R, rho0, times, floor=None):
+    """States on `times` from rho0 by y <- R y with the propagator R, each
+    step renormalized and checked, as (k, block) pairs: rows k, k + 1, ...
+    of the (n, J) stack of states.  `block` is a view of one buffer that the
+    next step overwrites, so a caller copies what it keeps before asking for
+    the next block.  A step that fails a check raises before its block is
     yielded."""
     buf = np.empty((min(times.size, max(1, markov.ENTROPY_CHUNK
                                         // rho0.size)), rho0.size))
@@ -122,7 +121,7 @@ def _march(step, rho0, times, floor=None):
     y = rho0.copy()
     start, i = 0, 1
     for k in range(1, times.size):
-        y = step(y)
+        y = R @ y
         mass = y.sum()
         # Both tests are written so that a NaN state fails them.
         if not abs(mass - 1.0) <= MASS_DRIFT_TOL:
@@ -160,7 +159,7 @@ def linear_blocks(rho0, g, times, floor=None):
     rho0 = markov.as_simplex(rho0, "rho0")
     QT = g.q.T
     R = _rk4(lambda Y: QT @ Y, np.eye(g.size), times[1] - times[0])
-    return _march(lambda y: R @ y, rho0, times, floor)
+    return _march(R, rho0, times, floor)
 
 
 def integrate_linear(rho0, g, T, dt):

@@ -47,6 +47,7 @@ ROW_SUM_TOL = 1e-9
 SIMPLEX_TOL = 1e-9
 BALANCE_TOL = 1e-9
 INTERIOR_FLOOR = 1e-12
+PI_FLOOR = 1e-14
 EXP_GUARD = 700.0
 ENTROPY_CHUNK = 8192
 
@@ -172,10 +173,13 @@ def analyze_balance(g):
     A chain whose graph (i -> j where Q_ij > 0) is not strongly connected
     raises ReducibleChain; the test is that state 0 reaches every state both
     in the graph and in its transpose.  pi then solves Q^T pi = 0 (dense
-    solve with a normalization row), and a coordinate pi_i <= 1e-14, which
-    only rounding can produce, raises DegenerateInvariantMeasure.  Detailed
-    balance holds when |pi_i Q_ij - pi_j Q_ji| <= BALANCE_TOL on every pair,
-    relative to the largest flux pi_i Q_ij.
+    solve with a normalization row), and a coordinate pi_i <= PI_FLOOR
+    raises DegenerateInvariantMeasure, naming i and pi_i.  The floor is
+    absolute, so it refuses positive coordinates of irreducible chains
+    too, not only the rounding of a zero: the two-state chain with rates
+    r^(-1/2) and r^(1/2) has pi_1 = 1 / (1 + r), and is refused from
+    r = 1e14 on.  Detailed balance holds when |pi_i Q_ij - pi_j Q_ji| <=
+    BALANCE_TOL on every pair, relative to the largest flux pi_i Q_ij.
     """
     Q = g.q
     J = g.size
@@ -186,9 +190,11 @@ def analyze_balance(g):
     b = np.zeros(J)
     b[-1] = 1.0
     pi = np.linalg.solve(A, b)
-    if np.any(pi <= 1e-14):
+    k = int(np.argmin(pi))
+    if pi[k] <= PI_FLOOR:
         raise DegenerateInvariantMeasure(
-            "invariant measure has a non-positive coordinate")
+            "invariant measure coordinate pi_%d = %.3e is at or below %g"
+            % (k, pi[k], PI_FLOOR))
     pi = pi / pi.sum()
     i, j, fwd, bwd = g.pairs
     forward, backward = pi[i] * fwd, pi[j] * bwd

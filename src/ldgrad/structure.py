@@ -33,16 +33,15 @@ The quadratic member phi(z) = z^2/2 has the logarithmic mean
 of the entropy for finite Markov chains").  A one-way pair has the weight 0;
 the quadratic member needs Q_ij > 0 iff Q_ji > 0.
 
-The flow of S, rho' = D_xi Psi*(rho, -DS(rho)), is therefore a sum of
-pair fluxes: with d = delta / 2 the pair difference of xi = -DS,
-delta = log r_i - log r_j, pair {i, j} carries 2 L_ij psi'(d) from i to j,
-that is sqrt(4ab) sinh(delta / 2) for the exact structure and m(a, b) delta
-for the quadratic member, with a = rho_i Q_ij and b = rho_j Q_ji.
-`GradientStructure.flow` evaluates these fluxes directly, with no edge
-functional.  The exact structure's flux is linear in rho: it is
-rho_i K_ij - rho_j K_ji with K_ij = sqrt(Q_ij Q_ji pi_j / pi_i), for every
-rho and with or without detailed balance, so its flow is the forward
-equation rho' = K^T rho of the generator K
+The flow of S, rho' = D_xi Psi*(rho, -DS(rho)), is the gradient of the
+structure's edge functional at xi = -DS (`flow_field`): pair {i, j} has
+the difference d = delta / 2, delta = log r_i - log r_j, and carries the
+flux 2 L_ij psi'(d) from i to j, that is sqrt(4ab) sinh(delta / 2) for the
+exact structure and m(a, b) delta for the quadratic member, with
+a = rho_i Q_ij and b = rho_j Q_ji.  The exact structure's flux is linear
+in rho: it is rho_i K_ij - rho_j K_ji with K_ij = sqrt(Q_ij Q_ji pi_j /
+pi_i), for every rho and with or without detailed balance, so its flow is
+the forward equation rho' = K^T rho of the generator K
 (`GradientStructure.flow_generator`), and K = Q under detailed balance:
 the gradient flow is the Markov evolution.  The quadratic member's flux
 m(a, b) delta is not linear in rho in general: delta = log(a / b) - A_ij
@@ -50,7 +49,7 @@ with A_ij = log(pi_i Q_ij) - log(pi_j Q_ji), so the flux is
 (a - b) - A_ij m(a, b).  Under detailed balance A = 0, the flux is a - b
 for every rho and the flow is rho' = Q^T rho, so its `flow_generator` is
 the chain's own generator; with the solved pi, A is rounding, and the
-formula is within |A_ij| max(a, b) of a - b pair by pair.  The entropy
+gradient is within |A_ij| max(a, b) of a - b pair by pair.  The entropy
 scale is 1/2 for every structure by construction;
 `determine_entropy_scale` checks the drift residual there.
 
@@ -58,8 +57,9 @@ A structure is thus fixed by the generator and the family alone
 (`GradientStructure`); pi and the balance verdict are the generator's own,
 solved once (`GeneratorMatrix.balance`), and pi enters only S and K.  Every
 potential above is a sum over the pairs and is evaluated by
-`markov.EdgeFunctional` (for H, Newton and `psi`); the shift by V tilts
-the weights of H by e^{V_j - V_i} forward and e^{V_i - V_j} back.
+`markov.EdgeFunctional` (for H, Newton, `psi` and the flow); the shift
+by V tilts the weights of H by e^{V_j - V_i} forward and e^{V_i - V_j}
+back.
 
 Every conjugate here (V_L, L and Psi, the conjugate of Psi*) goes through
 `EdgeFunctional.conjugate`.  When the pairs form a tree, each has an exact
@@ -83,8 +83,7 @@ from functools import cached_property
 import numpy as np
 
 from . import convex, markov
-from .errors import (BoundaryPoint, ExponentOverflow, NotGradientSystem,
-                     NotWeaklyReversible)
+from .errors import BoundaryPoint, NotGradientSystem, NotWeaklyReversible
 
 DIAG_TOL = 1e-6
 LOG_RATIO_GUARD = 1e-8
@@ -108,10 +107,10 @@ def _log_mean(a, b):
     """(a - b) / log(a / b) for nonnegative a, b, and its continuity value
     (a + b) / 2 where |log(a / b)| < LOG_RATIO_GUARD or a = b = 0, so that
     m(a, 0) = m(0, b) = m(0, 0) = 0, with no warning.  Pairs near pi fall
-    in that band, and a flow relaxing to pi reaches them: 4,573 of the
-    5,001 states of the quadratic flow on the flows benchmark's chain at
-    seed 0 have one.  The masked writes leave the other pairs' bits as the
-    plain quotient."""
+    in that band.  No integration evaluates it; `functional` does, for
+    analyze's drift check (`flow_field`), `psi` and
+    `diffusion.decomposition_residual`.  The masked writes leave the other
+    pairs' bits as the plain quotient."""
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.log(a / b)
     # Written so that the nan of a = b = 0 counts as near.
@@ -126,32 +125,10 @@ def _log_mean(a, b):
     return m
 
 
-def _sinh_flux(a, b, delta):
-    """sqrt(4ab) sinh(delta / 2): the flux 2 L_ij psi'(delta / 2) of
-    phi = expm1, psi = cosh - 1, with the geometric mean.  Works in place in
-    a and delta, which `flow` builds for it: with more temporaries per call,
-    a flow on a large graph (J = 200, 19,900 pairs) can make the allocator
-    give back and refault the heap's top pages at every call."""
-    a *= b
-    a *= 4.0
-    np.sqrt(a, out=a)
-    delta *= 0.5
-    a *= np.sinh(delta, out=delta)
-    return a
-
-
-def _log_mean_flux(a, b, delta):
-    """m(a, b) delta: the flux 2 L_ij psi'(delta / 2) of phi = z^2/2 with
-    the logarithmic mean."""
-    m = _log_mean(a, b)
-    m *= delta
-    return m
-
-
-# (phi, pair mean m(a, b), pair flux of the flow) of each structure's Psi*.
+# (phi, pair mean m(a, b)) of each structure's Psi*.
 _POTENTIALS = {
-    Family.LDP_EXACT: (markov.EXPM1, _geometric_mean, _sinh_flux),
-    Family.QUADRATIC_FAMILY: (markov.QUADRATIC, _log_mean, _log_mean_flux)}
+    Family.LDP_EXACT: (markov.EXPM1, _geometric_mean),
+    Family.QUADRATIC_FAMILY: (markov.QUADRATIC, _log_mean)}
 
 
 @dataclass(frozen=True)
@@ -172,21 +149,11 @@ class GradientStructure:
         m(rho_i Q_ij, rho_j Q_ji) forward and back, with m the geometric
         mean for the exact structure and the guarded logarithmic mean for
         the quadratic member."""
-        phi, mean, _ = _POTENTIALS[self.family]
+        phi, mean = _POTENTIALS[self.family]
         i, j, fwd, bwd = self.generator.pairs
         rho = np.asarray(rho, dtype=float)
         w = mean(rho[i] * fwd, rho[j] * bwd)
         return markov.EdgeFunctional(self.generator, w, w, phi)
-
-    @cached_property
-    def _flow_constants(self):
-        """What `flow` reads at each call: the pair indices and rates, pi,
-        the family's pair flux, and the guard on delta (twice phi's guard
-        on the pair difference delta / 2), None when phi has none."""
-        phi, _, flux = _POTENTIALS[self.family]
-        i, j, fwd, bwd = self.generator.pairs
-        guard = 2.0 * phi[4] if np.isfinite(phi[4]) else None
-        return i, j, fwd, bwd, self.pi, flux, guard
 
     @cached_property
     def flow_generator(self):
@@ -200,8 +167,7 @@ class GradientStructure:
         Under detailed balance K = Q to rounding.  For the quadratic member
         it is the chain's own generator when the chain is in detailed
         balance, where the pair flux m(a, b) log(a / b) is a - b, and None
-        otherwise: its flow is then not linear in rho.  Built once, as
-        `_flow_constants` is."""
+        otherwise: its flow is then not linear in rho.  Built once."""
         if self.family is not Family.LDP_EXACT:
             return (self.generator if self.generator.balance.detailed_balance
                     else None)
@@ -213,28 +179,6 @@ class GradientStructure:
         k[j, i] = root * np.sqrt(pi[i] / pi[j])
         np.fill_diagonal(k, -k.sum(axis=1))
         return markov.GeneratorMatrix(k)
-
-    def flow(self, rho):
-        """D_xi Psi*(rho, -DS(rho)) for an interior float array rho;
-        `flow_field` checks the guards.
-
-        At xi = -DS the pair difference is delta / 2, delta = log r_i -
-        log r_j with r = rho / pi, and pair {i, j} carries the flux
-        2 L_ij psi'(delta / 2) from i to j: sqrt(4ab) sinh(delta / 2) for
-        the exact structure and m(a, b) delta for the quadratic member,
-        with a = rho_i Q_ij and b = rho_j Q_ji.  Two gathers and one
-        bincount per pair end, O(pairs).  This is the flux formula itself,
-        not `flow_generator`: `flow_field`, and with it analyze's drift
-        check, evaluates it independently of that generator.
-        """
-        i, j, fwd, bwd, pi, flux, guard = self._flow_constants
-        log_r = np.log(rho / pi)
-        delta = log_r[i] - log_r[j]
-        if guard is not None and delta.size and np.abs(delta).max() > guard:
-            raise ExponentOverflow(
-                "potential difference on an edge exceeds %g" % (0.5 * guard))
-        f = flux(rho[i] * fwd, rho[j] * bwd, delta)
-        return np.bincount(j, f, rho.size) - np.bincount(i, f, rho.size)
 
     def entropy(self, rho):
         """S(rho); on an (n, J) stack, one value per row."""
@@ -320,17 +264,21 @@ def decompose(g, rho, s):
 
 
 def flow_field(gs, rho):
-    """Evolution right-hand side D_xi Psi*(rho, -DS(rho)), closed form.
+    """Evolution right-hand side D_xi Psi*(rho, -DS(rho)): the gradient of
+    `gs.functional(rho)` at xi = -DS = -ENTROPY_SCALE log(rho / pi), the
+    constant of DS dropped, as Psi* sees only pair differences.
 
     Requires detailed balance (gradient reading) and interior rho; the
-    output sums to zero.
+    output sums to zero.  A pair difference above phi's guard (EXP_GUARD
+    for the exact structure) raises ExponentOverflow.
     """
     rho = np.asarray(rho, dtype=float)
     if not gs.generator.balance.detailed_balance:
         raise NotGradientSystem("flow field needs detailed balance")
     if np.any(rho < 1e-300):
         raise BoundaryPoint("flow field needs interior rho")
-    return gs.flow(rho)
+    xi = -ENTROPY_SCALE * np.log(rho / gs.pi)
+    return gs.functional(rho).gradient(xi)
 
 
 def determine_entropy_scale(g, family, seed=0):

@@ -1,5 +1,6 @@
 import csv
 import io
+from functools import partial
 
 import numpy as np
 import pytest
@@ -83,7 +84,8 @@ def test_rk4_equals_the_textbook_formula_bit_for_bit():
     g = chains.random_reversible(_J, 3)
     QT = g.q.T
     rng = np.random.default_rng(3)
-    fields = [(structure.build_structure(g, fam).flow,
+    fields = [(partial(structure.flow_field,
+                       structure.build_structure(g, fam)),
                random_interior(rng, _J)) for fam in Family]
     fields.append((lambda Y: QT @ Y, np.eye(_J)))
     for field, y in fields:
@@ -125,10 +127,11 @@ def test_block_march_equals_a_step_by_step_loop(steps):
         assert np.array_equal(flow.entropy_values,
                               [gs.entropy(r) for r in want])
         if family is Family.QUADRATIC_FAMILY:
-            # The pair-flux formula m(a, b) delta stepped stage by stage is
-            # the same flow to rounding (4.4e-16 here).
-            stages = _step_by_step(_rk4_stages(gs.flow, flow.times), start,
-                                   flow.times)
+            # The flow field m(a, b) delta stepped stage by stage is the
+            # same flow to rounding (4.4e-16 here).
+            stages = _step_by_step(
+                _rk4_stages(partial(structure.flow_field, gs), flow.times),
+                start, flow.times)
             assert np.abs(flow.states - stages).max() <= 2e-15
     # Blocks of at most _ROWS rows that tile the times in order.
     starts, sizes = zip(*((k, len(block)) for k, block in
@@ -165,7 +168,7 @@ def test_propagator_step_matches_the_rk4_stages(make, dt):
 ], ids=["reversible10", "two_state", "ou201"])
 def test_exact_flow_propagator_matches_the_rk4_stages(make, dt):
     # The exact structure steps by one matvec with the propagator of K per
-    # step, against four calls of its pair-flux field per step: the same
+    # step, against four calls of its flow field per step: the same
     # map up to rounding, over 2000 steps.
     g = make()
     gs = structure.build_structure(g)
@@ -174,7 +177,9 @@ def test_exact_flow_propagator_matches_the_rk4_stages(make, dt):
         "rho0")
     flow = evolve.integrate_gradient_flow(rho0, gs, 2000 * dt, dt)
     assert flow.times.size == 2001
-    want = _step_by_step(_rk4_stages(gs.flow, flow.times), rho0, flow.times)
+    want = _step_by_step(
+        _rk4_stages(partial(structure.flow_field, gs), flow.times), rho0,
+        flow.times)
     assert np.abs(flow.states - want).max() <= 1e-14
 
 

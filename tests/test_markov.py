@@ -105,6 +105,20 @@ def test_balance_rejects_rounding_level_invariant_mass():
     g = markov.validate_generator([[-1.0, 1.0], [1e-20, -1e-20]])
     with pytest.raises(DegenerateInvariantMeasure):
         markov.analyze_balance(g)
+    # The guard is absolute: rates r^(-1/2) and r^(1/2) give the positive
+    # pi_1 = 1 / (1 + r), accepted at r = 1e13 and refused, with its index
+    # and value, from r = 1e14 on.
+    for r in (1e13, 1e14, 1e16):
+        g = markov.validate_generator([[-r ** -0.5, r ** -0.5],
+                                       [r ** 0.5, -r ** 0.5]])
+        if r < 1e14:
+            pi = markov.analyze_balance(g).invariant_measure
+            assert abs(pi[1] * (1 + r) - 1) <= 1e-12
+            continue
+        with pytest.raises(DegenerateInvariantMeasure,
+                           match=r"pi_1 = %.3e is at or below 1e-14$"
+                           % (1 / (1 + r))):
+            markov.analyze_balance(g)
 
 
 def test_relative_entropy_values():
