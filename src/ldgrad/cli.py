@@ -133,14 +133,15 @@ def grid_from_config(cfg):
 
 
 def initial_masses_from_config(cfg, g):
-    """rho0 of a diffusion config as grid masses: {"type": "pi"}, or
+    """rho0 of a diffusion config as grid masses: {"type": "pi"}, the grid
+    chain's invariant measure (`GeneratorMatrix.balance`), or
     {"type": "gaussian", "mean": m, "var": v} with m a finite real and v a
     finite real > 0 (default mean 1.0, var 0.8), with a positive mass on
     every node; InvalidInput otherwise."""
     spec = cfg.get("rho0", {"type": "gaussian", "mean": 1.0, "var": 0.8})
     kind = spec.get("type") if isinstance(spec, dict) else None
     if kind == "pi":
-        rho0 = g.invariant_masses()
+        rho0 = g.chain.balance.invariant_measure
     elif kind == "gaussian":
         mean = config_number(spec, "mean", integer=False)
         var = config_number(spec, "var", integer=False)
@@ -430,7 +431,7 @@ def cmd_diffusion(args):
     samples = config_number(cfg, "decomposition_samples", 20, 1)
     rho0 = initial_masses_from_config(cfg, g)
     times = evolve.time_grid(args.T, args.dt)
-    pi = g.invariant_masses()
+    pi = g.chain.balance.invariant_measure
     snap = np.linspace(0, times.size - 1, 6).astype(int)
     snapshots = np.empty((snap.size, g.N))
     entropy = np.empty(times.size)

@@ -8,9 +8,9 @@ with nearest-neighbour rates
 which satisfies detailed balance with respect to pi_h ~ e^{-P} exactly and is
 O(h^2) consistent in the interior.  All state vectors here are nodal MASSES
 (probability vectors, as in the Markov modules) and the dual pairing is the
-plain Euclidean dot product; the trapezoid nodal weights (h, halved at the
-endpoints) enter only when converting to continuum densities for profiles
-and oracles.
+plain Euclidean dot product.  Every node, the two ends included, is a full
+cell of width h, as in the rates above, so a density is mass / h; pi is the
+chain's own (`GeneratorMatrix.balance`, in closed form on this path graph).
 
 The diffusion structure is the grid chain's own quadratic member,
 `structure.GradientStructure(g.chain, Family.QUADRATIC_FAMILY)`: Psi* is
@@ -39,35 +39,19 @@ DECOMPOSITION_TOL = 1e-12
 
 @dataclass
 class Grid1D:
+    """N nodes on [a, b] at spacing h, each a full cell of width h, with the
+    potential P at each node."""
     a: float
     b: float
     N: int
     nodes: np.ndarray
     h: float
     potential: np.ndarray
-    weights: np.ndarray  # trapezoid nodal masses, for density conversions
 
     @cached_property
     def chain(self):
         """The grid's generator (`discretize_generator`), built once."""
         return discretize_generator(self)
-
-    def invariant_masses(self):
-        """Chain invariant measure pi_i ~ e^{-P(x_i)}, normalized."""
-        w = np.exp(-(self.potential - self.potential.min()))
-        return w / w.sum()
-
-    def density(self, masses):
-        return np.asarray(masses, dtype=float) / self.weights
-
-    def masses_from_density(self, dens):
-        """The normalized nodal masses of `dens`; InvalidInput when they
-        sum to zero (a density that underflows on every node)."""
-        m = np.asarray(dens, dtype=float) * self.weights
-        total = m.sum()
-        if not total > 0.0:
-            raise InvalidInput("the density has no mass on the grid")
-        return m / total
 
 
 def _parse_potential(spec, nodes):
@@ -99,10 +83,8 @@ def make_grid(a, b, N, potential="zero"):
     nodes = np.linspace(a, b, N)
     h = (b - a) / (N - 1)
     P = _parse_potential(potential, nodes)
-    w = np.full(N, h)
-    w[0] = w[-1] = 0.5 * h
     grid = Grid1D(a=float(a), b=float(b), N=int(N), nodes=nodes, h=float(h),
-                  potential=P, weights=w)
+                  potential=P)
     grid.chain  # built now, so that make_grid refuses a rate that overflows
     return grid
 
@@ -156,21 +138,24 @@ def decomposition_residual(rho, s, g):
     gs = structure.GradientStructure(g.chain,
                                      structure.Family.QUADRATIC_FAMILY)
     F = gs.functional(rho)
-    DS = _entropy_gradient(rho, g.invariant_masses())
+    DS = _entropy_gradient(rho, gs.pi)
     cost = F.conjugate(s - F.gradient(-DS)).value
     return abs(cost - (structure.psi(gs, rho, s) + F(-DS) + float(DS @ s)))
 
 
 def gaussian_initial_masses(g, mu0, var0):
-    dens = np.exp(-0.5 * (g.nodes - mu0) ** 2 / var0)
-    return g.masses_from_density(dens)
+    """The N(mu0, var0) density on full cells, as normalized masses;
+    InvalidInput when it underflows on every node."""
+    m = np.exp(-0.5 * (g.nodes - mu0) ** 2 / var0)
+    if not m.sum() > 0.0:
+        raise InvalidInput("the density has no mass on the grid")
+    return m / m.sum()
 
 
 def profiles_rows(g, rho):
-    """Rows (x, rho density, pi density, DS) for CSV output."""
-    pi = g.invariant_masses()
+    """Rows (x, rho density, pi density, DS) for CSV output; a density is
+    the node's mass over its cell width h."""
+    pi = g.chain.balance.invariant_measure
     DS = _entropy_gradient(rho, pi)
-    dens = g.density(rho)
-    pdens = g.density(pi)
     return [(float(x), float(d), float(p), float(ds))
-            for x, d, p, ds in zip(g.nodes, dens, pdens, DS)]
+            for x, d, p, ds in zip(g.nodes, rho / g.h, pi / g.h, DS)]

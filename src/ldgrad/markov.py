@@ -90,7 +90,7 @@ class GeneratorMatrix:
 
     @cached_property
     def balance(self):
-        """`analyze_balance` of this generator, solved once.  Cached like
+        """`analyze_balance` of this generator, computed once.  Cached like
         `pairs`; a chain without one raises on every access."""
         return analyze_balance(self)
 
@@ -99,7 +99,8 @@ def validate_generator(raw):
     """Check intensity-matrix structure and force exact zero row sums.
 
     Off-diagonal entries must be >= 0 and each row sum must vanish within
-    1e-9; diagonals are then recomputed as minus the off-diagonal row sum.
+    ROW_SUM_TOL of that row's largest rate, so that Q and cQ pass alike;
+    diagonals are then recomputed as minus the off-diagonal row sum.
     """
     q = np.asarray(raw, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -113,10 +114,12 @@ def validate_generator(raw):
     np.fill_diagonal(off, 0.0)
     if np.any(off < 0):
         raise InvalidGenerator("negative off-diagonal rate")
-    row_dev = np.abs(q.sum(axis=1))
-    if np.any(row_dev > ROW_SUM_TOL):
-        raise InvalidGenerator(
-            "row sums deviate from zero by up to %.3e" % row_dev.max())
+    row_dev, rate = np.abs(q.sum(axis=1)), off.max(axis=1)
+    k = int(np.argmax(row_dev - ROW_SUM_TOL * rate))
+    if row_dev[k] > ROW_SUM_TOL * rate[k]:
+        raise InvalidGenerator("row %d sums to %.3e, more than %g of its "
+                               "largest rate %.3e" % (k, row_dev[k],
+                                                      ROW_SUM_TOL, rate[k]))
     q = off
     np.fill_diagonal(q, -off.sum(axis=1))
     return GeneratorMatrix(q=q)
@@ -171,32 +174,35 @@ def analyze_balance(g):
     """Invariant measure and detailed-balance diagnosis of an irreducible chain.
 
     A chain whose graph (i -> j where Q_ij > 0) is not strongly connected
-    raises ReducibleChain; the test is that state 0 reaches every state both
-    in the graph and in its transpose.  pi then solves Q^T pi = 0 (dense
-    solve with a normalization row), and a coordinate pi_i <= PI_FLOOR
-    raises DegenerateInvariantMeasure, naming i and pi_i.  The floor is
-    absolute, so it refuses positive coordinates of irreducible chains
-    too, not only the rounding of a zero: the two-state chain with rates
-    r^(-1/2) and r^(1/2) has pi_1 = 1 / (1 + r), and is refused from
-    r = 1e14 on.  Detailed balance holds when |pi_i Q_ij - pi_j Q_ji| <=
-    BALANCE_TOL on every pair, relative to the largest flux pi_i Q_ij.
+    raises ReducibleChain (state 0 must reach every state in the graph and
+    in its transpose).  pi then takes the conjugate's route (`g.tree`).  On
+    a tree pi_j / pi_i = Q_ij / Q_ji on every pair, so log pi is
+    `EdgeTree.potential` of the steps log Q_ij - log Q_ji: no solve, and
+    only a pi_i that underflows to 0 raises DegenerateInvariantMeasure.
+    Other graphs solve Q^T pi = 0 densely, the last row replaced by the
+    normalization, and pi_i <= PI_FLOOR raises it: an absolute floor, which
+    refuses positive coordinates too.  Either message names i and pi_i.
+    Detailed balance holds when |pi_i Q_ij - pi_j Q_ji| <= BALANCE_TOL on
+    every pair, relative to the largest flux pi_i Q_ij.
     """
-    Q = g.q
     J = g.size
-    if not _strongly_connected(Q > 0):  # the diagonal is <= 0
+    if not _strongly_connected(g.q > 0):  # the diagonal is <= 0
         raise ReducibleChain("generator graph is not strongly connected")
-    A = Q.T.copy()
-    A[-1, :] = 1.0
-    b = np.zeros(J)
-    b[-1] = 1.0
-    pi = np.linalg.solve(A, b)
+    i, j, fwd, bwd = g.pairs
+    if g.tree is None:
+        floor = PI_FLOOR
+        pi = np.linalg.solve(np.vstack([g.q.T[:-1], np.ones(J)]),
+                             np.eye(J)[-1])
+    else:
+        floor, e = 0.0, g.tree.edge
+        log_pi = g.tree.potential(np.log(fwd[e]) - np.log(bwd[e]))
+        pi = np.exp(log_pi - log_pi.max())
     k = int(np.argmin(pi))
-    if pi[k] <= PI_FLOOR:
+    if pi[k] <= floor:
         raise DegenerateInvariantMeasure(
             "invariant measure coordinate pi_%d = %.3e is at or below %g"
-            % (k, pi[k], PI_FLOOR))
+            % (k, pi[k], floor))
     pi = pi / pi.sum()
-    i, j, fwd, bwd = g.pairs
     forward, backward = pi[i] * fwd, pi[j] * bwd
     max_violation = float(np.abs(forward - backward).max())
     scale = float(max(forward.max(), backward.max()))
@@ -357,13 +363,20 @@ class EdgeTree:
             raise ExponentOverflow(
                 "potential difference on an edge exceeds %g" % phi[4])
         value = float(np.sum(j * z - a * phi[0](z) - b * phi[0](-z)))
+        xi = self.potential(z)
+        return value, xi - xi.mean()
+
+    def potential(self, z):
+        """The xi with xi[0] = 0 and xi_j - xi_i = z[k] on the pair (i, j) of
+        tree edge k (`edge[k]`): the steps, signed toward the child, summed
+        from the root by one cumsum in preorder."""
         J = self.order.size
         z = self.sign * z  # the potential step from parent to child
         delta = -np.bincount(self.tout, z, J + 1)
         delta[1:J] += z
         xi = np.empty(J)
         xi[self.order] = np.cumsum(delta[:J])
-        return value, xi - xi.mean()
+        return xi
 
 
 class EdgeFunctional:

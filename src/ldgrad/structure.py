@@ -55,11 +55,11 @@ scale is 1/2 for every structure by construction;
 
 A structure is thus fixed by the generator and the family alone
 (`GradientStructure`); pi and the balance verdict are the generator's own,
-solved once (`GeneratorMatrix.balance`), and pi enters only S and K.  Every
-potential above is a sum over the pairs and is evaluated by
-`markov.EdgeFunctional` (for H, Newton, `psi` and the flow); the shift
-by V tilts the weights of H by e^{V_j - V_i} forward and e^{V_i - V_j}
-back.
+computed once (`GeneratorMatrix.balance`: in closed form on a tree, by one
+dense solve otherwise), and pi enters only S and K.  Every potential above
+is a sum over the pairs and is evaluated by `markov.EdgeFunctional` (for H,
+Newton, `psi` and the flow); the shift by V tilts the weights of H by
+e^{V_j - V_i} forward and e^{V_i - V_j} back.
 
 Every conjugate here (V_L, L and Psi, the conjugate of Psi*) goes through
 `EdgeFunctional.conjugate`.  When the pairs form a tree, each has an exact
@@ -338,9 +338,10 @@ def diagnostics(g, sample_count, seed):
     Each sample solves for V_L once, and worst_cases names the sample of
     each defect's largest value, for the defects whose largest value
     exceeds DIAG_TOL (the report's tol): rounding noise has no worst case.
-    extras["conjugate_route"] says which conjugate solver ran: "tree" (the
-    closed form, no Newton solve) when the generator graph read as
-    undirected is a tree, else "newton".
+    extras["conjugate_route"] says which conjugate solver ran, and so which
+    route pi took: "tree" (the closed forms, no Newton and no linear solve)
+    when the generator graph read as undirected is a tree, else "newton"
+    (and pi from the dense solve).
     All defects vanish together exactly when detailed balance holds; they
     are always reported numerically, never only as booleans.
     """

@@ -24,7 +24,7 @@ def ou_exact_marginal(grid, mu0, var0, t):
     mu = mu0 * math.exp(-t)
     var = 1.0 + (var0 - 1.0) * math.exp(-2.0 * t)
     dens = np.exp(-0.5 * (grid.nodes - mu) ** 2 / var)
-    return grid.masses_from_density(dens)
+    return dens / dens.sum()  # full cells of width h: the h cancels
 
 
 def two_state_symmetric(rate=1.0):

@@ -430,7 +430,7 @@ def test_diffusion_outputs_equal_the_full_stack_values(tmp_path):
                      repr(dt), "--out", str(out)]) == cli.EXIT_OK
     # The same outputs from the (n, N) stack of states.
     g = diffusion.make_grid(-4.0, 4.0, N, "quadratic")
-    pi = g.invariant_masses()
+    pi = g.chain.balance.invariant_measure
     traj = evolve.integrate_linear(diffusion.gaussian_initial_masses(
         g, 1.0, 0.8), g.chain, T, dt)
     snap = np.linspace(0, traj.times.size - 1, 6).astype(int)
@@ -447,6 +447,25 @@ def test_diffusion_outputs_equal_the_full_stack_values(tmp_path):
     report = json.loads((out / "diffusion_report.json").read_text())
     assert report["final_gap_to_pi"] == float(
         np.abs(traj.states[-1] - pi).max())
+
+
+def test_diffusion_pi_density_is_exp_minus_p_over_h_at_every_node(tmp_path):
+    # Every node, the two ends included, is a full cell of width h, as in
+    # the chain's rates: the pi column of profiles.csv is e^{-P} / (Z h) at
+    # x = -4 and 4 to the same precision as at the interior nodes.
+    N = 201
+    cfg = _diffusion_config(tmp_path / "dif.json", N)
+    out = tmp_path / "out"
+    assert cli.main(["diffusion", "--config", cfg, "--T", "0.01", "--dt",
+                     "0.001", "--out", str(out)]) == cli.EXIT_OK
+    with open(out / "profiles.csv") as fh:
+        rows = list(csv.DictReader(fh))[:N]  # the snapshot at t = 0
+    x = np.array([float(r["x"]) for r in rows])
+    pi = np.array([float(r["pi"]) for r in rows])
+    w = np.exp(-0.5 * x ** 2)
+    err = np.abs(pi / (w / (w.sum() * (x[1] - x[0]))) - 1)
+    assert x[0] == -4.0 and x[-1] == 4.0
+    assert err.max() <= 1e-13
 
 
 def test_diffusion_memory_does_not_grow_with_the_step_count(tmp_path):
@@ -673,6 +692,34 @@ def test_evolve_quadratic_off_detailed_balance_is_a_structural_refusal(
     assert cli.main(argv) == cli.EXIT_STRUCTURE
     assert "structural refusal" in capsys.readouterr().err
     assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6, 1e7])
+def test_row_sums_are_checked_against_each_rows_largest_rate(tmp_path,
+                                                            capsys, c):
+    # Q and cQ are one chain on two clocks.  Written to JSON, the rows of
+    # cQ sum to rounding of its rates (3.7e-9 at c = 1e6, 1.0e-7 at 1e7), so
+    # the generator passes at every c and evolves, over c times fewer time
+    # units, to the same states; a row whose sum is 1e-3 of its rate is
+    # refused at every c.
+    g = chains.random_reversible(10, 1)
+    rho0 = np.linspace(1.0, 2.0, 10) / 15.0
+    argv = _evolve_argv(tmp_path, markov.validate_generator(c * g.q),
+                        "linear,ldp", "--rho0",
+                        ",".join(map(repr, rho0.tolist())),
+                        "--T", repr(0.5 / c), "--dt", repr(0.01 / c))
+    assert cli.main(argv) == cli.EXIT_OK
+    with open(tmp_path / "out" / "trajectory_linear.csv") as fh:
+        last = list(csv.reader(fh))[-1]
+    want = evolve.integrate_linear(rho0, g, 0.5, 0.01).states[-1]
+    assert np.abs(np.array(last[1:11], dtype=float) - want).max() <= 1e-12
+    report = json.loads((tmp_path / "out" / "evolve_report.json").read_text())
+    assert report["gap"]["sup_norm_gap"] <= 1e-12
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"Q": [[-c, c], [c, -1.001 * c]]}))
+    assert cli.main(["analyze", "--generator", str(bad), "--out",
+                     str(tmp_path / "bad")]) == cli.EXIT_INPUT
+    assert "row 1 sums to" in capsys.readouterr().err
 
 
 def test_cosh_member_evolves_as_the_exact_structure(tmp_path):

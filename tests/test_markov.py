@@ -101,24 +101,35 @@ def test_balance_rejects_absorbing():
 
 
 def test_balance_rejects_rounding_level_invariant_mass():
-    # Irreducible, but pi_0 = 1e-20 / (1 + 1e-20) is below the 1e-14 guard.
-    g = markov.validate_generator([[-1.0, 1.0], [1e-20, -1e-20]])
-    with pytest.raises(DegenerateInvariantMeasure):
-        markov.analyze_balance(g)
-    # The guard is absolute: rates r^(-1/2) and r^(1/2) give the positive
-    # pi_1 = 1 / (1 + r), accepted at r = 1e13 and refused, with its index
-    # and value, from r = 1e14 on.
+    # On a tree pi comes from the rate ratios in log space, with no floor:
+    # the two-state chain with rates r^(-1/2) and r^(1/2) has the positive
+    # pi_1 = 1 / (1 + r), and the one with rates 1 and 1e-20 has
+    # pi_0 = 1e-20 / (1 + 1e-20); both are accepted to rounding.
     for r in (1e13, 1e14, 1e16):
         g = markov.validate_generator([[-r ** -0.5, r ** -0.5],
                                        [r ** 0.5, -r ** 0.5]])
-        if r < 1e14:
-            pi = markov.analyze_balance(g).invariant_measure
-            assert abs(pi[1] * (1 + r) - 1) <= 1e-12
-            continue
-        with pytest.raises(DegenerateInvariantMeasure,
-                           match=r"pi_1 = %.3e is at or below 1e-14$"
-                           % (1 / (1 + r))):
-            markov.analyze_balance(g)
+        pi = markov.analyze_balance(g).invariant_measure
+        assert abs(pi[1] * (1 + r) - 1) <= 1e-14
+    g = markov.validate_generator([[-1.0, 1.0], [1e-20, -1e-20]])
+    pi = markov.analyze_balance(g).invariant_measure
+    assert abs(pi[0] / 1e-20 - 1) <= 1e-14 and pi[1] == 1.0
+    # A tree whose pi underflows is refused: back rates 1e-200 on the path
+    # 0 - 1 - 2 give pi_0 / pi_2 = 1e-400.
+    g = markov.validate_generator([[-1.0, 1.0, 0.0],
+                                   [1e-200, -1.0, 1.0],
+                                   [0.0, 1e-200, -1e-200]])
+    with pytest.raises(DegenerateInvariantMeasure,
+                       match=r"pi_0 = 0\.000e\+00 is at or below 0$"):
+        markov.analyze_balance(g)
+    # The dense solve of a graph with cycles keeps the absolute 1e-14
+    # floor: the complete 3-state chain whose rates into state 0 are 1e-20
+    # has pi_0 = 5e-21, and is refused with its index and value.
+    g = markov.validate_generator([[-2.0, 1.0, 1.0],
+                                   [1e-20, -1.0, 1.0],
+                                   [1e-20, 1.0, -1.0]])
+    with pytest.raises(DegenerateInvariantMeasure,
+                       match=r"pi_0 = 5\.000e-21 is at or below 1e-14$"):
+        markov.analyze_balance(g)
 
 
 def test_relative_entropy_values():
